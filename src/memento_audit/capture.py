@@ -10,16 +10,26 @@ import hashlib
 import json
 import logging
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime
+from functools import partial
 from pathlib import Path
 
 from .errors import BadTimestamp, MementoMismatch, UnresolvableReference
 from .extract import extract_css_refs, extract_markup_refs
 from .fetching import ChainResult, PoliteFetcher
 from .errors import UnrecognizedShape
-from .replay import ArchiveEndpoint, ReplayUri, parse_replay_uri, rewrite_subresource
+from .replay import (
+    HOST_LIVE,
+    ArchiveEndpoint,
+    ReplayUri,
+    classify_host,
+    parse_replay_uri,
+    resolve_reference,
+    rewrite_subresource,
+)
 from .timefmt import format_iso, parse_iso, utc_now_s
 
 logger = logging.getLogger(__name__)
@@ -156,7 +166,8 @@ class StaticEngine:
         page = _fetch_from_chain(m.uri, page_result, TRIGGER_MARKUP, PHASE_PAGE)
 
         subs: dict[str, ResourceFetch] = {}
-        bodies: dict[str, str] = {}  # css request uri -> body, for recursion
+        # css request uri -> (uri its body came from, body), for recursion
+        bodies: dict[str, tuple[str, str]] = {}
         lock = threading.Lock()
 
         def dereference(request_uri: str, trigger: str) -> None:
@@ -167,13 +178,14 @@ class StaticEngine:
                 ok = fetch.error is None and fetch.final_status is not None \
                     and fetch.final_status < 400
                 if ok and _looks_like_css(fetch) and result.response is not None:
-                    bodies[request_uri] = result.response.text
+                    bodies[request_uri] = (result.final_uri, result.response.text)
 
-        def rewrite_batch(base: ReplayUri, refs: list[str], trigger: str) -> list[tuple[str, str]]:
+        def request_batch(resolve: Callable[[str], str], refs: list[str],
+                          trigger: str) -> list[tuple[str, str]]:
             batch = []
             for ref in refs:
                 try:
-                    request_uri = rewrite_subresource(base, ref, ep)
+                    request_uri = resolve(ref)
                 except UnresolvableReference:
                     if ref not in subs:
                         subs[ref] = _skipped_fetch(ref, trigger)
@@ -187,20 +199,29 @@ class StaticEngine:
                    and page.final_status < 400 and _looks_like_html(page))
         if page_ok and page_result.response is not None:
             html = page_result.response.text
-            pending = rewrite_batch(m, extract_markup_refs(html), TRIGGER_MARKUP)
+            pending = request_batch(partial(rewrite_subresource, m, ep=ep),
+                                    extract_markup_refs(html), TRIGGER_MARKUP)
             while pending:
                 with ThreadPoolExecutor(max_workers=self.workers) as pool:
                     list(pool.map(lambda item: dereference(*item), pending))
                 pending = []
-                for css_uri, css_body in list(bodies.items()):
+                for css_uri, (css_base_uri, css_body) in list(bodies.items()):
                     bodies.pop(css_uri)
-                    try:
-                        ts, css_original = parse_replay_uri(css_uri, ep)
-                    except (UnrecognizedShape, BadTimestamp):
-                        continue  # chrome or foreign stylesheet: do not recurse
-                    css_base = ReplayUri(timestamp=ts, original=css_original, uri=css_uri)
-                    pending.extend(
-                        rewrite_batch(css_base, extract_css_refs(css_body), TRIGGER_STYLESHEET))
+                    # A browser resolves a redirected stylesheet's url()s
+                    # against where the redirects ended, not where they began.
+                    if classify_host(css_base_uri, ep) == HOST_LIVE:
+                        # It left the archive: its url()s are live leaks too.
+                        resolve = partial(resolve_reference, css_base_uri)
+                    else:
+                        try:
+                            ts, css_original = parse_replay_uri(css_base_uri, ep)
+                        except (UnrecognizedShape, BadTimestamp):
+                            continue  # chrome or foreign stylesheet: do not recurse
+                        css_base = ReplayUri(timestamp=ts, original=css_original,
+                                             uri=css_base_uri)
+                        resolve = partial(rewrite_subresource, css_base, ep=ep)
+                    pending.extend(request_batch(resolve, extract_css_refs(css_body),
+                                                 TRIGGER_STYLESHEET))
 
         finished = utc_now_s()
         sub_list = [f for f in subs.values() if f is not None]

@@ -1,9 +1,7 @@
 """Memento archive client: TimeMap retrieval and datetime negotiation."""
 
 import logging
-import re
 from datetime import datetime
-from urllib.parse import urlsplit
 
 from .errors import (
     NetworkError,
@@ -14,13 +12,11 @@ from .errors import (
 from .fetching import REDIRECT_STATUSES, PoliteFetcher
 from .linkformat import MementoRecord, TimeMap, memento_record, parse_link_format
 from .replay import ArchiveEndpoint, validate_original_uri
-from .timefmt import format_rfc1123, parse_rfc1123, parse_ts14
+from .timefmt import format_rfc1123, parse_rfc1123, parse_ts14, uri_ts14
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_ROBOTS_MARKER = "robots.txt"
-
-_TS14_SEGMENT_RE = re.compile(r"/(\d{14})(?=/|$)")
 
 
 def _fetcher_or_default(fetcher: PoliteFetcher | None) -> PoliteFetcher:
@@ -58,9 +54,9 @@ def _datetime_from_memento(uri: str, resp) -> datetime:
     header = resp.headers.get("Memento-Datetime") if resp is not None else None
     if header:
         return parse_rfc1123(header)
-    m = _TS14_SEGMENT_RE.search(urlsplit(uri).path)
-    if m:
-        return parse_ts14(m.group(1))
+    ts = uri_ts14(uri)
+    if ts is not None:
+        return parse_ts14(ts)
     raise ProtocolError(f"memento carries no datetime: {uri}")
 
 

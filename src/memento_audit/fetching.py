@@ -3,9 +3,15 @@ one retry on transport errors, and manual redirect-chain following.
 
 One PoliteFetcher instance should be shared across everything that talks to
 the same hosts so the per-host limits hold globally.
+
+The session does not read the environment on each request (`trust_env` is
+off). What `requests` would take from it, proxies honouring `no_proxy`, a
+`REQUESTS_CA_BUNDLE`/`CURL_CA_BUNDLE` CA bundle and `.netrc` credentials, is
+resolved once per host instead, when the host is first seen.
 """
 
 import logging
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -36,15 +42,31 @@ class ChainResult:
         return self.hops[-1][1] if self.hops else None
 
 
+def _environment_settings(uri: str) -> dict:
+    """The request settings a `trust_env` session reads from the environment
+    for `uri`'s host: proxies (empty when `no_proxy` bypasses the host), the
+    CA bundle and `.netrc` credentials."""
+    settings: dict = {"proxies": requests.utils.get_environ_proxies(uri)}
+    ca_bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    if ca_bundle:
+        settings["verify"] = ca_bundle
+    auth = requests.utils.get_netrc_auth(uri)
+    if auth:
+        settings["auth"] = auth
+    return settings
+
+
 class _HostGate:
     """Serializes request starts against one host: a concurrency cap plus a
-    minimum spacing between starts."""
+    minimum spacing between starts. Also carries the host's environment
+    settings, the keyword arguments every GET to the host passes."""
 
-    def __init__(self, per_host: int, delay_s: float):
+    def __init__(self, per_host: int, delay_s: float, settings: dict):
         self.semaphore = threading.Semaphore(per_host)
         self.lock = threading.Lock()
         self.delay_s = delay_s
         self.next_at = 0.0
+        self.settings = settings
 
     def __enter__(self):
         self.semaphore.acquire()
@@ -71,6 +93,7 @@ class PoliteFetcher:
         self.max_redirects = max_redirects
         self.retries = retries
         self.session = requests.Session()
+        self.session.trust_env = False  # read per host in _gate_for, not per request
         self.session.headers["User-Agent"] = user_agent or f"memento-audit/{__version__}"
         self._gates: dict[str, _HostGate] = {}
         self._gates_lock = threading.Lock()
@@ -83,7 +106,8 @@ class PoliteFetcher:
         with self._gates_lock:
             gate = self._gates.get(host)
             if gate is None:
-                gate = _HostGate(self.per_host, self.politeness_s)
+                gate = _HostGate(self.per_host, self.politeness_s,
+                                 _environment_settings(uri))
                 self._gates[host] = gate
             return gate
 
@@ -91,12 +115,13 @@ class PoliteFetcher:
         """One GET, no redirect following. Raises requests exceptions after
         the configured retries are exhausted."""
         last_exc: Exception | None = None
+        gate = self._gate_for(uri)
         for attempt in range(self.retries + 1):
-            with self._gate_for(uri):
+            with gate:
                 try:
                     return self.session.get(
                         uri, headers=headers, allow_redirects=False,
-                        timeout=self.timeout_s,
+                        timeout=self.timeout_s, **gate.settings,
                     )
                 except requests.RequestException as exc:
                     last_exc = exc

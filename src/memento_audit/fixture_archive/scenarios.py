@@ -1,7 +1,8 @@
 """Authored fixture sites exercising every replay phenomenon the auditor
 classifies: clean annual growth with a sustained collapse, a one-year dip,
 script-only resources that were never archived, a redirect chain ending 404,
-redirects escaping to the live web, a robots-excluded site, and replay chrome.
+redirects escaping to the live web, a robots-excluded site, replay chrome,
+and stylesheets redirected to another directory and to the live web.
 
 All references in fixture bodies are relative (never root-relative) so that
 resolution against the original URI and against the replay URL agree — the
@@ -284,6 +285,46 @@ def chrome_site() -> SiteFixture:
     return SiteFixture(original=CHROME_ORIGINAL, mementos=(bundle,))
 
 
+# --- movedcss: stylesheets redirected one directory down and to the live web -
+
+MOVEDCSS_ORIGINAL = "http://movedcss.example/"
+MOVEDCSS_TIMESTAMP = "20130101000000"
+#: css/a.css answers 302 to css/v2/a.css, whose url(bg.gif) means css/v2/bg.gif.
+MOVEDCSS_BACKGROUND = f"{MOVEDCSS_ORIGINAL}css/v2/bg.gif"
+#: css/b.css answers 302 to the live web, whose url(leak.gif) is live too.
+MOVEDCSS_LEAK = f"{MOVEDCSS_ORIGINAL}css/b.css"
+MOVEDCSS_LIVE_PATHS = ("/movedcss/b.css", "/movedcss/leak.gif")
+
+
+def movedcss_site() -> SiteFixture:
+    html = ("<html><head>\n"
+            '<link rel="stylesheet" href="css/a.css">\n'
+            '<link rel="stylesheet" href="css/b.css">\n'
+            "</head><body></body></html>\n")
+    resources = (
+        ResourceSpec(uri=f"{MOVEDCSS_ORIGINAL}css/a.css",
+                     chain=((302, f"{MOVEDCSS_ORIGINAL}css/v2/a.css"), (200, None)),
+                     body=b"body { background: url(bg.gif); }\n",
+                     media_type="text/css"),
+        _img(MOVEDCSS_BACKGROUND),
+        ResourceSpec(uri=MOVEDCSS_LEAK,
+                     chain=((302, "http://{live}" + MOVEDCSS_LIVE_PATHS[0]), (200, None)),
+                     media_type="text/css"),
+    )
+    bundle = MementoBundle(timestamp=MOVEDCSS_TIMESTAMP, html=html, resources=resources,
+                           leaks=(MOVEDCSS_LEAK,))
+    return SiteFixture(original=MOVEDCSS_ORIGINAL, mementos=(bundle,))
+
+
+def movedcss_live_resources() -> tuple[LiveResource, ...]:
+    css_path, gif_path = MOVEDCSS_LIVE_PATHS
+    return (
+        LiveResource(path=css_path, body=b"body { background: url(leak.gif); }\n",
+                     media_type="text/css"),
+        LiveResource(path=gif_path, body=GIF_BYTES, media_type="image/gif"),
+    )
+
+
 def build_all() -> FixtureManifest:
     """Every authored scenario plus the live targets they escape to."""
     return FixtureManifest(
@@ -297,6 +338,7 @@ def build_all() -> FixtureManifest:
             robots_site(),
             static6_site(),
             chrome_site(),
+            movedcss_site(),
         ),
-        live=gmaps_live_resources(),
+        live=(*gmaps_live_resources(), *movedcss_live_resources()),
     )

@@ -1,13 +1,19 @@
 """TimeMap model plus application/link-format parsing and serialization.
 
 A TimeMap is a comma-separated list of `<URI>; param=value; ...` entries.
-Datetime parameter values contain commas ("Tue, 20 Jun 2000 ..."), so entries
-are split by a small scanner that tracks quoting and angle brackets instead of
-a plain `split(",")`.
+Datetime parameter values contain commas ("Tue, 20 Jun 2000 ..."), so a plain
+`split(",")` will not do: entries, and the parameters within an entry, are cut
+by compiled regexes that step over quoted strings and `<...>` as whole tokens.
+An unterminated quote or bracket runs to the end of the text. A TimeMap can
+hold 10^5 entries or more, so entries are taken one at a time and every step
+per entry is a few C-level string or regex calls.
 """
 
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime
+from operator import attrgetter
 
 from .errors import BadDatetime, MalformedEntry, MissingRole
 from .timefmt import format_rfc1123, parse_rfc1123
@@ -56,52 +62,41 @@ class TimeMap:
         return self.mementos[-1]
 
 
+#: The four possible rel sets, shared by every record: (first, last) -> rels.
+_RELS = {
+    (False, False): frozenset({REL_MEMENTO}),
+    (True, False): frozenset({REL_MEMENTO, REL_FIRST}),
+    (False, True): frozenset({REL_MEMENTO, REL_LAST}),
+    (True, True): frozenset({REL_MEMENTO, REL_FIRST, REL_LAST}),
+}
+
+
 def memento_record(uri: str, dt: datetime, first: bool = False, last: bool = False) -> MementoRecord:
     """Build a MementoRecord, always including the base memento rel."""
-    rels = {REL_MEMENTO}
-    if first:
-        rels.add(REL_FIRST)
-    if last:
-        rels.add(REL_LAST)
-    return MementoRecord(datetime=dt, uri=uri, rels=frozenset(rels))
+    return MementoRecord(datetime=dt, uri=uri, rels=_RELS[bool(first), bool(last)])
 
 
-def _split_entries(body: str) -> list[tuple[int, str]]:
-    """Split on commas that sit outside <...> and outside quoted strings."""
-    entries = []
-    start = 0
-    in_quote = False
-    in_angle = False
-    for i, ch in enumerate(body):
-        if in_quote:
-            if ch == '"':
-                in_quote = False
-        elif in_angle:
-            if ch == ">":
-                in_angle = False
-        elif ch == '"':
-            in_quote = True
-        elif ch == "<":
-            in_angle = True
-        elif ch == ",":
-            entries.append((start, body[start:i]))
-            start = i + 1
-    entries.append((start, body[start:]))
-    return [(off, text) for off, text in entries if text.strip()]
+# One entry: everything up to the next comma outside quotes and <...>.
+_ENTRY_RE = re.compile(r'(?:[^,"<]+|"[^"]*"?|<[^>]*>?)*')
+# One parameter plus the ';' after it. Stepping past the end of the text yields
+# one extra empty parameter, which is blank and so skipped like any other.
+_PARAM_RE = re.compile(r'((?:[^;"]+|"[^"]*"?)*)(?:;|\Z)')
 
 
-def _split_params(segment: str) -> list[str]:
-    parts = []
-    start = 0
-    in_quote = False
-    for i, ch in enumerate(segment):
-        if ch == '"':
-            in_quote = not in_quote
-        elif ch == ";" and not in_quote:
-            parts.append(segment[start:i])
-            start = i + 1
-    parts.append(segment[start:])
-    return parts
+def _split_entries(body: str) -> Iterator[tuple[int, str]]:
+    """Yield (offset, text) for each non-blank entry, splitting on commas that
+    sit outside <...> and outside quoted strings."""
+    match = _ENTRY_RE.match
+    end = len(body)
+    pos = 0
+    while True:
+        stop = match(body, pos).end()
+        text = body[pos:stop]
+        if text.strip():
+            yield pos, text
+        if stop >= end:
+            return
+        pos = stop + 1  # past the comma
 
 
 def _parse_entry(offset: int, text: str) -> tuple[str, dict[str, str]]:
@@ -113,13 +108,13 @@ def _parse_entry(offset: int, text: str) -> tuple[str, dict[str, str]]:
         raise MalformedEntry(f"unterminated URI in entry: {stripped[:40]!r}", offset)
     uri = stripped[1:end]
     params: dict[str, str] = {}
-    for raw in _split_params(stripped[end + 1:]):
+    for raw in _PARAM_RE.findall(stripped, end + 1):
         raw = raw.strip()
         if not raw:
             continue
-        if "=" not in raw:
+        key, eq, value = raw.partition("=")
+        if not eq:
             raise MalformedEntry(f"parameter without '=': {raw!r}", offset)
-        key, value = raw.split("=", 1)
         value = value.strip()
         if value.startswith('"') and value.endswith('"') and len(value) >= 2:
             value = value[1:-1]
@@ -136,6 +131,7 @@ def parse_link_format(body: str) -> TimeMap:
     """
     roles: dict[str, str] = {}
     mementos: list[MementoRecord] = []
+    firsts = lasts = 0
     for offset, text in _split_entries(body):
         uri, params = _parse_entry(offset, text)
         rel = params.get("rel")
@@ -149,23 +145,24 @@ def parse_link_format(body: str) -> TimeMap:
             if role in roles:
                 raise MalformedEntry(f"duplicate {role!r} entry", offset)
             roles[role] = uri
-        elif "memento" in tokens and set(tokens) <= _MEMENTO_TOKENS:
-            raw_dt = params.get("datetime")
-            if raw_dt is None:
-                raise BadDatetime(f"memento entry without datetime: <{uri}>")
-            dt = parse_rfc1123(raw_dt)
-            mementos.append(memento_record(uri, dt, first="first" in tokens, last="last" in tokens))
-        # entries with unknown rels (license, self, ...) are ignored
+            continue
+        if "memento" not in tokens or not set(tokens) <= _MEMENTO_TOKENS:
+            continue  # entries with unknown rels (license, self, ...) are ignored
+        raw_dt = params.get("datetime")
+        if raw_dt is None:
+            raise BadDatetime(f"memento entry without datetime: <{uri}>")
+        first, last = "first" in tokens, "last" in tokens
+        firsts += first
+        lasts += last
+        mementos.append(memento_record(uri, parse_rfc1123(raw_dt), first, last))
 
     for role in ("original", "timemap", "timegate"):
         if role not in roles:
             raise MissingRole(f"no rel={role!r} entry in TimeMap")
-    firsts = sum(1 for m in mementos if m.is_first)
-    lasts = sum(1 for m in mementos if m.is_last)
     if firsts > 1 or lasts > 1:
         raise MalformedEntry("more than one first-memento or last-memento entry")
 
-    mementos.sort(key=lambda m: (m.datetime, m.uri))
+    mementos.sort(key=attrgetter("datetime", "uri"))
     return TimeMap(
         original=roles["original"],
         timegate_uri=roles["timegate"],

@@ -150,6 +150,23 @@ def classify_host(uri: str, ep: ArchiveEndpoint) -> str:
     return HOST_ARCHIVE
 
 
+def resolve_reference(base_uri: str, reference: str) -> str:
+    """Resolve a page reference against an absolute base URI, without its
+    fragment. Raises UnresolvableReference for what a browser would not fetch."""
+    ref = reference.strip()
+    if not ref or ref.startswith("#"):
+        raise UnresolvableReference(f"fragment-only reference: {reference!r}")
+    lowered = ref.lower()
+    for scheme in SKIP_SCHEMES:
+        if lowered.startswith(scheme):
+            raise UnresolvableReference(f"non-fetchable scheme: {reference!r}")
+    resolved, _frag = urldefrag(urljoin(base_uri, ref))
+    parts = urlsplit(resolved)
+    if parts.scheme not in ("http", "https") or not parts.netloc:
+        raise UnresolvableReference(f"reference resolves to no http(s) URI: {reference!r}")
+    return resolved
+
+
 def rewrite_subresource(base: ReplayUri, reference: str, ep: ArchiveEndpoint) -> str:
     """Resolve a page reference and address it through the archive.
 
@@ -158,17 +175,7 @@ def rewrite_subresource(base: ReplayUri, reference: str, ep: ArchiveEndpoint) ->
     (already-rewritten replay URIs, replay chrome assets) pass through
     untouched — wrapping those would ask the archive for a copy of itself.
     """
-    ref = reference.strip()
-    if not ref or ref.startswith("#"):
-        raise UnresolvableReference(f"fragment-only reference: {reference!r}")
-    lowered = ref.lower()
-    for scheme in SKIP_SCHEMES:
-        if lowered.startswith(scheme):
-            raise UnresolvableReference(f"non-fetchable scheme: {reference!r}")
-    resolved, _frag = urldefrag(urljoin(base.original, ref))
-    parts = urlsplit(resolved)
-    if parts.scheme not in ("http", "https") or not parts.netloc:
-        raise UnresolvableReference(f"reference resolves to no http(s) URI: {reference!r}")
-    if parts.netloc.lower() in ep.archive_hosts:
+    resolved = resolve_reference(base.original, reference)
+    if urlsplit(resolved).netloc.lower() in ep.archive_hosts:
         return resolved
     return ep.expand_replay(base.timestamp, resolved)

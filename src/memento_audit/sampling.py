@@ -9,16 +9,14 @@ closest to the target, ties going to the earlier one.
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from urllib.parse import urlsplit
+from datetime import datetime, timedelta, timezone
 
 from dateutil.relativedelta import relativedelta
 
-from .errors import TimestampMismatch
+from .errors import BadTimestamp, TimestampMismatch
 from .linkformat import MementoRecord, TimeMap
-from .timefmt import parse_ts14
+from .timefmt import parse_ts14, uri_ts14
 
-_TS14_SEGMENT_RE = re.compile(r"/(\d{14})(?=/|$)")
 _INTERVAL_RE = re.compile(r"^(\d+)\s*([yd])$")
 
 URI_AGREEMENT_TOLERANCE = timedelta(hours=24)
@@ -71,18 +69,25 @@ def extract_date(m: MementoRecord) -> datetime:
     The two sources must agree to within 24 hours; archives stamp the URI at
     capture time, so a larger gap means corrupt input.
     """
-    seg = _TS14_SEGMENT_RE.search(urlsplit(m.uri).path)
-    if seg is not None:
-        try:
-            uri_dt = parse_ts14(seg.group(1))
-        except Exception:
-            uri_dt = None  # digits that encode no instant are not a timestamp
-        if uri_dt is not None and abs(uri_dt - m.datetime) > URI_AGREEMENT_TOLERANCE:
-            raise TimestampMismatch(
-                f"datetime attribute {m.datetime.isoformat()} vs URI timestamp "
-                f"{seg.group(1)} in {m.uri}"
-            )
-    return m.datetime
+    dt = m.datetime
+    ts = uri_ts14(m.uri)
+    if ts is None or (dt.tzinfo is timezone.utc and int(ts) == _ts14_value(dt)):
+        return dt  # no URI timestamp, or one naming the record's own second
+    try:
+        uri_dt = parse_ts14(ts)
+    except BadTimestamp:
+        return dt  # digits that encode no instant are not a timestamp
+    if abs(uri_dt - dt) > URI_AGREEMENT_TOLERANCE:
+        raise TimestampMismatch(
+            f"datetime attribute {dt.isoformat()} vs URI timestamp {ts} in {m.uri}")
+    return dt
+
+
+def _ts14_value(dt: datetime) -> int:
+    """YYYYMMDDHHMMSS as a number: equal to int(ts) exactly when the 14 digits
+    of ts name the same second as dt's fields."""
+    return ((((dt.year * 100 + dt.month) * 100 + dt.day) * 100
+             + dt.hour) * 100 + dt.minute) * 100 + dt.second
 
 
 @dataclass(frozen=True)

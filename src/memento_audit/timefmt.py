@@ -2,12 +2,14 @@
 
 import re
 from datetime import datetime, timezone
+from urllib.parse import urlsplit
 
 from .errors import BadDatetime, BadTimestamp
 
 _DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+_MONTH_NUMBERS = {name: number for number, name in enumerate(_MONTHS, 1)}
 
 # Strict RFC-1123, always GMT. Built by hand so the parser is locale-independent.
 _RFC1123_RE = re.compile(
@@ -17,6 +19,16 @@ _RFC1123_RE = re.compile(
 )
 
 _TS14_RE = re.compile(r"^\d{14}$")
+_TS14_SEGMENT_RE = re.compile(r"/(\d{14})(?=/|$)")
+# `scheme://authority` then the path, up to any query or fragment. Where this
+# matches, the path is the one urlsplit gives: the URI starts with a letter (no
+# leading space to strip), holds no tab, CR or LF before the path's end (which
+# urlsplit deletes), and its authority is ASCII without brackets (which
+# urlsplit checks further).
+_ABSOLUTE_URI_PATH_RE = re.compile(
+    r"[A-Za-z][A-Za-z0-9+.-]*://[^/?#\[\]\t\r\n\x80-\U0010ffff]*"
+    r"((?:/[^?#\t\r\n]*)?)(?=[?#]|\Z)"
+)
 
 
 def parse_rfc1123(value: str) -> datetime:
@@ -28,16 +40,10 @@ def parse_rfc1123(value: str) -> datetime:
     m = _RFC1123_RE.match(value.strip())
     if m is None:
         raise BadDatetime(f"not an RFC-1123 datetime: {value!r}")
+    _, dom, mon, year, hour, minute, second = m.groups()
     try:
-        return datetime(
-            int(m.group("year")),
-            _MONTHS.index(m.group("mon")) + 1,
-            int(m.group("dom")),
-            int(m.group("h")),
-            int(m.group("m")),
-            int(m.group("s")),
-            tzinfo=timezone.utc,
-        )
+        return datetime(int(year), _MONTH_NUMBERS[mon], int(dom), int(hour),
+                        int(minute), int(second), 0, timezone.utc)  # positional: cheaper
     except ValueError as exc:
         raise BadDatetime(f"impossible RFC-1123 datetime: {value!r}") from exc
 
@@ -67,6 +73,15 @@ def parse_ts14(ts: str) -> datetime:
 def format_ts14(dt: datetime) -> str:
     dt = to_utc(dt)
     return dt.strftime("%Y%m%d%H%M%S")
+
+
+def uri_ts14(uri: str) -> str | None:
+    """The 14-digit archive timestamp that forms a whole segment of the URI's
+    path, as in `/web/20000620180259/http://a.example/`, or None."""
+    m = _ABSOLUTE_URI_PATH_RE.match(uri)
+    path = m.group(1) if m is not None else urlsplit(uri).path
+    seg = _TS14_SEGMENT_RE.search(path)
+    return seg.group(1) if seg is not None else None
 
 
 def to_utc(dt: datetime) -> datetime:

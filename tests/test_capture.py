@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from memento_audit.bridge import ScriptedEngine
 from memento_audit.capture import (
     ENGINE_STATIC,
     PHASE_PAGE,
@@ -20,6 +21,11 @@ from memento_audit.errors import MementoMismatch
 from memento_audit.fixture_archive.scenarios import (
     CHROME_ORIGINAL,
     CHROME_TIMESTAMP,
+    MOVEDCSS_BACKGROUND,
+    MOVEDCSS_LEAK,
+    MOVEDCSS_LIVE_PATHS,
+    MOVEDCSS_ORIGINAL,
+    MOVEDCSS_TIMESTAMP,
     NEWS_ORIGINAL,
     STATIC6_BACKGROUND,
     STATIC6_FETCH_TOTAL,
@@ -30,6 +36,7 @@ from memento_audit.fixture_archive.scenarios import (
     YT2011_TIMESTAMP,
 )
 from memento_audit.replay import make_replay_uri
+from memento_audit.report import collect_leaks
 
 
 @pytest.fixture()
@@ -86,6 +93,34 @@ def test_broken_stylesheet_chain_recorded(engine, service, endpoint):
     css = next(f for f in log.subresources() if YT2011_BROKEN_CSS in f.request_uri)
     assert [status for status, _ in css.chain] == [302, 404]
     assert css.final_status == 404
+
+
+def test_redirected_stylesheet_resolves_against_final_uri(engine, service, endpoint):
+    log = _capture(engine, endpoint, MOVEDCSS_TIMESTAMP, MOVEDCSS_ORIGINAL)
+    css = make_replay_uri(MOVEDCSS_TIMESTAMP, f"{MOVEDCSS_ORIGINAL}css/a.css", endpoint)
+    background = make_replay_uri(MOVEDCSS_TIMESTAMP, MOVEDCSS_BACKGROUND, endpoint)
+    leak_css = make_replay_uri(MOVEDCSS_TIMESTAMP, MOVEDCSS_LEAK, endpoint)
+    live_gif = service.live_base + MOVEDCSS_LIVE_PATHS[1]
+    by_uri = {f.request_uri: f for f in log.subresources()}
+    # url(bg.gif) in css/v2/a.css, where css/a.css redirects, is css/v2/bg.gif;
+    # url(leak.gif) in the live copy of css/b.css is the live leak.gif.
+    assert set(by_uri) == {css.uri, background.uri, leak_css.uri, live_gif}
+    assert [status for status, _ in by_uri[css.uri].chain] == [302, 200]
+    for uri in (background.uri, live_gif):
+        assert by_uri[uri].trigger == TRIGGER_STYLESHEET
+        assert by_uri[uri].final_status == 200
+    assert {leak.request_uri for leak in collect_leaks([log], endpoint)} \
+        == {leak_css.uri, live_gif}
+
+
+def test_redirected_stylesheet_requests_match_the_bridge(engine, service, endpoint,
+                                                         stub_bridge):
+    m = make_replay_uri(MOVEDCSS_TIMESTAMP, MOVEDCSS_ORIGINAL, endpoint)
+    static = engine.capture(m, endpoint)
+    browser = ScriptedEngine(stub_bridge.url, settle_ms=0).capture(
+        m, endpoint, scripting=SCRIPTING_OFF)
+    assert ({f.request_uri for f in static.subresources()}
+            == {f.request_uri for f in browser.subresources()})
 
 
 def test_chrome_stylesheet_requested_verbatim(engine, service, endpoint):

@@ -1,6 +1,11 @@
+import socket
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from memento_audit.fetching import PoliteFetcher
+import requests
+
+from memento_audit.fetching import PoliteFetcher, _environment_settings
 from memento_audit.fixture_archive.scenarios import (
     GMAPS_ORIGINAL,
     GMAPS_TIMESTAMP,
@@ -65,3 +70,86 @@ def test_politeness_spaces_requests(service):
         assert elapsed >= 0.4
     finally:
         fetcher.close()
+
+
+def _clear_proxy_environment(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+class _RecordingProxy(BaseHTTPRequestHandler):
+    """Answers every request itself and records the request line's target,
+    which is the absolute URI when a client sends through a proxy."""
+
+    seen: list[str] = []
+
+    def do_GET(self):
+        self.seen.append(self.path)
+        body = b"via proxy"
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_proxy_environment_resolved_per_host(service, monkeypatch):
+    # Both hosts are local names, so a fetch that wrongly skips or takes the
+    # proxy fails against this machine instead of looking a name up outside.
+    with socket.socket() as s:
+        s.bind(("localhost", 0))
+        closed_port = s.getsockname()[1]
+    proxy = ThreadingHTTPServer(("127.0.0.1", 0), _RecordingProxy)
+    thread = threading.Thread(target=proxy.serve_forever, daemon=True)
+    thread.start()
+    _RecordingProxy.seen = []
+    try:
+        _clear_proxy_environment(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_port}")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        fetcher = PoliteFetcher(politeness_s=0.0)
+        try:
+            proxied = fetcher.follow(f"http://localhost:{closed_port}/page")
+            direct_uri = service.memento_uri(NEWS_TIMESTAMPS[0], NEWS_ORIGINAL).replace(
+                "//localhost:", "//127.0.0.1:", 1)
+            bypassed = fetcher.follow(direct_uri)
+        finally:
+            fetcher.close()
+    finally:
+        proxy.shutdown()
+        proxy.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert proxied.final_status == 200
+    assert proxied.response.content == b"via proxy"
+    assert bypassed.final_status == 200
+    assert b"News as of" in bypassed.response.content
+    assert _RecordingProxy.seen == [f"http://localhost:{closed_port}/page"]
+
+
+def test_environment_settings_match_a_trust_env_session(tmp_path, monkeypatch):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine archive.example login alice password s3cret\n")
+    netrc.chmod(0o600)
+    bundle = tmp_path / "ca.pem"
+    _clear_proxy_environment(monkeypatch)
+    monkeypatch.setenv("NETRC", str(netrc))
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(bundle))
+    monkeypatch.setenv("HTTP_PROXY", "http://proxy.example:3128")
+    monkeypatch.setenv("NO_PROXY", "other.example")
+    for uri in ("http://archive.example/web/1/", "http://other.example/"):
+        settings = _environment_settings(uri)
+        session = requests.Session()  # trust_env: what requests itself would read
+        merged = session.merge_environment_settings(uri, {}, None, None, None)
+        assert settings["proxies"] == merged["proxies"]
+        assert settings["verify"] == merged["verify"] == str(bundle)
+        theirs = session.prepare_request(requests.Request("GET", uri))
+        ours = requests.Request("GET", uri, auth=settings.get("auth")).prepare()
+        assert ours.headers.get("Authorization") == theirs.headers.get("Authorization")
+        session.close()
+    assert _environment_settings("http://archive.example/")["auth"] == ("alice", "s3cret")
+    assert "auth" not in _environment_settings("http://other.example/")
+    assert _environment_settings("http://other.example/")["proxies"] == {}
