@@ -150,11 +150,3 @@ class ScriptedEngine:
             log = dataclasses.replace(log, screenshot=name)
         return log
 
-
-def capture_scripted(m: ReplayUri, ep: ArchiveEndpoint, bridge_url: str,
-                     scripting: str = SCRIPTING_ON, settle_ms: int = 3000,
-                     page_timeout_s: float = 30.0,
-                     screenshot_dir: str | Path | None = None) -> CaptureLog:
-    engine = ScriptedEngine(bridge_url, settle_ms=settle_ms,
-                            page_timeout_s=page_timeout_s, screenshot_dir=screenshot_dir)
-    return engine.capture(m, ep, scripting=scripting)

@@ -235,13 +235,6 @@ class StaticEngine:
         )
 
 
-def capture_static(m: ReplayUri, ep: ArchiveEndpoint,
-                   fetcher: PoliteFetcher | None = None, workers: int = 4) -> CaptureLog:
-    """Capture a memento with the static engine. The log is returned even when
-    the page fetch itself fails; callers check `page_failed`."""
-    return StaticEngine(fetcher=fetcher, workers=workers).capture(m, ep)
-
-
 def diff_captures(on: CaptureLog, off: CaptureLog) -> DifferentialReport:
     """Compare the subresource URI sets of a scripting-on and a scripting-off
     capture of the same memento."""
@@ -262,9 +255,17 @@ def diff_captures(on: CaptureLog, off: CaptureLog) -> DifferentialReport:
 
 # --- persistence -------------------------------------------------------------
 
+def site_digest(original: str) -> str:
+    """Short digest of an original URI, shared by every cache file name."""
+    return hashlib.sha256(original.encode("utf-8")).hexdigest()[:12]
+
+
+def capture_filename(m: ReplayUri, engine: str, scripting: str) -> str:
+    return f"{m.timestamp}_{site_digest(m.original)}_{engine}_{scripting}.json"
+
+
 def log_filename(log: CaptureLog) -> str:
-    digest = hashlib.sha256(log.memento.original.encode("utf-8")).hexdigest()[:12]
-    return f"{log.memento.timestamp}_{digest}_{log.engine}_{log.scripting}.json"
+    return capture_filename(log.memento, log.engine, log.scripting)
 
 
 def log_to_document(log: CaptureLog) -> dict:

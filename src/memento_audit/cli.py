@@ -22,8 +22,16 @@ from pathlib import Path
 
 from .analysis import build_series, compute_metrics, detect_drops
 from .bridge import ScriptedEngine, bridge_available
-from .capture import CaptureLog, StaticEngine, load_log, log_filename, save_log
-from .client import fetch_timemap
+from .capture import (
+    CaptureLog,
+    StaticEngine,
+    capture_filename,
+    load_log,
+    log_filename,
+    save_log,
+    site_digest,
+)
+from .client import fetch_timemap, fetch_timemap_body
 from .config import (
     CACHE_ENV,
     AuditConfig,
@@ -31,31 +39,32 @@ from .config import (
 )
 from .errors import AuditError, InsufficientData
 from .fetching import PoliteFetcher
-from .linkformat import serialize_link_format
+from .linkformat import parse_link_format, serialize_link_format
 from .replay import ArchiveEndpoint, to_replay_uri, validate_original_uri
 from .report import (
     AuditReport,
     SampleEntry,
     collect_leaks,
     sample_entries,
+    sample_from_docs,
+    sample_to_docs,
     write_report,
 )
 from .sampling import parse_interval, select_annual
-from .timefmt import format_iso, parse_iso
+from .timefmt import format_iso
 
 logger = logging.getLogger(__name__)
 
-RUN_META_SCHEMA_VERSION = "1"
+RUN_META_SCHEMA_VERSION = "2"
+
+#: The config echo keys that, with the TimeMap text, decide the sample.
+SAMPLE_CONFIG_KEYS = ("interval", "fixed_grid", "timemap_template")
 
 DEFAULT_ENDPOINT_BASE = "http://web.archive.org"
 
 
-def _site_digest(site: str) -> str:
-    return hashlib.sha256(site.encode("utf-8")).hexdigest()[:12]
-
-
 def run_meta_filename(site: str) -> str:
-    return f"run_{_site_digest(site)}.json"
+    return f"run_{site_digest(site)}.json"
 
 
 # --- argument handling -------------------------------------------------------
@@ -232,7 +241,7 @@ def _modes(cfg: AuditConfig) -> list[tuple[str, str]]:
 
 
 def _cached_log(cfg: AuditConfig, m, engine: str, scripting: str) -> CaptureLog | None:
-    path = cfg.cache_dir / f"{m.timestamp}_{_site_digest(m.original)}_{engine}_{scripting}.json"
+    path = cfg.cache_dir / capture_filename(m, engine, scripting)
     if not path.exists():
         return None
     log = load_log(path)
@@ -298,23 +307,80 @@ def cmd_capture(args: argparse.Namespace) -> int:
     return 0 if not log.page_failed else 1
 
 
+def _read_run_meta(path: Path) -> dict:
+    """The run metadata at `path`; AuditError naming the file when it cannot
+    be read or holds no JSON object."""
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise AuditError(f"unreadable run metadata {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise AuditError(f"run metadata {path} is not a JSON object")
+    return meta
+
+
+def _stored_sample(cfg: AuditConfig, site: str,
+                   timemap_sha256: str) -> tuple[SampleEntry, ...] | None:
+    """The sample the last audit of `site` stored, when it was drawn from a
+    TimeMap with this digest under the same sampling settings; else None.
+    Metadata that cannot be used is logged and treated as absent."""
+    path = cfg.cache_dir / run_meta_filename(site)
+    if not path.exists():
+        return None
+    try:
+        meta = _read_run_meta(path)
+        version = meta.get("schema_version")
+        if version != RUN_META_SCHEMA_VERSION:
+            raise AuditError(f"run metadata {path} has schema_version {version!r}, "
+                             f"not {RUN_META_SCHEMA_VERSION!r}")
+        stored, echo = meta["config"], cfg.echo()
+        if (meta["site"] != site or meta["timemap_sha256"] != timemap_sha256
+                or any(stored[key] != echo[key] for key in SAMPLE_CONFIG_KEYS)):
+            return None
+        return sample_from_docs(meta["sample"])
+    except AuditError as exc:
+        logger.warning("%s; sampling the TimeMap afresh", exc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        logger.warning("malformed run metadata %s (%s: %s); sampling the TimeMap "
+                       "afresh", path, type(exc).__name__, exc)
+    return None
+
+
+def _annual_sample(cfg: AuditConfig, site: str,
+                   fetcher: PoliteFetcher) -> tuple[tuple[SampleEntry, ...], str]:
+    """GET the site's TimeMap and return (its annual sample, the SHA-256 of
+    its body).  The digest is taken over the decoded text that the parser
+    reads, so a stored sample is reused only for identical parser input; the
+    GET is always made, so a changed TimeMap is always sampled afresh."""
+    body = fetch_timemap_body(site, cfg.endpoint, fetcher=fetcher)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    sample = _stored_sample(cfg, site, digest)
+    if sample is None:
+        tm = parse_link_format(body)
+        del body  # a large TimeMap's text need not outlive its parse
+        sample = sample_entries(select_annual(tm, interval=cfg.interval,
+                                              fixed_grid=cfg.fixed_grid))
+    else:
+        logger.info("TimeMap unchanged; reusing the stored sample for %s", site)
+    return sample, digest
+
+
 def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], dict]:
     """Run the pipeline for one site.  Returns (report, failure messages,
     run metadata for the cache)."""
     fetcher = _fetcher(cfg)
-    tm = fetch_timemap(site, cfg.endpoint, fetcher=fetcher)
-    sample = select_annual(tm, interval=cfg.interval, fixed_grid=cfg.fixed_grid)
-    if not sample.selections:
+    sample, timemap_sha256 = _annual_sample(cfg, site, fetcher)
+    if not sample:
         raise AuditError(f"no mementos to audit for {site}")
 
     # One memento per calendar year: keep the first selection of each year.
-    chosen: list = []
+    chosen: list[SampleEntry] = []
     seen_years: set[int] = set()
-    for sel in sample.selections:
-        year = sel.chosen.datetime.year
+    for entry in sample:
+        year = entry.memento_datetime.year
         if year not in seen_years:
             seen_years.add(year)
-            chosen.append(sel)
+            chosen.append(entry)
 
     if cfg.engine == "scripted" and not bridge_available(cfg.bridge_url):
         raise AuditError(f"browser bridge unreachable at {cfg.bridge_url}")
@@ -322,8 +388,8 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
     modes = _modes(cfg)
     failures: list[str] = []
 
-    def work(sel):
-        m = to_replay_uri(sel.chosen.uri, cfg.endpoint)
+    def work(entry: SampleEntry):
+        m = to_replay_uri(entry.memento_uri, cfg.endpoint)
         logs = []
         for engine, scripting in modes:
             logs.append(_capture_one(cfg, m, engine, scripting, fetcher))
@@ -331,12 +397,12 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
 
     results: dict[int, list[CaptureLog]] = {}
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        futures = {pool.submit(work, sel): idx for idx, sel in enumerate(chosen)}
+        futures = {pool.submit(work, entry): idx for idx, entry in enumerate(chosen)}
         for future, idx in futures.items():
             try:
                 results[idx] = future.result()
             except (AuditError, OSError) as exc:
-                failures.append(f"{chosen[idx].chosen.uri}: {exc}")
+                failures.append(f"{chosen[idx].memento_uri}: {exc}")
 
     ordered_logs: list[CaptureLog] = []
     metrics = []
@@ -359,7 +425,7 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
         site=site,
         generated=generated,
         config_echo=cfg.echo(),
-        sample=sample_entries(sample),
+        sample=sample,
         metrics=tuple(metrics),
         series=series,
         flags=flags,
@@ -369,19 +435,25 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
         "schema_version": RUN_META_SCHEMA_VERSION,
         "site": site,
         "config": cfg.echo(),
-        "sample": [
-            {
-                "target": format_iso(e.target),
-                "memento": e.memento_uri,
-                "datetime": format_iso(e.memento_datetime),
-                "deviation_s": e.deviation_s,
-            }
-            for e in report.sample
-        ],
+        "timemap_sha256": timemap_sha256,
+        "sample": sample_to_docs(sample),
         "log_files": [log_filename(log) for log in ordered_logs],
         "failures": failures,
     }
     return report, failures, meta
+
+
+def _write_run_meta(path: Path, meta: dict) -> None:
+    """Write the run metadata whole or not at all: a temporary file in the
+    same directory, renamed over the old file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -389,9 +461,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     site = validate_original_uri(args.uri)
     report, failures, meta = _audit_site(cfg, site)
     json_path, csv_path = write_report(report, cfg.out_dir)
-    cfg.cache_dir.mkdir(parents=True, exist_ok=True)
-    meta_path = cfg.cache_dir / run_meta_filename(site)
-    meta_path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+    _write_run_meta(cfg.cache_dir / run_meta_filename(site), meta)
     print(f"site:    {site}")
     print(f"points:  {len(report.series)}")
     print(f"flags:   {len(report.flags)}")
@@ -415,7 +485,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("error: several audited sites are cached; pick one with --site",
               file=sys.stderr)
         return 2
-    meta = json.loads(metas[0].read_text(encoding="utf-8"))
+    meta = _read_run_meta(metas[0])
     echo = meta["config"]
     endpoint = ArchiveEndpoint(
         timemap_template=echo["timemap_template"],
@@ -451,15 +521,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         site=meta["site"],
         generated=max(log.finished for log in logs),
         config_echo=echo,
-        sample=tuple(
-            SampleEntry(
-                target=parse_iso(e["target"]),
-                memento_uri=e["memento"],
-                memento_datetime=parse_iso(e["datetime"]),
-                deviation_s=e["deviation_s"],
-            )
-            for e in meta["sample"]
-        ),
+        sample=sample_from_docs(meta["sample"]),
         metrics=tuple(metrics),
         series=series,
         flags=flags,

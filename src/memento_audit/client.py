@@ -23,10 +23,10 @@ def _fetcher_or_default(fetcher: PoliteFetcher | None) -> PoliteFetcher:
     return fetcher if fetcher is not None else PoliteFetcher()
 
 
-def fetch_timemap(original: str, ep: ArchiveEndpoint,
-                  fetcher: PoliteFetcher | None = None,
-                  robots_marker: str = DEFAULT_ROBOTS_MARKER) -> TimeMap:
-    """GET and parse the TimeMap for an original URI.
+def fetch_timemap_body(original: str, ep: ArchiveEndpoint,
+                       fetcher: PoliteFetcher | None = None,
+                       robots_marker: str = DEFAULT_ROBOTS_MARKER) -> str:
+    """GET the TimeMap for an original URI and return its checked body text.
 
     Archives signal robots exclusions inconsistently, so both a 403 and a 200
     whose body contains `robots_marker` map to RobotsExcluded.
@@ -47,7 +47,14 @@ def fetch_timemap(original: str, ep: ArchiveEndpoint,
     body = result.response.text
     if robots_marker and robots_marker in body:
         raise RobotsExcluded(f"robots marker {robots_marker!r} in TimeMap response for {original}")
-    return parse_link_format(body)
+    return body
+
+
+def fetch_timemap(original: str, ep: ArchiveEndpoint,
+                  fetcher: PoliteFetcher | None = None,
+                  robots_marker: str = DEFAULT_ROBOTS_MARKER) -> TimeMap:
+    """GET and parse the TimeMap for an original URI (see fetch_timemap_body)."""
+    return parse_link_format(fetch_timemap_body(original, ep, fetcher, robots_marker))
 
 
 def _datetime_from_memento(uri: str, resp) -> datetime:

@@ -84,6 +84,32 @@ def sample_entries(sample: AnnualSample) -> tuple[SampleEntry, ...]:
     )
 
 
+def sample_to_docs(sample: tuple[SampleEntry, ...]) -> list[dict]:
+    """The JSON form of a sample, shared by the report and the run metadata."""
+    return [
+        {
+            "target": format_iso(e.target),
+            "memento": e.memento_uri,
+            "datetime": format_iso(e.memento_datetime),
+            "deviation_s": e.deviation_s,
+        }
+        for e in sample
+    ]
+
+
+def sample_from_docs(docs: list[dict]) -> tuple[SampleEntry, ...]:
+    """Inverse of sample_to_docs."""
+    return tuple(
+        SampleEntry(
+            target=parse_iso(e["target"]),
+            memento_uri=e["memento"],
+            memento_datetime=parse_iso(e["datetime"]),
+            deviation_s=e["deviation_s"],
+        )
+        for e in docs
+    )
+
+
 def collect_leaks(logs: list[CaptureLog], ep: ArchiveEndpoint) -> tuple[LeakRecord, ...]:
     """Every Leaked fetch across the given logs, deduplicated per memento and
     request URI, in stable order."""
@@ -127,15 +153,7 @@ def emit_json(r: AuditReport) -> str:
         "generated": format_iso(r.generated),
         "config": dict(sorted(r.config_echo.items())),
         "notes": dict(sorted(REPORT_NOTES.items())),
-        "sample": [
-            {
-                "target": format_iso(e.target),
-                "memento": e.memento_uri,
-                "datetime": format_iso(e.memento_datetime),
-                "deviation_s": e.deviation_s,
-            }
-            for e in r.sample
-        ],
+        "sample": sample_to_docs(r.sample),
         "mementos": [_metrics_doc(m) for m in sorted(r.metrics, key=lambda m: m.year)],
         "series": [
             {"year": p.year, "resource_count": p.resource_count}
@@ -190,15 +208,7 @@ def parse_report(text: str) -> AuditReport:
         site=doc["site"],
         generated=parse_iso(doc["generated"]),
         config_echo=doc["config"],
-        sample=tuple(
-            SampleEntry(
-                target=parse_iso(e["target"]),
-                memento_uri=e["memento"],
-                memento_datetime=parse_iso(e["datetime"]),
-                deviation_s=e["deviation_s"],
-            )
-            for e in doc["sample"]
-        ),
+        sample=sample_from_docs(doc["sample"]),
         metrics=tuple(metrics),
         series=AnnualSeries(site=doc["site"] if points else None, points=points),
         flags=tuple(

@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from memento_audit.bridge import ScriptedEngine, bridge_available, capture_scripted
+from memento_audit.bridge import ScriptedEngine, bridge_available
 from memento_audit.capture import (
     ENGINE_SCRIPTED,
     SCRIPTING_OFF,
@@ -116,8 +116,8 @@ def test_bridge_gateway_timeout_raises(service, endpoint, gateway_timeout_server
 
 def test_screenshot_saved_next_to_logs(service, endpoint, stub_bridge, tmp_path):
     m = make_replay_uri(YT2006_TIMESTAMP, YT2006_ORIGINAL, endpoint)
-    log = capture_scripted(m, endpoint, stub_bridge.url, settle_ms=0,
-                           screenshot_dir=tmp_path)
+    log = ScriptedEngine(stub_bridge.url, settle_ms=0,
+                         screenshot_dir=tmp_path).capture(m, endpoint)
     assert log.screenshot is not None
     shot = tmp_path / log.screenshot
     assert shot.exists()
@@ -128,5 +128,5 @@ def test_screenshot_saved_next_to_logs(service, endpoint, stub_bridge, tmp_path)
 
 def test_no_screenshot_without_directory(service, endpoint, stub_bridge):
     m = make_replay_uri(YT2006_TIMESTAMP, YT2006_ORIGINAL, endpoint)
-    log = capture_scripted(m, endpoint, stub_bridge.url, settle_ms=0)
+    log = ScriptedEngine(stub_bridge.url, settle_ms=0).capture(m, endpoint)
     assert log.screenshot is None

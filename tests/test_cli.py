@@ -1,10 +1,17 @@
+import dataclasses
 import json
+import logging
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+import requests
 
+from memento_audit import cli
 from memento_audit.cli import build_parser, main, resolve_config, run_meta_filename
 from memento_audit.config import CACHE_ENV, parse_config_file
+from memento_audit.errors import NotArchived, RobotsExcluded
 from memento_audit.fixture_archive.scenarios import (
     NEWS_ORIGINAL,
     NEWS_TIMESTAMPS,
@@ -14,7 +21,7 @@ from memento_audit.fixture_archive.scenarios import (
     STATIC6_TIMESTAMP,
     WHITEHOUSE_ORIGINAL,
 )
-from memento_audit.linkformat import parse_link_format
+from memento_audit.linkformat import parse_link_format, serialize_link_format
 
 
 def _resolve(argv):
@@ -242,3 +249,207 @@ def test_report_with_two_cached_sites_needs_site_flag(service, capsys, tmp_path)
     assert rc == 0
     report = json.loads((tmp_path / "out-two-d" / "report.json").read_text())
     assert report["site"] == NEWS_ORIGINAL
+
+
+# --- reusing the sample of an unchanged TimeMap -------------------------------
+
+
+@pytest.fixture()
+def news_timemap(service):
+    """A TimeMap server whose response the test sets: it starts with the news
+    site's TimeMap (mementos on the fixture archive) and counts its GETs."""
+    state = {"status": 200, "body": requests.get(service.timemap_uri(NEWS_ORIGINAL),
+                                                 timeout=10).content, "gets": 0}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            state["gets"] += 1
+            self.send_response(state["status"])
+            self.send_header("Content-Type", "application/link-format")
+            self.send_header("Content-Length", str(len(state["body"])))
+            self.end_headers()
+            self.wfile.write(state["body"])
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("localhost", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    state["template"] = f"http://localhost:{server.server_address[1]}/tm/{{original}}"
+    yield state
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _news_argv(service, news_timemap, tmp_path, out, *extra):
+    return _quiet(["audit", NEWS_ORIGINAL, "--endpoint", service.archive_base,
+                   "--timemap-template", news_timemap["template"],
+                   "--cache-dir", str(tmp_path / "cache"),
+                   "--out-dir", str(tmp_path / out), *extra])
+
+
+def _outputs(out: Path) -> tuple[bytes, bytes]:
+    return (out / "report.json").read_bytes(), (out / "series.csv").read_bytes()
+
+
+def _count_parses(monkeypatch) -> list:
+    calls = []
+    real = cli.parse_link_format
+    monkeypatch.setattr(cli, "parse_link_format",
+                        lambda text: calls.append(text) or real(text))
+    return calls
+
+
+def _refuse_parsing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an unchanged TimeMap was parsed again")
+    monkeypatch.setattr(cli, "parse_link_format", refuse)
+    monkeypatch.setattr(cli, "select_annual", refuse)
+
+
+def _meta_path(tmp_path) -> Path:
+    return tmp_path / "cache" / run_meta_filename(NEWS_ORIGINAL)
+
+
+def test_unchanged_timemap_reuses_the_sample(service, news_timemap, tmp_path,
+                                             monkeypatch, capsys):
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+    meta = json.loads(_meta_path(tmp_path).read_text())
+    assert meta["schema_version"] == "2"
+    assert len(meta["timemap_sha256"]) == 64
+
+    _refuse_parsing(monkeypatch)
+    assert main(_news_argv(service, news_timemap, tmp_path, "second")) == 0
+    assert news_timemap["gets"] == 2
+    assert _outputs(tmp_path / "second") == _outputs(tmp_path / "first")
+    assert json.loads(_meta_path(tmp_path).read_text()) == meta
+
+
+def test_changed_timemap_is_sampled_afresh(service, news_timemap, tmp_path,
+                                           monkeypatch, capsys):
+    full = news_timemap["body"]
+    tm = parse_link_format(full.decode("utf-8"))
+    news_timemap["body"] = serialize_link_format(
+        dataclasses.replace(tm, mementos=tm.mementos[:-1])).encode("utf-8")
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+    first = json.loads((tmp_path / "first" / "report.json").read_text())
+
+    news_timemap["body"] = full  # the archive gained its latest memento
+    parses = _count_parses(monkeypatch)
+    assert main(_news_argv(service, news_timemap, tmp_path, "second")) == 0
+    assert len(parses) == 1
+    second = json.loads((tmp_path / "second" / "report.json").read_text())
+    assert len(second["sample"]) == len(first["sample"]) + 1
+    assert second["sample"][-1]["memento"] == tm.mementos[-1].uri
+    assert second["sample"][:-1] == first["sample"]
+
+
+@pytest.mark.parametrize("extra", [["--interval", "365d"], ["--fixed-grid"]])
+def test_changed_sampling_settings_resample(service, news_timemap, tmp_path,
+                                            monkeypatch, capsys, extra):
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+    parses = _count_parses(monkeypatch)
+    assert main(_news_argv(service, news_timemap, tmp_path, "second", *extra)) == 0
+    assert len(parses) == 1
+    # The settings the sample was drawn with are now the stored ones.
+    assert main(_news_argv(service, news_timemap, tmp_path, "third", *extra)) == 0
+    assert len(parses) == 1
+
+
+@pytest.mark.parametrize("status, body, error", [
+    (403, b"", RobotsExcluded),
+    (200, b"Blocked by robots.txt", RobotsExcluded),
+    (404, b"", NotArchived),
+])
+def test_timemap_checks_run_before_reuse(service, news_timemap, tmp_path, capsys,
+                                         status, body, error):
+    argv = _news_argv(service, news_timemap, tmp_path, "first")
+    assert main(argv) == 0
+    capsys.readouterr()
+    news_timemap["status"], news_timemap["body"] = status, body
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(error):
+        cli._audit_site(_resolve(argv), NEWS_ORIGINAL)
+
+
+def _as_v1(meta: dict) -> dict:
+    return {**{k: v for k, v in meta.items() if k != "timemap_sha256"},
+            "schema_version": "1"}
+
+
+@pytest.mark.parametrize("edit, warns", [
+    (_as_v1, True),
+    (lambda meta: {**meta, "schema_version": "3"}, True),
+    (lambda meta: {**meta, "site": "http://other.example/"}, False),
+])
+def test_other_run_metadata_is_a_miss(service, news_timemap, tmp_path, monkeypatch,
+                                      capsys, caplog, edit, warns):
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+    meta = json.loads(_meta_path(tmp_path).read_text())
+    _meta_path(tmp_path).write_text(json.dumps(edit(meta), indent=2) + "\n")
+
+    parses = _count_parses(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="memento_audit.cli"):
+        assert main(_news_argv(service, news_timemap, tmp_path, "second")) == 0
+    assert len(parses) == 1
+    assert (str(_meta_path(tmp_path)) in caplog.text) == warns
+    assert _outputs(tmp_path / "second") == _outputs(tmp_path / "first")
+    assert json.loads(_meta_path(tmp_path).read_text())["schema_version"] == "2"
+
+
+def test_truncated_run_metadata_is_a_miss(service, news_timemap, tmp_path,
+                                          monkeypatch, capsys, caplog):
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+    meta_path = _meta_path(tmp_path)
+    text = meta_path.read_text()
+    meta_path.write_text(text[:len(text) // 2])
+
+    parses = _count_parses(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="memento_audit.cli"):
+        assert main(_news_argv(service, news_timemap, tmp_path, "second")) == 0
+    assert len(parses) == 1
+    assert str(meta_path) in caplog.text
+    assert _outputs(tmp_path / "second") == _outputs(tmp_path / "first")
+    assert meta_path.read_text() == text
+    assert [p.name for p in meta_path.parent.glob(".*")] == []
+
+
+@pytest.mark.parametrize("damage", [
+    lambda meta: "[]",
+    lambda meta: json.dumps({k: v for k, v in meta.items() if k != "sample"}),
+    lambda meta: json.dumps({**meta, "sample": [{"target": "2000"}]}),
+])
+def test_malformed_run_metadata_is_a_miss(service, news_timemap, tmp_path,
+                                          monkeypatch, capsys, caplog, damage):
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+    meta_path = _meta_path(tmp_path)
+    meta_path.write_text(damage(json.loads(meta_path.read_text())))
+
+    parses = _count_parses(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="memento_audit.cli"):
+        assert main(_news_argv(service, news_timemap, tmp_path, "second")) == 0
+    assert len(parses) == 1
+    assert str(meta_path) in caplog.text
+    assert _outputs(tmp_path / "second") == _outputs(tmp_path / "first")
+
+
+def test_report_on_truncated_run_metadata_exits_2(service, capsys, tmp_path):
+    cache, _ = _run_audit(service, tmp_path, STATIC6_ORIGINAL, "torn")
+    meta_path = cache / run_meta_filename(STATIC6_ORIGINAL)
+    meta_path.write_text(meta_path.read_text()[:40])
+    capsys.readouterr()
+    rc = main(["report", str(cache), "--out-dir", str(tmp_path / "out-torn-2")])
+    assert rc == 2
+    assert str(meta_path) in capsys.readouterr().err
+
+
+def test_report_reads_v1_run_metadata(service, capsys, tmp_path):
+    cache, out = _run_audit(service, tmp_path, STATIC6_ORIGINAL, "v1")
+    meta_path = cache / run_meta_filename(STATIC6_ORIGINAL)
+    meta_path.write_text(json.dumps(_as_v1(json.loads(meta_path.read_text()))))
+    rc = main(["report", str(cache), "--out-dir", str(tmp_path / "out-v1-2")])
+    assert rc == 0
+    assert _outputs(tmp_path / "out-v1-2") == _outputs(out)
