@@ -18,8 +18,9 @@ every network request it made.  Protocol:
                 "screenshot_b64": str?}
 
 A bridge that cannot be reached raises BridgeUnavailable; one that accepts the
-job but never settles raises BridgeTimeout.  Everything else in the pipeline
-runs without a bridge — scripted captures are then skipped, not failed.
+job but never settles raises BridgeTimeout.  The static engine and everything
+after capture run without a bridge; a scripted `audit` or `capture` whose
+bridge is unreachable at the start exits 2 before capturing anything.
 """
 
 import base64

@@ -9,6 +9,7 @@ whole analysis pipeline works with no browser present.
 import hashlib
 import json
 import logging
+import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,7 @@ from datetime import datetime
 from functools import partial
 from pathlib import Path
 
-from .errors import BadTimestamp, MementoMismatch, UnresolvableReference
+from .errors import AuditError, BadTimestamp, MementoMismatch, UnresolvableReference
 from .extract import extract_css_refs, extract_markup_refs
 from .fetching import ChainResult, PoliteFetcher
 from .errors import UnrecognizedShape
@@ -327,12 +328,30 @@ def log_from_document(doc: dict) -> CaptureLog:
     )
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write `path` whole or not at all: a temporary file in the same
+    directory, renamed over the old file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_log(log: CaptureLog, directory: str | Path) -> Path:
     path = Path(directory) / log_filename(log)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(log_to_document(log), indent=2) + "\n", encoding="utf-8")
+    write_text_atomic(path, json.dumps(log_to_document(log), indent=2) + "\n")
     return path
 
 
 def load_log(path: str | Path) -> CaptureLog:
-    return log_from_document(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The capture log at `path`; AuditError naming the file when it holds no
+    capture log."""
+    try:
+        return log_from_document(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise AuditError(f"unreadable capture log {path} "
+                         f"({type(exc).__name__}: {exc})") from exc

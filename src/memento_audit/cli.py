@@ -6,12 +6,16 @@
     memento-audit audit   <uri>          full pipeline, report.json + series.csv
     memento-audit report  <cache-dir>    recompute the report from cached logs
 
-Exit codes: 0 success, 1 partial failure (some mementos failed but a report
-was emitted), 2 fatal.  The cache directory resolves flag > MEMENTO_AUDIT_CACHE
-environment variable > config file > default.
+Exit codes: 0 success; 1 when `capture`'s page failed, or when `audit` wrote
+a report though the capture of some sampled memento raised an error (a sampled
+page that answers 404 is classified, not a failure); 2 fatal, including an
+unreachable bridge and unusable run metadata or capture logs in `report`.  The
+cache directory resolves flag > MEMENTO_AUDIT_CACHE environment variable >
+config file > default.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -20,7 +24,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .analysis import build_series, compute_metrics, detect_drops
 from .bridge import ScriptedEngine, bridge_available
 from .capture import (
     CaptureLog,
@@ -30,21 +33,18 @@ from .capture import (
     log_filename,
     save_log,
     site_digest,
+    write_text_atomic,
 )
 from .client import fetch_timemap, fetch_timemap_body
-from .config import (
-    CACHE_ENV,
-    AuditConfig,
-    parse_config_file,
-)
-from .errors import AuditError, InsufficientData
+from .config import CACHE_ENV, AuditConfig, endpoint_from_echo, parse_config_file
+from .errors import AuditError
 from .fetching import PoliteFetcher
 from .linkformat import parse_link_format, serialize_link_format
 from .replay import ArchiveEndpoint, to_replay_uri, validate_original_uri
 from .report import (
     AuditReport,
     SampleEntry,
-    collect_leaks,
+    assemble_report,
     sample_entries,
     sample_from_docs,
     sample_to_docs,
@@ -157,24 +157,15 @@ def resolve_config(args: argparse.Namespace) -> AuditConfig:
             return tuple(file_vals[key])
         return default
 
-    base = pick(getattr(args, "endpoint", None), "endpoint", str,
-                DEFAULT_ENDPOINT_BASE).rstrip("/")
-    base_host = base.split("://", 1)[-1].split("/", 1)[0]
-    extra_hosts = pick_repeat(getattr(args, "archive_host", None), "archive-host", ())
-    chrome = pick_repeat(getattr(args, "chrome_prefix", None), "chrome-prefix",
-                         ("/static/",))
-    timemap_template = pick(getattr(args, "timemap_template", None),
-                            "timemap-template", str,
-                            base + "/list/timemap/link/{original}")
-    replay_template = pick(getattr(args, "replay_template", None),
-                           "replay-template", str,
-                           base + "/web/{timestamp}/{original}")
-    endpoint = ArchiveEndpoint(
-        timemap_template=timemap_template,
-        replay_template=replay_template,
-        archive_hosts=frozenset({base_host, *extra_hosts}),
-        replay_chrome_prefixes=tuple(chrome),
-    )
+    endpoint = ArchiveEndpoint.from_base(
+        pick(getattr(args, "endpoint", None), "endpoint", str, DEFAULT_ENDPOINT_BASE),
+        chrome_prefixes=pick_repeat(getattr(args, "chrome_prefix", None),
+                                    "chrome-prefix", ("/static/",)),
+        extra_hosts=pick_repeat(getattr(args, "archive_host", None), "archive-host", ()))
+    for field in ("timemap_template", "replay_template"):
+        template = pick(getattr(args, field, None), field.replace("_", "-"), str, None)
+        if template is not None:
+            endpoint = dataclasses.replace(endpoint, **{field: template})
 
     def truthy(raw: str) -> bool:
         return raw.strip().lower() in ("1", "true", "yes", "on")
@@ -244,7 +235,11 @@ def _cached_log(cfg: AuditConfig, m, engine: str, scripting: str) -> CaptureLog 
     path = cfg.cache_dir / capture_filename(m, engine, scripting)
     if not path.exists():
         return None
-    log = load_log(path)
+    try:
+        log = load_log(path)
+    except AuditError as exc:
+        logger.warning("%s; capturing again", exc)
+        return None
     if log.memento.uri != m.uri:
         return None
     if engine == "scripted" and (log.settle_ms != cfg.settle_ms
@@ -308,14 +303,28 @@ def cmd_capture(args: argparse.Namespace) -> int:
 
 
 def _read_run_meta(path: Path) -> dict:
-    """The run metadata at `path`; AuditError naming the file when it cannot
-    be read or holds no JSON object."""
+    """The run metadata at `path`, its sample decoded.  AuditError naming the
+    file when it cannot be read, or when a value that `audit` or `report`
+    reads is missing or malformed."""
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise AuditError(f"unreadable run metadata {path}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise AuditError(f"run metadata {path} is not a JSON object")
+    try:
+        echo = meta["config"]
+        endpoint_from_echo(echo)
+        if not (isinstance(meta["site"], str) and isinstance(meta["log_files"], list)
+                and meta["log_files"]
+                and all(isinstance(name, str) for name in meta["log_files"])
+                and 0 < echo["drop_threshold"] < 1
+                and isinstance(echo["sustain_window"], int)
+                and echo["sustain_window"] > 0):
+            raise ValueError("site, log_files, drop_threshold or sustain_window "
+                             "is missing, empty or out of range")
+        meta["sample"] = sample_from_docs(meta["sample"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise AuditError(f"malformed run metadata {path} "
+                         f"({type(exc).__name__}: {exc})") from exc
     return meta
 
 
@@ -333,17 +342,14 @@ def _stored_sample(cfg: AuditConfig, site: str,
         if version != RUN_META_SCHEMA_VERSION:
             raise AuditError(f"run metadata {path} has schema_version {version!r}, "
                              f"not {RUN_META_SCHEMA_VERSION!r}")
-        stored, echo = meta["config"], cfg.echo()
-        if (meta["site"] != site or meta["timemap_sha256"] != timemap_sha256
-                or any(stored[key] != echo[key] for key in SAMPLE_CONFIG_KEYS)):
-            return None
-        return sample_from_docs(meta["sample"])
     except AuditError as exc:
         logger.warning("%s; sampling the TimeMap afresh", exc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        logger.warning("malformed run metadata %s (%s: %s); sampling the TimeMap "
-                       "afresh", path, type(exc).__name__, exc)
-    return None
+        return None
+    stored, echo = meta["config"], cfg.echo()
+    if (meta["site"] != site or meta.get("timemap_sha256") != timemap_sha256
+            or any(stored.get(key) != echo[key] for key in SAMPLE_CONFIG_KEYS)):
+        return None
+    return meta["sample"]
 
 
 def _annual_sample(cfg: AuditConfig, site: str,
@@ -404,56 +410,20 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
             except (AuditError, OSError) as exc:
                 failures.append(f"{chosen[idx].memento_uri}: {exc}")
 
-    ordered_logs: list[CaptureLog] = []
-    metrics = []
-    for idx in sorted(results):
-        logs = results[idx]
-        ordered_logs.extend(logs)
-        metrics.append(compute_metrics(logs, cfg.endpoint))
-    if not ordered_logs:
+    logs = [log for idx in sorted(results) for log in results[idx]]
+    if not logs:
         raise AuditError("every capture failed; no report to emit")
-
-    series = build_series(metrics)
-    try:
-        flags = tuple(detect_drops(series, cfg.drop_threshold, cfg.sustain_window))
-    except InsufficientData:
-        flags = ()
-    leaks = collect_leaks(ordered_logs, cfg.endpoint)
-    generated = max(log.finished for log in ordered_logs)
-
-    report = AuditReport(
-        site=site,
-        generated=generated,
-        config_echo=cfg.echo(),
-        sample=sample,
-        metrics=tuple(metrics),
-        series=series,
-        flags=flags,
-        leaks=leaks,
-    )
+    echo = cfg.echo()
     meta = {
         "schema_version": RUN_META_SCHEMA_VERSION,
         "site": site,
-        "config": cfg.echo(),
+        "config": echo,
         "timemap_sha256": timemap_sha256,
         "sample": sample_to_docs(sample),
-        "log_files": [log_filename(log) for log in ordered_logs],
+        "log_files": [log_filename(log) for log in logs],
         "failures": failures,
     }
-    return report, failures, meta
-
-
-def _write_run_meta(path: Path, meta: dict) -> None:
-    """Write the run metadata whole or not at all: a temporary file in the
-    same directory, renamed over the old file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    return assemble_report(site, echo, sample, logs), failures, meta
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -461,7 +431,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
     site = validate_original_uri(args.uri)
     report, failures, meta = _audit_site(cfg, site)
     json_path, csv_path = write_report(report, cfg.out_dir)
-    _write_run_meta(cfg.cache_dir / run_meta_filename(site), meta)
+    write_text_atomic(cfg.cache_dir / run_meta_filename(site),
+                      json.dumps(meta, indent=2) + "\n")
     print(f"site:    {site}")
     print(f"points:  {len(report.series)}")
     print(f"flags:   {len(report.flags)}")
@@ -486,13 +457,6 @@ def cmd_report(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     meta = _read_run_meta(metas[0])
-    echo = meta["config"]
-    endpoint = ArchiveEndpoint(
-        timemap_template=echo["timemap_template"],
-        replay_template=echo["replay_template"],
-        archive_hosts=frozenset(echo["archive_hosts"]),
-        replay_chrome_prefixes=tuple(echo["chrome_prefixes"]),
-    )
     logs = []
     for name in meta["log_files"]:
         path = cache / name
@@ -500,33 +464,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(f"error: cached log missing: {name}", file=sys.stderr)
             return 2
         logs.append(load_log(path))
-    if not logs:
-        print("error: no capture logs found", file=sys.stderr)
-        return 2
-
-    by_memento: dict[str, list[CaptureLog]] = {}
-    order: list[str] = []
-    for log in logs:
-        if log.memento.uri not in by_memento:
-            order.append(log.memento.uri)
-        by_memento.setdefault(log.memento.uri, []).append(log)
-    metrics = [compute_metrics(by_memento[uri], endpoint) for uri in order]
-    series = build_series(metrics)
-    try:
-        flags = tuple(detect_drops(series, echo["drop_threshold"],
-                                   echo["sustain_window"]))
-    except InsufficientData:
-        flags = ()
-    report = AuditReport(
-        site=meta["site"],
-        generated=max(log.finished for log in logs),
-        config_echo=echo,
-        sample=sample_from_docs(meta["sample"]),
-        metrics=tuple(metrics),
-        series=series,
-        flags=flags,
-        leaks=collect_leaks(logs, endpoint),
-    )
+    report = assemble_report(meta["site"], meta["config"], meta["sample"], logs)
     out_dir = Path(args.out_dir) if args.out_dir else Path(".")
     json_path, csv_path = write_report(report, out_dir)
     print(f"report:  {json_path}")

@@ -101,6 +101,21 @@ class AuditConfig:
         }
 
 
+def endpoint_from_echo(echo: dict) -> ArchiveEndpoint:
+    """The endpoint that AuditConfig.echo() describes; TypeError or ValueError
+    when the echo does not describe one."""
+    hosts, chrome = echo["archive_hosts"], echo["chrome_prefixes"]
+    if not all(isinstance(values, list) and all(isinstance(v, str) for v in values)
+               for values in (hosts, chrome)):
+        raise TypeError("archive_hosts and chrome_prefixes must be lists of strings")
+    return ArchiveEndpoint(
+        timemap_template=echo["timemap_template"],
+        replay_template=echo["replay_template"],
+        archive_hosts=frozenset(hosts),
+        replay_chrome_prefixes=tuple(chrome),
+    )
+
+
 def parse_config_file(path: str | Path) -> dict[str, list[str]]:
     """Parse a key=value config file; '#' starts a comment, keys may repeat
     (repeatable flags), hyphens and underscores in keys are interchangeable."""

@@ -83,10 +83,18 @@ def extract_markup_refs(html: str) -> list[str]:
     """Subresource references a non-scripting client would fetch from markup:
     img/script/iframe/embed/source src, object data, stylesheet link href,
     and url(...) inside style blocks and style attributes."""
+    return extract_page_refs(html)[0]
+
+
+def extract_page_refs(html: str) -> tuple[list[str], list[str], list[str]]:
+    """One parse of a page: its markup references (as extract_markup_refs),
+    its external script sources (the refs a script-disabled browser skips),
+    and the references its scripts declare via the data-loads stub convention
+    (see capture docs)."""
     parser = _MarkupRefParser()
     parser.feed(html)
     parser.close()
-    return _dedup(parser.refs)
+    return _dedup(parser.refs), _dedup(parser.script_srcs), _dedup(parser.script_loads)
 
 
 def _dedup(refs: list[str]) -> list[str]:
@@ -97,19 +105,3 @@ def _dedup(refs: list[str]) -> list[str]:
             seen.add(ref)
             deduped.append(ref)
     return deduped
-
-
-def extract_script_declared_refs(html: str) -> list[str]:
-    """References declared via the data-loads stub convention (see capture docs)."""
-    parser = _MarkupRefParser()
-    parser.feed(html)
-    parser.close()
-    return _dedup(parser.script_loads)
-
-
-def extract_script_src_refs(html: str) -> list[str]:
-    """External script sources — the refs a script-disabled browser skips."""
-    parser = _MarkupRefParser()
-    parser.feed(html)
-    parser.close()
-    return _dedup(parser.script_srcs)

@@ -16,12 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urldefrag, urljoin
 
 from ..errors import PortInUse
-from ..extract import (
-    extract_css_refs,
-    extract_markup_refs,
-    extract_script_declared_refs,
-    extract_script_src_refs,
-)
+from ..extract import extract_css_refs, extract_page_refs
 from ..fetching import ChainResult, PoliteFetcher
 from ..replay import SKIP_SCHEMES
 
@@ -133,14 +128,13 @@ class StubBridge:
         html = response.text
         page_url = page_result.final_uri or url
         planned: list[tuple[str, str, str]] = []  # (ref, base, initiator)
-        script_srcs = set(extract_script_src_refs(html))
-        for ref in extract_markup_refs(html):
+        markup, script_srcs, script_loads = extract_page_refs(html)
+        for ref in markup:
             if scripting != "on" and ref in script_srcs:
                 continue  # script disabled: its source is never fetched
             planned.append((ref, page_url, "parser"))
         if scripting == "on":
-            planned.extend((ref, page_url, "script")
-                           for ref in extract_script_declared_refs(html))
+            planned.extend((ref, page_url, "script") for ref in script_loads)
 
         seen: set[str] = set()
         entries: list[dict] = []

@@ -18,9 +18,14 @@ from .analysis import (
     FetchClass,
     MementoMetrics,
     SeriesPoint,
+    build_series,
     classify_fetch,
+    compute_metrics,
+    detect_drops,
 )
-from .capture import CaptureLog
+from .capture import CaptureLog, write_text_atomic
+from .config import endpoint_from_echo
+from .errors import InsufficientData
 from .replay import ArchiveEndpoint, ReplayUri
 from .sampling import AnnualSample
 from .timefmt import format_iso, parse_iso
@@ -128,6 +133,34 @@ def collect_leaks(logs: list[CaptureLog], ep: ArchiveEndpoint) -> tuple[LeakReco
                     trigger=f.trigger,
                 )
     return tuple(records[key] for key in sorted(records))
+
+
+def assemble_report(site: str, echo: dict, sample: tuple[SampleEntry, ...],
+                    logs: list[CaptureLog]) -> AuditReport:
+    """The report on `site` from its capture logs.  It reads only what the run
+    metadata stores (the config echo, the sample and the logs), so `audit` and
+    `report` build it from equal inputs and write equal bytes."""
+    ep = endpoint_from_echo(echo)
+    by_memento: dict[str, list[CaptureLog]] = {}
+    for log in logs:
+        by_memento.setdefault(log.memento.uri, []).append(log)
+    metrics = tuple(compute_metrics(group, ep) for group in by_memento.values())
+    series = build_series(list(metrics))
+    try:
+        flags = tuple(detect_drops(series, echo["drop_threshold"],
+                                   echo["sustain_window"]))
+    except InsufficientData:
+        flags = ()
+    return AuditReport(
+        site=site,
+        generated=max(log.finished for log in logs),
+        config_echo=echo,
+        sample=sample,
+        metrics=metrics,
+        series=series,
+        flags=flags,
+        leaks=collect_leaks(logs, ep),
+    )
 
 
 # --- JSON --------------------------------------------------------------------
@@ -254,9 +287,8 @@ def emit_csv_series(s: AnnualSeries) -> str:
 
 def write_report(r: AuditReport, out_dir: str | Path) -> tuple[Path, Path]:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     json_path = out / "report.json"
     csv_path = out / "series.csv"
-    json_path.write_text(emit_json(r), encoding="utf-8")
-    csv_path.write_text(emit_csv_series(r.series), encoding="utf-8")
+    write_text_atomic(json_path, emit_json(r))
+    write_text_atomic(csv_path, emit_csv_series(r.series))
     return json_path, csv_path

@@ -9,10 +9,14 @@ import pytest
 import requests
 
 from memento_audit import cli
+from memento_audit.capture import load_log
 from memento_audit.cli import build_parser, main, resolve_config, run_meta_filename
 from memento_audit.config import CACHE_ENV, parse_config_file
 from memento_audit.errors import NotArchived, RobotsExcluded
 from memento_audit.fixture_archive.scenarios import (
+    GMAPS_LEAKS,
+    GMAPS_ORIGINAL,
+    NASA_ORIGINAL,
     NEWS_ORIGINAL,
     NEWS_TIMESTAMPS,
     ROBOTS_ORIGINAL,
@@ -20,6 +24,8 @@ from memento_audit.fixture_archive.scenarios import (
     STATIC6_ORIGINAL,
     STATIC6_TIMESTAMP,
     WHITEHOUSE_ORIGINAL,
+    YT2006_ORIGINAL,
+    YT2006_SCRIPT_LOADED,
 )
 from memento_audit.linkformat import parse_link_format, serialize_link_format
 
@@ -453,3 +459,85 @@ def test_report_reads_v1_run_metadata(service, capsys, tmp_path):
     rc = main(["report", str(cache), "--out-dir", str(tmp_path / "out-v1-2")])
     assert rc == 0
     assert _outputs(tmp_path / "out-v1-2") == _outputs(out)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda meta: meta.pop("log_files"),
+    lambda meta: meta.pop("site"),
+    lambda meta: meta.pop("sample"),
+    lambda meta: meta["config"].pop("archive_hosts"),
+    lambda meta: meta["config"].pop("drop_threshold"),
+    lambda meta: meta["config"].update(sustain_window="2"),
+], ids=["log_files", "site", "sample", "archive_hosts", "drop_threshold",
+        "sustain_window"])
+def test_report_on_incomplete_run_metadata_exits_2(service, capsys, tmp_path, damage):
+    cache, _ = _run_audit(service, tmp_path, STATIC6_ORIGINAL, "incomplete")
+    meta_path = cache / run_meta_filename(STATIC6_ORIGINAL)
+    meta = json.loads(meta_path.read_text())
+    damage(meta)
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    rc = main(["report", str(cache), "--out-dir", str(tmp_path / "out-incomplete-2")])
+    assert rc == 2
+    assert str(meta_path) in capsys.readouterr().err
+
+
+# --- unreadable capture logs --------------------------------------------------
+
+
+def _truncate_a_log(cache: Path) -> Path:
+    path = sorted(cache.glob("*_static_off.json"))[0]
+    path.write_text(path.read_text()[:100])
+    return path
+
+
+def _outputs_but_generated(out: Path) -> tuple[dict, bytes]:
+    report = json.loads((out / "report.json").read_text())
+    del report["generated"]
+    return report, (out / "series.csv").read_bytes()
+
+
+def test_truncated_capture_log_is_captured_again(service, capsys, caplog, tmp_path):
+    cache, out = _run_audit(service, tmp_path, WHITEHOUSE_ORIGINAL, "torn-log")
+    log_path = _truncate_a_log(cache)
+    with caplog.at_level(logging.WARNING, logger="memento_audit.cli"):
+        rc = main(_quiet(["audit", WHITEHOUSE_ORIGINAL, "--endpoint", service.archive_base,
+                          "--cache-dir", str(cache),
+                          "--out-dir", str(tmp_path / "out-torn-log-2")]))
+    assert rc == 0
+    assert str(log_path) in caplog.text
+    assert load_log(log_path).memento.original == WHITEHOUSE_ORIGINAL
+    assert _outputs_but_generated(tmp_path / "out-torn-log-2") == _outputs_but_generated(out)
+
+
+def test_report_on_truncated_capture_log_exits_2(service, capsys, tmp_path):
+    cache, _ = _run_audit(service, tmp_path, STATIC6_ORIGINAL, "torn-log-report")
+    log_path = _truncate_a_log(cache)
+    capsys.readouterr()
+    rc = main(["report", str(cache), "--out-dir", str(tmp_path / "out-torn-log-2")])
+    assert rc == 2
+    assert str(log_path) in capsys.readouterr().err
+
+
+# --- scripted audits -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("site, check", [
+    (YT2006_ORIGINAL,
+     lambda r: [m["script_delta"] for m in r["mementos"]] == [len(YT2006_SCRIPT_LOADED)]),
+    (GMAPS_ORIGINAL, lambda r: len(r["leaks"]) == len(GMAPS_LEAKS)),
+    (NASA_ORIGINAL, lambda r: len(r["drop_flags"]) == 1),
+], ids=["script_delta", "leaks", "drop_flag"])
+def test_scripted_audit_then_report_is_byte_identical(service, stub_bridge, capsys,
+                                                      tmp_path, site, check):
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    rc = main(_quiet(["audit", site, "--endpoint", service.archive_base,
+                      "--engine", "scripted", "--scripting", "both",
+                      "--bridge", stub_bridge.url, "--settle-ms", "0",
+                      "--cache-dir", str(cache), "--out-dir", str(out)]))
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert check(report)
+    assert len(list(cache.glob("*_scripted_*.json"))) == 2 * len(report["mementos"])
+    assert main(["report", str(cache), "--out-dir", str(tmp_path / "again")]) == 0
+    assert _outputs(tmp_path / "again") == _outputs(out)

@@ -1,9 +1,4 @@
-from memento_audit.extract import (
-    extract_css_refs,
-    extract_markup_refs,
-    extract_script_declared_refs,
-    extract_script_src_refs,
-)
+from memento_audit.extract import extract_css_refs, extract_markup_refs, extract_page_refs
 
 PAGE = """\
 <html><head>
@@ -56,17 +51,16 @@ def test_empty_and_missing_src_ignored():
 
 
 def test_script_src_listed_separately():
-    assert extract_script_src_refs(PAGE) == ["js/app.js"]
+    assert extract_page_refs(PAGE)[1] == ["js/app.js"]
 
 
 def test_script_declared_refs():
-    assert extract_script_declared_refs(PAGE) == ["img/lazy1.jpg", "img/lazy2.jpg"]
+    assert extract_page_refs(PAGE)[2] == ["img/lazy1.jpg", "img/lazy2.jpg"]
 
 
 def test_script_declared_refs_without_src():
     html = '<script data-loads="a.png b.png">/* inline */</script>'
-    assert extract_script_declared_refs(html) == ["a.png", "b.png"]
-    assert extract_script_src_refs(html) == []
+    assert extract_page_refs(html) == ([], [], ["a.png", "b.png"])
     assert extract_markup_refs(html) == []
 
 

@@ -1,6 +1,10 @@
 import csv
+import errno
 import io
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
+
+import pytest
 
 from memento_audit.analysis import (
     AnnualSeries,
@@ -9,6 +13,7 @@ from memento_audit.analysis import (
     MementoMetrics,
     SeriesPoint,
 )
+from memento_audit.capture import CaptureLog, save_log
 from memento_audit.report import (
     CSV_HEADER,
     AuditReport,
@@ -149,3 +154,35 @@ def test_write_report_creates_both_files(tmp_path):
     assert csv_path.name == "series.csv"
     assert parse_report(json_path.read_text()) == r
     assert csv_path.read_text() == emit_csv_series(r.series)
+
+
+def _log(finished):
+    memento = ReplayUri(timestamp="20040601000000", original="http://s.example/",
+                        uri="http://archive.example/web/20040601000000/http://s.example/")
+    return CaptureLog(memento=memento, engine="static", scripting="off", fetches=(),
+                      started=finished, finished=finished)
+
+
+_T0 = datetime(2012, 7, 31, tzinfo=timezone.utc)
+
+
+@pytest.mark.parametrize("write, old, new", [
+    (lambda log, out: [save_log(log, out)], _log(_T0), _log(_T0 + timedelta(hours=1))),
+    (lambda r, out: list(write_report(r, out)), _report(), _report(years=(2004, 2006))),
+], ids=["save_log", "write_report"])
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, write, old, new):
+    paths = write(old, tmp_path)
+    before = {path: path.read_bytes() for path in paths}
+
+    real_write_text = Path.write_text
+
+    def torn(self, data, *args, **kwargs):
+        # Half the text reaches the disk, then the write fails (a full disk).
+        real_write_text(self, data[:len(data) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", torn)
+    with pytest.raises(OSError):
+        write(new, tmp_path)
+    assert {path: path.read_bytes() for path in paths} == before
+    assert sorted(tmp_path.iterdir()) == sorted(paths)
