@@ -18,9 +18,11 @@ every network request it made.  Protocol:
                 "screenshot_b64": str?}
 
 A bridge that cannot be reached raises BridgeUnavailable; one that accepts the
-job but never settles raises BridgeTimeout.  The static engine and everything
-after capture run without a bridge; a scripted `audit` or `capture` whose
-bridge is unreachable at the start exits 2 before capturing anything.
+job but never settles raises BridgeTimeout; a reply that does not fit the shape
+above raises ProtocolError, which fails that memento only.  The static engine
+and everything after capture run without a bridge; a scripted `audit` or
+`capture` whose bridge is unreachable at the start exits 2 before capturing
+anything.
 """
 
 import base64
@@ -43,7 +45,7 @@ from .capture import (
     _order_fetches,
     log_filename,
 )
-from .errors import BridgeTimeout, BridgeUnavailable
+from .errors import BridgeTimeout, BridgeUnavailable, ProtocolError
 from .replay import ArchiveEndpoint, ReplayUri
 from .timefmt import utc_now_s
 
@@ -70,6 +72,8 @@ def bridge_available(bridge_url: str, timeout_s: float = 2.0) -> bool:
 
 def _entry_to_fetch(entry: dict, request_uri: str, trigger: str, phase: str) -> ResourceFetch:
     chain = tuple((int(s), u) for s, u in entry.get("chain") or ())
+    if not all(isinstance(u, str) for _, u in chain):
+        raise TypeError(f"chain {chain!r} holds a URI that is not a string")
     error = entry.get("error")
     final_status = chain[-1][0] if (error is None and chain) else None
     content_type = entry.get("content_type")
@@ -120,17 +124,23 @@ class ScriptedEngine:
         if resp.status_code != 200:
             raise BridgeUnavailable(
                 f"bridge returned {resp.status_code} for {m.uri}")
-        doc = resp.json()
-
-        page = _entry_to_fetch(doc.get("page") or {}, m.uri, TRIGGER_MARKUP, PHASE_PAGE)
-        subs: dict[str, ResourceFetch] = {}
-        for entry in doc.get("subresources") or ():
-            request_uri = entry["request_uri"]
-            if request_uri == m.uri or request_uri in subs:
-                continue
-            trigger = _INITIATOR_TRIGGERS.get(entry.get("initiator"), TRIGGER_MARKUP)
-            subs[request_uri] = _entry_to_fetch(entry, request_uri, trigger,
-                                                PHASE_SUBRESOURCE)
+        try:
+            doc = resp.json()
+            page = _entry_to_fetch(doc.get("page") or {}, m.uri, TRIGGER_MARKUP,
+                                   PHASE_PAGE)
+            subs: dict[str, ResourceFetch] = {}
+            for entry in doc.get("subresources") or ():
+                request_uri = entry["request_uri"]
+                if not isinstance(request_uri, str):
+                    raise TypeError(f"request_uri {request_uri!r} is not a string")
+                if request_uri == m.uri or request_uri in subs:
+                    continue
+                trigger = _INITIATOR_TRIGGERS.get(entry.get("initiator"), TRIGGER_MARKUP)
+                subs[request_uri] = _entry_to_fetch(entry, request_uri, trigger,
+                                                    PHASE_SUBRESOURCE)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed bridge reply for {m.uri} "
+                                f"({type(exc).__name__}: {exc})") from exc
 
         finished = utc_now_s()
         log = CaptureLog(

@@ -102,10 +102,7 @@ class DifferentialReport:
     """Set difference of subresource request URIs between script modes."""
 
     script_only: frozenset[str]
-    noscript_only: frozenset[str]
-    shared: frozenset[str]
     script_delta: int
-    degraded: bool
 
 
 def _fetch_from_chain(request_uri: str, result: ChainResult, trigger: str,
@@ -157,9 +154,8 @@ def _looks_like_css(fetch: ResourceFetch) -> bool:
 class StaticEngine:
     """Crawler-perspective capture: markup and CSS only, no script execution."""
 
-    def __init__(self, fetcher: PoliteFetcher | None = None, workers: int = 4):
-        self.fetcher = fetcher if fetcher is not None else PoliteFetcher()
-        self.workers = max(1, workers)
+    def __init__(self, fetcher: PoliteFetcher):
+        self.fetcher = fetcher
 
     def capture(self, m: ReplayUri, ep: ArchiveEndpoint) -> CaptureLog:
         started = utc_now_s()
@@ -203,7 +199,7 @@ class StaticEngine:
             pending = request_batch(partial(rewrite_subresource, m, ep=ep),
                                     extract_markup_refs(html), TRIGGER_MARKUP)
             while pending:
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                with ThreadPoolExecutor(max_workers=2 * self.fetcher.per_host) as pool:
                     list(pool.map(lambda item: dereference(*item), pending))
                 pending = []
                 for css_uri, (css_base_uri, css_body) in list(bodies.items()):
@@ -245,13 +241,7 @@ def diff_captures(on: CaptureLog, off: CaptureLog) -> DifferentialReport:
     on_set = {f.request_uri for f in on.subresources()}
     off_set = {f.request_uri for f in off.subresources()}
     script_only = frozenset(on_set - off_set)
-    return DifferentialReport(
-        script_only=script_only,
-        noscript_only=frozenset(off_set - on_set),
-        shared=frozenset(on_set & off_set),
-        script_delta=len(script_only),
-        degraded=on.page_failed or off.page_failed,
-    )
+    return DifferentialReport(script_only=script_only, script_delta=len(script_only))
 
 
 # --- persistence -------------------------------------------------------------

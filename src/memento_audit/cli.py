@@ -81,7 +81,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="extra host to treat as the archive (repeatable)")
     parser.add_argument("--chrome-prefix", action="append", default=None,
                         help="path prefix of replay UI assets (repeatable)")
-    parser.add_argument("--interval", help="sampling interval: Ny or Nd (default 1y)")
+    parser.add_argument("--interval", type=parse_interval,
+                        help="sampling interval: Ny or Nd (default 1y)")
     parser.add_argument("--fixed-grid", action="store_true", default=None,
                         help="targets advance from the first memento, not the "
                              "previously chosen one")
@@ -132,29 +133,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> AuditConfig:
-    """Merge flags, environment, config file, and defaults into an AuditConfig."""
-    file_vals: dict[str, list[str]] = {}
-    if getattr(args, "config", None):
-        file_vals = parse_config_file(args.config)
+def _config_keys() -> set[str]:
+    """The config-file keys: each common flag `--x` is key `x`, except `config`."""
+    parser = argparse.ArgumentParser()
+    _add_common_flags(parser)
+    return {dest.replace("_", "-") for dest in vars(parser.parse_args([]))} - {"config"}
 
-    def from_file(key: str):
-        values = file_vals.get(key)
-        return values[-1] if values else None
+
+def resolve_config(args: argparse.Namespace) -> AuditConfig:
+    """Merge flags, environment, config file, and defaults into an AuditConfig.
+    ValueError naming the file, line and key for a config-file key that is
+    unknown or whose value does not parse."""
+    path = getattr(args, "config", None)
+    file_vals = parse_config_file(path) if path else {}
+    known = _config_keys()
+    for key, entries in file_vals.items():
+        if key not in known:
+            raise ValueError(f"{path}:{entries[0][0]}: unknown key {key!r}")
 
     def pick(flag_value, key: str, cast, default):
         if flag_value is not None:
             return flag_value
-        raw = from_file(key)
-        if raw is not None:
+        if key not in file_vals:
+            return default
+        lineno, raw = file_vals[key][-1]
+        try:
             return cast(raw)
-        return default
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
 
     def pick_repeat(flag_values, key: str, default: tuple) -> tuple:
         if flag_values:
             return tuple(flag_values)
         if key in file_vals:
-            return tuple(file_vals[key])
+            return tuple(value for _, value in file_vals[key])
         return default
 
     endpoint = ArchiveEndpoint.from_base(
@@ -168,17 +180,19 @@ def resolve_config(args: argparse.Namespace) -> AuditConfig:
             endpoint = dataclasses.replace(endpoint, **{field: template})
 
     def truthy(raw: str) -> bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        word = raw.lower()
+        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+            raise ValueError(f"expected a boolean, got {raw!r}")
+        return word in ("1", "true", "yes", "on")
 
-    cache_flag = getattr(args, "cache_dir", None)
-    cache_dir = (cache_flag or os.environ.get(CACHE_ENV)
-                 or from_file("cache-dir") or ".memento-audit-cache")
+    cache_dir = (getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
+                 or pick(None, "cache-dir", str, None) or ".memento-audit-cache")
 
     defaults = AuditConfig(endpoint=endpoint)
     cfg = AuditConfig(
         endpoint=endpoint,
-        interval=parse_interval(pick(getattr(args, "interval", None), "interval",
-                                     str, str(defaults.interval))),
+        interval=pick(getattr(args, "interval", None), "interval", parse_interval,
+                      defaults.interval),
         fixed_grid=pick(getattr(args, "fixed_grid", None), "fixed-grid", truthy,
                         defaults.fixed_grid),
         engine=pick(getattr(args, "engine", None), "engine", str, defaults.engine),
@@ -255,8 +269,7 @@ def _capture_one(cfg: AuditConfig, m, engine: str, scripting: str,
         logger.info("cache hit: %s %s/%s", m.uri, engine, scripting)
         return cached
     if engine == "static":
-        log = StaticEngine(fetcher=fetcher, workers=cfg.per_host * 2).capture(
-            m, cfg.endpoint)
+        log = StaticEngine(fetcher).capture(m, cfg.endpoint)
     else:
         shots = cfg.out_dir / "screenshots" if cfg.screenshot else None
         log = ScriptedEngine(cfg.bridge_url, settle_ms=cfg.settle_ms,

@@ -116,10 +116,11 @@ def endpoint_from_echo(echo: dict) -> ArchiveEndpoint:
     )
 
 
-def parse_config_file(path: str | Path) -> dict[str, list[str]]:
-    """Parse a key=value config file; '#' starts a comment, keys may repeat
-    (repeatable flags), hyphens and underscores in keys are interchangeable."""
-    values: dict[str, list[str]] = {}
+def parse_config_file(path: str | Path) -> dict[str, list[tuple[int, str]]]:
+    """Parse a key=value config file into key -> [(line number, value), ...];
+    '#' starts a comment, keys may repeat (repeatable flags), hyphens and
+    underscores in keys are interchangeable."""
+    values: dict[str, list[tuple[int, str]]] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,5 +129,5 @@ def parse_config_file(path: str | Path) -> dict[str, list[str]]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip().lower().replace("_", "-")
-        values.setdefault(key, []).append(value.strip())
+        values.setdefault(key, []).append((lineno, value.strip()))
     return values

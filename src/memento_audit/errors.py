@@ -39,10 +39,6 @@ class NetworkError(AuditError):
     """Transport-level failure (timeout, connection error, unexpected status)."""
 
 
-class ProtocolError(AuditError):
-    """The archive endpoint violated the expected negotiation protocol."""
-
-
 # --- sampling ---
 
 class TimestampMismatch(AuditError):
@@ -71,6 +67,10 @@ class BridgeUnavailable(AuditError):
 
 class BridgeTimeout(AuditError):
     """The browser bridge did not settle within the page timeout."""
+
+
+class ProtocolError(AuditError):
+    """A browser bridge's capture reply does not fit the bridge protocol."""
 
 
 class MementoMismatch(AuditError):

@@ -23,6 +23,9 @@ from . import __version__
 logger = logging.getLogger(__name__)
 
 REDIRECT_STATUSES = (301, 302, 303, 307, 308)
+USER_AGENT = f"memento-audit/{__version__}"
+#: Further attempts after a GET fails in transport.
+RETRIES = 1
 
 
 @dataclass
@@ -84,17 +87,15 @@ class _HostGate:
 
 
 class PoliteFetcher:
-    def __init__(self, user_agent: str | None = None, timeout_s: float = 10.0,
-                 politeness_s: float = 0.5, per_host: int = 2,
-                 max_redirects: int = 10, retries: int = 1):
+    def __init__(self, timeout_s: float = 10.0, politeness_s: float = 0.5,
+                 per_host: int = 2, max_redirects: int = 10):
         self.timeout_s = timeout_s
         self.politeness_s = politeness_s
         self.per_host = per_host
         self.max_redirects = max_redirects
-        self.retries = retries
         self.session = requests.Session()
         self.session.trust_env = False  # read per host in _gate_for, not per request
-        self.session.headers["User-Agent"] = user_agent or f"memento-audit/{__version__}"
+        self.session.headers["User-Agent"] = USER_AGENT
         self._gates: dict[str, _HostGate] = {}
         self._gates_lock = threading.Lock()
 
@@ -111,17 +112,17 @@ class PoliteFetcher:
                 self._gates[host] = gate
             return gate
 
-    def get_once(self, uri: str, headers: dict | None = None) -> requests.Response:
+    def get_once(self, uri: str) -> requests.Response:
         """One GET, no redirect following. Raises requests exceptions after
-        the configured retries are exhausted."""
+        RETRIES further attempts."""
         last_exc: Exception | None = None
         gate = self._gate_for(uri)
-        for attempt in range(self.retries + 1):
+        for attempt in range(RETRIES + 1):
             with gate:
                 try:
                     return self.session.get(
-                        uri, headers=headers, allow_redirects=False,
-                        timeout=self.timeout_s, **gate.settings,
+                        uri, allow_redirects=False, timeout=self.timeout_s,
+                        **gate.settings,
                     )
                 except requests.RequestException as exc:
                     last_exc = exc
@@ -129,7 +130,7 @@ class PoliteFetcher:
         assert last_exc is not None
         raise last_exc
 
-    def follow(self, uri: str, headers: dict | None = None) -> ChainResult:
+    def follow(self, uri: str) -> ChainResult:
         """Follow `uri` through 3xx hops, recording (status, uri) per hop.
 
         Transport failures end the chain with `error` set; hops observed so
@@ -139,7 +140,7 @@ class PoliteFetcher:
         current = uri
         while True:
             try:
-                resp = self.get_once(current, headers=headers)
+                resp = self.get_once(current)
             except requests.RequestException as exc:
                 result.error = f"{type(exc).__name__}: {exc}"
                 return result

@@ -1,6 +1,6 @@
-"""A hermetic miniature archive for tests: authored TimeMaps, a negotiating
-timegate, replayable mementos with injectable failures, a companion live-web
-server for leak targets, and a stub browser bridge."""
+"""A hermetic miniature archive for tests: authored TimeMaps, replayable
+mementos with injectable failures, a companion live-web server for leak
+targets, and a stub browser bridge."""
 
 from .manifest import (  # noqa: F401
     FixtureManifest,

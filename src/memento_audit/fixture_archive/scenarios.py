@@ -202,7 +202,7 @@ def gmaps_live_resources() -> tuple[LiveResource, ...]:
     )
 
 
-# --- news site: nine mementos spanning 2000-2012, for sampling and timegates -
+# --- news site: nine mementos spanning 2000-2012, for sampling ---------------
 
 NEWS_ORIGINAL = "http://news.example/"
 NEWS_TIMESTAMPS = (

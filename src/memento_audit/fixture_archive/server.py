@@ -4,7 +4,6 @@ companion "live web" server for leak targets.
 Archive endpoints:
 
     GET /list/timemap/link/{original}   link-format TimeMap
-    GET /timegate/{original}            Accept-Datetime negotiation, 302
     GET /memento/{ts}/{original}        memento (API-style address)
     GET /web/{ts}/{original-or-sub}     memento or subresource under replay
     GET /static/...                     replay chrome assets
@@ -19,14 +18,13 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
-from ..errors import BadDatetime, PortInUse
+from ..errors import PortInUse
 from ..linkformat import TimeMap, memento_record, serialize_link_format
 from ..replay import ArchiveEndpoint
-from ..timefmt import format_rfc1123, parse_rfc1123, parse_ts14
+from ..timefmt import format_rfc1123, parse_ts14
 from .manifest import (
     ConcreteResponse,
     FixtureManifest,
-    MementoBundle,
     SiteFixture,
     concrete_responses,
     is_text_media,
@@ -146,6 +144,7 @@ class FixtureService:
         return f"{self.archive_base}/memento/{timestamp}/{original}"
 
     def timegate_uri(self, original: str) -> str:
+        """Advertised in every TimeMap, as RFC 7089 requires; not served."""
         return f"{self.archive_base}/timegate/{original}"
 
     def timemap_uri(self, original: str) -> str:
@@ -172,19 +171,6 @@ class FixtureService:
         )
         return serialize_link_format(tm).encode("utf-8")
 
-    def _nearest_bundle(self, site: SiteFixture, accept) -> MementoBundle:
-        bundles = sorted(site.mementos, key=lambda b: b.timestamp)
-        if accept is None:
-            return bundles[-1]
-        best = None
-        best_key = None
-        for bundle in bundles:
-            dt = parse_ts14(bundle.timestamp)
-            key = (abs((dt - accept).total_seconds()), dt)
-            if best_key is None or key < best_key:
-                best, best_key = bundle, key
-        return best
-
     def _serve_archive(self, handler: _QuietHandler) -> None:
         path = handler.path
 
@@ -209,35 +195,6 @@ class FixtureService:
             else:
                 handler.respond(200, self._timemap_body(site),
                                 "application/link-format")
-            return
-
-        if path.startswith("/timegate/"):
-            original = path[len("/timegate/"):]
-            site = self.manifest.site_for(original)
-            if site is None or not site.mementos:
-                if site is not None and site.robots_blocked:
-                    handler.respond(site.robots_status,
-                                    self.substitute(site.robots_body).encode("utf-8"))
-                else:
-                    handler.respond(404, b"no holdings for this URI")
-                return
-            if site.robots_blocked:
-                handler.respond(site.robots_status,
-                                self.substitute(site.robots_body).encode("utf-8"))
-                return
-            accept_raw = handler.headers.get("Accept-Datetime")
-            accept = None
-            if accept_raw is not None:
-                try:
-                    accept = parse_rfc1123(accept_raw)
-                except BadDatetime:
-                    handler.respond(400, b"unparseable Accept-Datetime")
-                    return
-            bundle = self._nearest_bundle(site, accept)
-            handler.respond(302, b"", headers={
-                "Location": self.memento_uri(bundle.timestamp, site.original),
-                "Vary": "accept-datetime",
-            })
             return
 
         m = _REPLAY_PATH_RE.match(path)

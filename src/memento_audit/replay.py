@@ -86,14 +86,6 @@ class ReplayUri:
     original: str
     uri: str
 
-    @property
-    def host(self) -> str:
-        return urlsplit(self.uri).netloc
-
-    @property
-    def year(self) -> int:
-        return int(self.timestamp[:4])
-
 
 def make_replay_uri(timestamp: str, original: str, ep: ArchiveEndpoint) -> ReplayUri:
     parse_ts14(timestamp)

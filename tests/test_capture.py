@@ -137,10 +137,7 @@ def test_diff_of_identical_captures_is_empty(engine, service, endpoint):
     b = _capture(engine, endpoint, STATIC6_TIMESTAMP, STATIC6_ORIGINAL)
     diff = diff_captures(a, b)
     assert diff.script_only == frozenset()
-    assert diff.noscript_only == frozenset()
     assert diff.script_delta == 0
-    assert not diff.degraded
-    assert len(diff.shared) == STATIC6_FETCH_TOTAL - 1
 
 
 def test_diff_refuses_different_mementos(engine, service, endpoint):
@@ -148,17 +145,6 @@ def test_diff_refuses_different_mementos(engine, service, endpoint):
     b = _capture(engine, endpoint, YT2011_TIMESTAMP, YT2011_ORIGINAL)
     with pytest.raises(MementoMismatch):
         diff_captures(a, b)
-
-
-def test_diff_flags_degraded_when_page_failed(engine, service, endpoint):
-    ok = _capture(engine, endpoint, STATIC6_TIMESTAMP, STATIC6_ORIGINAL)
-    bad_memento = make_replay_uri("19990101000000", NEWS_ORIGINAL, endpoint)
-    bad = engine.capture(bad_memento, endpoint)
-    # Same memento URI is required; fake it by comparing the failed capture
-    # against itself, which is the degraded-but-comparable case.
-    diff = diff_captures(bad, bad)
-    assert diff.degraded
-    assert not diff_captures(ok, ok).degraded
 
 
 def test_log_round_trips_through_disk(engine, service, endpoint, tmp_path):

@@ -118,8 +118,8 @@ def test_config_file_grammar(tmp_path):
         "archive-host=b.example\n"
         "\n")
     values = parse_config_file(conf)
-    assert values["engine"] == ["static"]
-    assert values["archive-host"] == ["a.example", "b.example"]
+    assert values["engine"] == [(2, "static")]
+    assert values["archive-host"] == [(3, "a.example"), (4, "b.example")]
 
 
 def test_config_file_rejects_bare_words(tmp_path):
@@ -127,6 +127,33 @@ def test_config_file_rejects_bare_words(tmp_path):
     conf.write_text("this is not an assignment\n")
     with pytest.raises(ValueError):
         parse_config_file(conf)
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("politness-ms = 0\n", 1, "politness-ms"),
+    ("# full-line comment\nscreenshot = maybe\n", 2, "screenshot"),
+    ("archive_host = a.example\nfixed_grid = sometimes\n", 2, "fixed-grid"),
+    ("interval = 1y\ninterval = yearly\n", 2, "interval"),
+], ids=["unknown_key", "bad_boolean", "bad_boolean_underscored", "bad_interval"])
+def test_config_file_errors_name_file_line_and_key(service, capsys, tmp_path,
+                                                   text, line, key):
+    conf = tmp_path / "audit.conf"
+    conf.write_text(text)
+    rc = main(_quiet(["timemap", NEWS_ORIGINAL, "--endpoint", service.archive_base,
+                      "--config", str(conf)]))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{conf}:{line}:" in err and repr(key) in err
+
+
+def test_config_file_accepts_every_common_flag_name(tmp_path):
+    conf = tmp_path / "audit.conf"
+    conf.write_text("timemap_template = http://a.example/tm/{original}\n"
+                    "fixed-grid = off\nscreenshot = YES\nout-dir = /from/file\n")
+    cfg = _resolve(["audit", "http://s.example/", "--config", str(conf)])
+    assert cfg.endpoint.timemap_template == "http://a.example/tm/{original}"
+    assert (cfg.fixed_grid, cfg.screenshot) == (False, True)
+    assert cfg.out_dir == Path("/from/file")
 
 
 def test_invalid_combination_exits_2(capsys):
@@ -255,6 +282,22 @@ def test_report_with_two_cached_sites_needs_site_flag(service, capsys, tmp_path)
     assert rc == 0
     report = json.loads((tmp_path / "out-two-d" / "report.json").read_text())
     assert report["site"] == NEWS_ORIGINAL
+
+
+def test_jobs_and_per_host_do_not_change_the_report(service, capsys, tmp_path):
+    outputs = []
+    for label, width in (("wide", "3"), ("narrow", "1")):
+        out = tmp_path / f"out-{label}"
+        rc = main(_quiet(["audit", NASA_ORIGINAL, "--endpoint", service.archive_base,
+                          "--jobs", width, "--per-host", width,
+                          "--cache-dir", str(tmp_path / f"cache-{label}"),
+                          "--out-dir", str(out)]))
+        assert rc == 0
+        report, series = _outputs_but_generated(out)
+        config = report["config"]  # echoes the two flags, so they differ
+        assert (config.pop("jobs"), config.pop("per_host")) == (int(width), int(width))
+        outputs.append((report, series))
+    assert outputs[0] == outputs[1]
 
 
 # --- reusing the sample of an unchanged TimeMap -------------------------------

@@ -1,9 +1,6 @@
-import random
-from datetime import datetime, timedelta, timezone
-
 import pytest
 
-from memento_audit.client import fetch_timemap, negotiate_datetime
+from memento_audit.client import fetch_timemap
 from memento_audit.errors import NotArchived, RobotsExcluded
 from memento_audit.fixture_archive.scenarios import (
     NEWS_ORIGINAL,
@@ -44,44 +41,3 @@ def test_unknown_site_not_archived(service, endpoint, fetcher):
 def test_invalid_original_rejected_before_network(endpoint, fetcher):
     with pytest.raises(ValueError):
         fetch_timemap("not-a-uri", endpoint, fetcher)
-
-
-def _oracle_nearest(accept: datetime) -> datetime:
-    # Straight scan of the known holdings: nearest datetime, earlier on ties.
-    dts = [parse_ts14(ts) for ts in NEWS_TIMESTAMPS]
-    return min(dts, key=lambda dt: (abs((dt - accept).total_seconds()), dt))
-
-
-def test_negotiate_exact_hit(service, endpoint, fetcher):
-    accept = parse_ts14(NEWS_TIMESTAMPS[3])
-    record = negotiate_datetime(service.timegate_uri(NEWS_ORIGINAL), accept, fetcher)
-    assert record.datetime == accept
-    assert NEWS_TIMESTAMPS[3] in record.uri
-
-
-def test_negotiate_midway_picks_nearer(service, endpoint, fetcher):
-    # One day after the 2005 capture: far nearer than the 2007 one.
-    accept = parse_ts14("20050601000000") + timedelta(days=1)
-    record = negotiate_datetime(service.timegate_uri(NEWS_ORIGINAL), accept, fetcher)
-    assert record.datetime == parse_ts14("20050601000000")
-
-
-def test_negotiate_matches_scan_oracle(service, endpoint, fetcher):
-    rng = random.Random(2024)
-    lo = datetime(1999, 1, 1, tzinfo=timezone.utc)
-    for _ in range(20):
-        accept = lo + timedelta(seconds=rng.randrange(0, 15 * 365 * 86400))
-        record = negotiate_datetime(service.timegate_uri(NEWS_ORIGINAL), accept, fetcher)
-        assert record.datetime == _oracle_nearest(accept)
-
-
-def test_negotiate_unknown_site(service, fetcher):
-    with pytest.raises(NotArchived):
-        negotiate_datetime(service.timegate_uri("http://never-crawled.example/"),
-                           datetime(2005, 1, 1, tzinfo=timezone.utc), fetcher)
-
-
-def test_negotiate_robots_excluded(service, fetcher):
-    with pytest.raises(RobotsExcluded):
-        negotiate_datetime(service.timegate_uri(ROBOTS_ORIGINAL),
-                           datetime(2005, 1, 1, tzinfo=timezone.utc), fetcher)

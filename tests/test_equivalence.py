@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from memento_audit.linkformat import MementoRecord, _split_entries, parse_link_format
 from memento_audit.sampling import extract_date
-from memento_audit.timefmt import format_rfc1123, format_ts14
+from memento_audit.timefmt import format_rfc1123
 from oracles_linkformat import (
     oracle_extract_date,
     oracle_parse_link_format,
@@ -109,15 +109,16 @@ def _memento(draw):
     uri_dt = dt + draw(st.sampled_from([timedelta(0), timedelta(seconds=1),
                                         timedelta(hours=24), timedelta(hours=24, seconds=1),
                                         -timedelta(days=400)]))
+    ts = uri_dt.strftime("%Y%m%d%H%M%S")
     scheme = draw(st.sampled_from(["http://", "https://", "HTTP://", "a+b.c-d://", "",
                                    "//", "1x://", "mailto:", " http://", "\x00http://"]))
     host = draw(st.sampled_from(["archive.example", "127.0.0.1:8080", "user@h:1", "{ts}",
                                  "[::1]:80", "[::1", "h]", "ex\u00e4mple.org", "",
                                  "\uff41.example", "ex\u2100ample"])).replace(
-        "{ts}", format_ts14(uri_dt))
-    path = draw(_TS_SEGMENTS).replace("{ts}", format_ts14(uri_dt))
+        "{ts}", ts)
+    path = draw(_TS_SEGMENTS).replace("{ts}", ts)
     tail = draw(st.sampled_from(["", "?q=1", "?/{ts}/", "#/{ts}", "#f?x",
-                                 "?a#b"])).replace("{ts}", format_ts14(uri_dt))
+                                 "?a#b"])).replace("{ts}", ts)
     uri = scheme + host + path + tail
     cut = draw(st.integers(0, len(uri)))
     uri = uri[:cut] + draw(st.sampled_from(["", "\t", "\n", "\r", " "])) + uri[cut:]

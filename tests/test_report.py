@@ -1,6 +1,7 @@
 import csv
 import errno
 import io
+import json
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from memento_audit.report import (
     SampleEntry,
     emit_csv_series,
     emit_json,
-    parse_report,
     write_report,
 )
 from memento_audit.replay import ReplayUri
@@ -71,11 +71,6 @@ def _report(years=(2004, 2005), delta=None):
                         dropped_value=3.0, ratio=3 / 7),),
         leaks=leaks,
     )
-
-
-def test_emit_parse_round_trip():
-    r = _report()
-    assert parse_report(emit_json(r)) == r
 
 
 def test_equal_reports_equal_bytes():
@@ -142,7 +137,9 @@ def test_empty_report_serializes():
         flags=(),
         leaks=(),
     )
-    assert parse_report(emit_json(r)) == r
+    doc = json.loads(emit_json(r))
+    assert (doc["sample"], doc["mementos"], doc["series"], doc["drop_flags"],
+            doc["leaks"]) == ([], [], [], [], [])
     text = emit_csv_series(r.series)
     assert text == ",".join(CSV_HEADER) + "\n"
 
@@ -152,7 +149,7 @@ def test_write_report_creates_both_files(tmp_path):
     json_path, csv_path = write_report(r, tmp_path)
     assert json_path.name == "report.json"
     assert csv_path.name == "series.csv"
-    assert parse_report(json_path.read_text()) == r
+    assert json_path.read_text() == emit_json(r)
     assert csv_path.read_text() == emit_csv_series(r.series)
 
 
