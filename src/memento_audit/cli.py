@@ -77,9 +77,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="explicit TimeMap URI template with {original}")
     parser.add_argument("--replay-template",
                         help="explicit replay URI template with {timestamp}/{original}")
-    parser.add_argument("--archive-host", action="append", default=None,
+    parser.add_argument("--archive-host", action="append",
                         help="extra host to treat as the archive (repeatable)")
-    parser.add_argument("--chrome-prefix", action="append", default=None,
+    parser.add_argument("--chrome-prefix", action="append",
                         help="path prefix of replay UI assets (repeatable)")
     parser.add_argument("--interval", type=parse_interval,
                         help="sampling interval: Ny or Nd (default 1y)")
@@ -99,8 +99,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--page-timeout-s", type=float)
     parser.add_argument("--jobs", type=int)
     parser.add_argument("--screenshot", action="store_true", default=None)
-    parser.add_argument("--cache-dir")
-    parser.add_argument("--out-dir")
+    parser.add_argument("--cache-dir", type=Path)
+    parser.add_argument("--out-dir", type=Path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,21 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Audit how completely an archive can replay a page's history.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_timemap = sub.add_parser("timemap", help="fetch and print a TimeMap")
-    p_timemap.add_argument("uri", help="original URI")
-    _add_common_flags(p_timemap)
-
-    p_sample = sub.add_parser("sample", help="print annual memento selections")
-    p_sample.add_argument("uri", help="original URI")
-    _add_common_flags(p_sample)
-
-    p_capture = sub.add_parser("capture", help="capture one memento into the cache")
-    p_capture.add_argument("memento", help="memento URI (API or replay form)")
-    _add_common_flags(p_capture)
-
-    p_audit = sub.add_parser("audit", help="run the full pipeline for a site")
-    p_audit.add_argument("uri", help="original URI")
-    _add_common_flags(p_audit)
+    for name, help_text, target, target_help in (
+            ("timemap", "fetch and print a TimeMap", "uri", "original URI"),
+            ("sample", "print annual memento selections", "uri", "original URI"),
+            ("capture", "capture one memento into the cache",
+             "memento", "memento URI (API or replay form)"),
+            ("audit", "run the full pipeline for a site", "uri", "original URI")):
+        p_common = sub.add_parser(name, help=help_text)
+        p_common.add_argument(target, help=target_help)
+        _add_common_flags(p_common)
 
     p_report = sub.add_parser("report",
                               help="recompute the report from cached capture logs")
@@ -133,95 +127,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_keys() -> set[str]:
-    """The config-file keys: each common flag `--x` is key `x`, except `config`."""
-    parser = argparse.ArgumentParser()
-    _add_common_flags(parser)
-    return {dest.replace("_", "-") for dest in vars(parser.parse_args([]))} - {"config"}
+def _parse_bool(raw: str) -> bool:
+    """A config-file value for a switch flag such as `--fixed-grid`."""
+    word = raw.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return word in ("1", "true", "yes", "on")
+
+
+def _file_value(action: argparse.Action, key: str, entries: list[tuple[int, str]],
+                path: str):
+    """The config-file value of `key`, parsed and checked as its flag's would
+    be: every value of a repeatable flag, else the last one.  ValueError
+    naming the file, line and key when a value does not parse or is not one
+    of the flag's choices."""
+    repeatable = isinstance(action, argparse._AppendAction)
+    switch = isinstance(action, argparse._StoreTrueAction)
+    values = []
+    for lineno, raw in entries if repeatable else entries[-1:]:
+        try:
+            value = _parse_bool(raw) if switch else (action.type or str)(raw)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"invalid choice {raw!r} "
+                                 f"(choose from {', '.join(action.choices)})")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
+        values.append(value)
+    return values if repeatable else values[0]
 
 
 def resolve_config(args: argparse.Namespace) -> AuditConfig:
     """Merge flags, environment, config file, and defaults into an AuditConfig.
-    ValueError naming the file, line and key for a config-file key that is
-    unknown or whose value does not parse."""
+    A config-file key is a common flag's name without `--`; ValueError naming
+    the file, line and key for a key that is unknown or whose value does not
+    parse."""
     path = getattr(args, "config", None)
     file_vals = parse_config_file(path) if path else {}
-    known = _config_keys()
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common_flags(common)
+    actions = {a.dest.replace("_", "-"): a for a in common._actions if a.dest != "config"}
     for key, entries in file_vals.items():
-        if key not in known:
+        if key not in actions:
             raise ValueError(f"{path}:{entries[0][0]}: unknown key {key!r}")
 
-    def pick(flag_value, key: str, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key not in file_vals:
-            return default
-        lineno, raw = file_vals[key][-1]
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
-
-    def pick_repeat(flag_values, key: str, default: tuple) -> tuple:
-        if flag_values:
-            return tuple(flag_values)
-        if key in file_vals:
-            return tuple(value for _, value in file_vals[key])
-        return default
+    settings = {}  # flag > environment (cache-dir only) > file; else the default
+    for key, action in actions.items():
+        value = getattr(args, action.dest)
+        if value is None and key == "cache-dir" and os.environ.get(CACHE_ENV):
+            value = Path(os.environ[CACHE_ENV])
+        if value is None and key in file_vals:
+            value = _file_value(action, key, file_vals[key], path)
+        if value is not None:
+            settings[action.dest] = value
 
     endpoint = ArchiveEndpoint.from_base(
-        pick(getattr(args, "endpoint", None), "endpoint", str, DEFAULT_ENDPOINT_BASE),
-        chrome_prefixes=pick_repeat(getattr(args, "chrome_prefix", None),
-                                    "chrome-prefix", ("/static/",)),
-        extra_hosts=pick_repeat(getattr(args, "archive_host", None), "archive-host", ()))
-    for field in ("timemap_template", "replay_template"):
-        template = pick(getattr(args, field, None), field.replace("_", "-"), str, None)
-        if template is not None:
-            endpoint = dataclasses.replace(endpoint, **{field: template})
-
-    def truthy(raw: str) -> bool:
-        word = raw.lower()
-        if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-            raise ValueError(f"expected a boolean, got {raw!r}")
-        return word in ("1", "true", "yes", "on")
-
-    cache_dir = (getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
-                 or pick(None, "cache-dir", str, None) or ".memento-audit-cache")
-
-    defaults = AuditConfig(endpoint=endpoint)
-    cfg = AuditConfig(
-        endpoint=endpoint,
-        interval=pick(getattr(args, "interval", None), "interval", parse_interval,
-                      defaults.interval),
-        fixed_grid=pick(getattr(args, "fixed_grid", None), "fixed-grid", truthy,
-                        defaults.fixed_grid),
-        engine=pick(getattr(args, "engine", None), "engine", str, defaults.engine),
-        scripting=pick(getattr(args, "scripting", None), "scripting", str,
-                       defaults.scripting),
-        bridge_url=pick(getattr(args, "bridge", None), "bridge", str,
-                        defaults.bridge_url),
-        drop_threshold=pick(getattr(args, "drop_threshold", None), "drop-threshold",
-                            float, defaults.drop_threshold),
-        sustain_window=pick(getattr(args, "sustain_window", None), "sustain-window",
-                            int, defaults.sustain_window),
-        timeout_s=pick(getattr(args, "timeout_s", None), "timeout-s", float,
-                       defaults.timeout_s),
-        politeness_ms=pick(getattr(args, "politeness_ms", None), "politeness-ms",
-                           int, defaults.politeness_ms),
-        per_host=pick(getattr(args, "per_host", None), "per-host", int,
-                      defaults.per_host),
-        max_redirects=pick(getattr(args, "max_redirects", None), "max-redirects",
-                           int, defaults.max_redirects),
-        settle_ms=pick(getattr(args, "settle_ms", None), "settle-ms", int,
-                       defaults.settle_ms),
-        page_timeout_s=pick(getattr(args, "page_timeout_s", None), "page-timeout-s",
-                            float, defaults.page_timeout_s),
-        jobs=pick(getattr(args, "jobs", None), "jobs", int, defaults.jobs),
-        screenshot=pick(getattr(args, "screenshot", None), "screenshot", truthy,
-                        defaults.screenshot),
-        cache_dir=Path(cache_dir),
-        out_dir=Path(pick(getattr(args, "out_dir", None), "out-dir", str, ".")),
-    )
+        settings.pop("endpoint", DEFAULT_ENDPOINT_BASE),
+        chrome_prefixes=tuple(settings.pop("chrome_prefix", ("/static/",))),
+        extra_hosts=tuple(settings.pop("archive_host", ())))
+    templates = {name: settings.pop(name) for name in ("timemap_template",
+                                                       "replay_template")
+                 if name in settings}
+    cfg = AuditConfig(endpoint=dataclasses.replace(endpoint, **templates), **settings)
     cfg.validate()
     return cfg
 
@@ -238,8 +204,12 @@ def _fetcher(cfg: AuditConfig) -> PoliteFetcher:
 # --- capture plumbing --------------------------------------------------------
 
 def _modes(cfg: AuditConfig) -> list[tuple[str, str]]:
+    """The (engine, scripting) captures of each memento.  AuditError when
+    they need a browser bridge that does not answer."""
     if cfg.engine == "static":
         return [("static", "off")]
+    if not bridge_available(cfg.bridge):
+        raise AuditError(f"browser bridge unreachable at {cfg.bridge}")
     if cfg.scripting == "both":
         return [("scripted", "on"), ("scripted", "off")]
     return [("scripted", cfg.scripting)]
@@ -272,7 +242,7 @@ def _capture_one(cfg: AuditConfig, m, engine: str, scripting: str,
         log = StaticEngine(fetcher).capture(m, cfg.endpoint)
     else:
         shots = cfg.out_dir / "screenshots" if cfg.screenshot else None
-        log = ScriptedEngine(cfg.bridge_url, settle_ms=cfg.settle_ms,
+        log = ScriptedEngine(cfg.bridge, settle_ms=cfg.settle_ms,
                              page_timeout_s=cfg.page_timeout_s,
                              screenshot_dir=shots).capture(m, cfg.endpoint,
                                                            scripting=scripting)
@@ -304,10 +274,6 @@ def cmd_capture(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     m = to_replay_uri(args.memento, cfg.endpoint)
     engine, scripting = _modes(cfg)[0]
-    if engine == "scripted" and not bridge_available(cfg.bridge_url):
-        print(f"error: browser bridge unreachable at {cfg.bridge_url}",
-              file=sys.stderr)
-        return 2
     log = _capture_one(cfg, m, engine, scripting, _fetcher(cfg))
     path = cfg.cache_dir / log_filename(log)
     status = "failed" if log.page_failed else "ok"
@@ -400,9 +366,6 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
         if year not in seen_years:
             seen_years.add(year)
             chosen.append(entry)
-
-    if cfg.engine == "scripted" and not bridge_available(cfg.bridge_url):
-        raise AuditError(f"browser bridge unreachable at {cfg.bridge_url}")
 
     modes = _modes(cfg)
     failures: list[str] = []

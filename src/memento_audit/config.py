@@ -1,12 +1,16 @@
-"""Audit configuration: one dataclass holding every knob, with defaults,
-validation, a canonical echo for reports, and a key=value config-file parser.
+"""Audit configuration: one dataclass holding every setting, its defaults,
+the cross-field and range checks, a canonical echo for reports, and the
+key=value config-file parser.
 
-Resolution order (applied by the CLI): command-line flag, then the
+Each field but `endpoint` is named after the common flag that sets it
+(`--drop-threshold` sets `drop_threshold`), and its default is the setting's
+only default.  The CLI resolves a field from the flag, then the
 MEMENTO_AUDIT_CACHE environment variable (cache dir only), then the config
-file, then the defaults below.
+file, whose value it parses and checks through the flag's own argparse
+action, then the default here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .replay import ArchiveEndpoint
@@ -14,18 +18,9 @@ from .sampling import ONE_YEAR, Interval
 
 CACHE_ENV = "MEMENTO_AUDIT_CACHE"
 
-DEFAULT_DROP_THRESHOLD = 0.5
-DEFAULT_SUSTAIN_WINDOW = 2
-DEFAULT_TIMEOUT_S = 10.0
-DEFAULT_POLITENESS_MS = 500
-DEFAULT_PER_HOST = 2
-DEFAULT_MAX_REDIRECTS = 10
-DEFAULT_SETTLE_MS = 3000
-DEFAULT_PAGE_TIMEOUT_S = 30.0
-DEFAULT_JOBS = 1
-
-ENGINES = ("static", "scripted")
-SCRIPTING_MODES = ("on", "off", "both")
+#: Fields the echo leaves out: the endpoint, echoed as its four keys instead,
+#: and where the run keeps its files.
+_NOT_ECHOED = ("endpoint", "cache_dir", "out_dir")
 
 
 @dataclass
@@ -35,70 +30,48 @@ class AuditConfig:
     fixed_grid: bool = False
     engine: str = "static"
     scripting: str = "off"
-    bridge_url: str | None = None
-    drop_threshold: float = DEFAULT_DROP_THRESHOLD
-    sustain_window: int = DEFAULT_SUSTAIN_WINDOW
-    timeout_s: float = DEFAULT_TIMEOUT_S
-    politeness_ms: int = DEFAULT_POLITENESS_MS
-    per_host: int = DEFAULT_PER_HOST
-    max_redirects: int = DEFAULT_MAX_REDIRECTS
-    settle_ms: int = DEFAULT_SETTLE_MS
-    page_timeout_s: float = DEFAULT_PAGE_TIMEOUT_S
-    jobs: int = DEFAULT_JOBS
+    bridge: str | None = None
+    drop_threshold: float = 0.5
+    sustain_window: int = 2
+    timeout_s: float = 10.0
+    politeness_ms: int = 500
+    per_host: int = 2
+    max_redirects: int = 10
+    settle_ms: int = 3000
+    page_timeout_s: float = 30.0
+    jobs: int = 1
     screenshot: bool = False
-    cache_dir: Path = field(default_factory=lambda: Path(".memento-audit-cache"))
-    out_dir: Path = field(default_factory=lambda: Path("."))
+    cache_dir: Path = Path(".memento-audit-cache")
+    out_dir: Path = Path(".")
 
     def validate(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if self.scripting not in SCRIPTING_MODES:
-            raise ValueError(
-                f"scripting must be one of {SCRIPTING_MODES}, got {self.scripting!r}")
         if self.engine == "static" and self.scripting != "off":
             raise ValueError("scripting can only run under the scripted engine; "
                              "use --engine scripted")
-        if self.engine == "scripted" and not self.bridge_url:
+        if self.engine == "scripted" and not self.bridge:
             raise ValueError("the scripted engine needs --bridge <url>")
         if not 0 < self.drop_threshold < 1:
             raise ValueError(f"drop_threshold must be in (0, 1), got {self.drop_threshold}")
-        positive = {
-            "sustain_window": self.sustain_window,
-            "timeout_s": self.timeout_s,
-            "per_host": self.per_host,
-            "max_redirects": self.max_redirects,
-            "page_timeout_s": self.page_timeout_s,
-            "jobs": self.jobs,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("sustain_window", "timeout_s", "per_host", "max_redirects",
+                     "page_timeout_s", "jobs"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.politeness_ms < 0 or self.settle_ms < 0:
             raise ValueError("politeness_ms and settle_ms must be >= 0")
 
     def echo(self) -> dict:
-        """Canonical, JSON-ready snapshot of everything that defines this run."""
-        return {
-            "archive_hosts": sorted(self.endpoint.archive_hosts),
-            "bridge": self.bridge_url,
-            "chrome_prefixes": list(self.endpoint.replay_chrome_prefixes),
-            "drop_threshold": self.drop_threshold,
-            "engine": self.engine,
-            "fixed_grid": self.fixed_grid,
-            "interval": str(self.interval),
-            "jobs": self.jobs,
-            "max_redirects": self.max_redirects,
-            "page_timeout_s": self.page_timeout_s,
-            "per_host": self.per_host,
-            "politeness_ms": self.politeness_ms,
-            "replay_template": self.endpoint.replay_template,
-            "screenshot": self.screenshot,
-            "scripting": self.scripting,
-            "settle_ms": self.settle_ms,
-            "sustain_window": self.sustain_window,
-            "timemap_template": self.endpoint.timemap_template,
-            "timeout_s": self.timeout_s,
-        }
+        """Canonical, JSON-ready snapshot of everything that defines this run,
+        keys sorted."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in _NOT_ECHOED}
+        doc.update(
+            interval=str(self.interval),
+            archive_hosts=sorted(self.endpoint.archive_hosts),
+            chrome_prefixes=list(self.endpoint.replay_chrome_prefixes),
+            replay_template=self.endpoint.replay_template,
+            timemap_template=self.endpoint.timemap_template,
+        )
+        return dict(sorted(doc.items()))
 
 
 def endpoint_from_echo(echo: dict) -> ArchiveEndpoint:

@@ -86,6 +86,15 @@ class _HostGate:
         return False
 
 
+class _Session(requests.Session):
+    """A session that leaves redirects to `PoliteFetcher.follow`.  Even when
+    not following, requests prepares the next request of every 3xx, and
+    raises ValueError for a Location that does not parse."""
+
+    def get_redirect_target(self, resp):
+        return None
+
+
 class PoliteFetcher:
     def __init__(self, timeout_s: float = 10.0, politeness_s: float = 0.5,
                  per_host: int = 2, max_redirects: int = 10):
@@ -93,7 +102,7 @@ class PoliteFetcher:
         self.politeness_s = politeness_s
         self.per_host = per_host
         self.max_redirects = max_redirects
-        self.session = requests.Session()
+        self.session = _Session()
         self.session.trust_env = False  # read per host in _gate_for, not per request
         self.session.headers["User-Agent"] = USER_AGENT
         self._gates: dict[str, _HostGate] = {}
@@ -133,8 +142,9 @@ class PoliteFetcher:
     def follow(self, uri: str) -> ChainResult:
         """Follow `uri` through 3xx hops, recording (status, uri) per hop.
 
-        Transport failures end the chain with `error` set; hops observed so
-        far are kept. The chain is capped at max_redirects hops.
+        Transport failures, and a 3xx whose Location does not parse, end the
+        chain with `error` set; hops observed so far are kept. The chain is
+        capped at max_redirects hops.
         """
         result = ChainResult()
         current = uri
@@ -154,7 +164,11 @@ class PoliteFetcher:
                 if len(result.hops) >= self.max_redirects:
                     result.response = resp
                     return result
-                current = requests.compat.urljoin(current, location)
+                try:
+                    current = requests.compat.urljoin(current, location)
+                except ValueError as exc:  # e.g. "http://[bad/x"
+                    result.error = f"unparsable Location {location!r}: {exc}"
+                    return result
                 continue
             result.response = resp
             return result

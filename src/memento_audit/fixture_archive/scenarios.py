@@ -2,7 +2,8 @@
 classifies: clean annual growth with a sustained collapse, a one-year dip,
 script-only resources that were never archived, a redirect chain ending 404,
 redirects escaping to the live web, a robots-excluded site, replay chrome,
-and stylesheets redirected to another directory and to the live web.
+stylesheets redirected to another directory and to the live web, and a
+reference that does not parse.
 
 All references in fixture bodies are relative (never root-relative) so that
 resolution against the original URI and against the replay URL agree — the
@@ -325,6 +326,25 @@ def movedcss_live_resources() -> tuple[LiveResource, ...]:
     )
 
 
+# --- badref: a page holding a reference that does not parse as a URI ---------
+
+BADREF_ORIGINAL = "http://badref.example/"
+BADREF_TIMESTAMP = "20140101000000"
+#: An authority with an unclosed IPv6 bracket: no browser can fetch it.
+BADREF_REFERENCE = "//[bad"
+
+
+def badref_site() -> SiteFixture:
+    html = ("<html><body>\n"
+            f'<img src="{BADREF_REFERENCE}">\n'
+            '<img src="pic.gif">\n'
+            "</body></html>\n")
+    bundle = MementoBundle(
+        timestamp=BADREF_TIMESTAMP, html=html,
+        resources=(_img(f"{BADREF_ORIGINAL}pic.gif"),))
+    return SiteFixture(original=BADREF_ORIGINAL, mementos=(bundle,))
+
+
 def build_all() -> FixtureManifest:
     """Every authored scenario plus the live targets they escape to."""
     return FixtureManifest(
@@ -339,6 +359,7 @@ def build_all() -> FixtureManifest:
             static6_site(),
             chrome_site(),
             movedcss_site(),
+            badref_site(),
         ),
         live=(*gmaps_live_resources(), *movedcss_live_resources()),
     )

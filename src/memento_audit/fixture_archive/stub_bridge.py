@@ -56,16 +56,20 @@ def _browser_join(base: str, ref: str) -> str:
     Python's urljoin collapses the empty path segment inside an embedded
     original ('http://' becomes 'http:/'), which a browser does not do — so
     when the base is a replay URL, resolve against the embedded original and
-    put the replay prefix back.
+    put the replay prefix back.  A reference that does not parse, such as
+    "//[bad", resolves to "", which is never fetched.
     """
-    ref = urldefrag(ref.strip())[0]
-    if not ref or ref.startswith(SKIP_SCHEMES) or ref.startswith(("http://", "https://")):
-        return ref
-    m = _REPLAY_SPLIT_RE.match(base)
-    if m is None:
-        return urljoin(base, ref)
-    prefix, original = m.group(1), m.group(2)
-    return prefix + urljoin(original, ref)
+    try:
+        ref = urldefrag(ref.strip())[0]
+        if not ref or ref.startswith(SKIP_SCHEMES) or ref.startswith(("http://", "https://")):
+            return ref
+        m = _REPLAY_SPLIT_RE.match(base)
+        if m is None:
+            return urljoin(base, ref)
+        prefix, original = m.group(1), m.group(2)
+        return prefix + urljoin(original, ref)
+    except ValueError:
+        return ""
 
 
 class StubBridge:

@@ -152,8 +152,11 @@ def resolve_reference(base_uri: str, reference: str) -> str:
     for scheme in SKIP_SCHEMES:
         if lowered.startswith(scheme):
             raise UnresolvableReference(f"non-fetchable scheme: {reference!r}")
-    resolved, _frag = urldefrag(urljoin(base_uri, ref))
-    parts = urlsplit(resolved)
+    try:
+        resolved, _frag = urldefrag(urljoin(base_uri, ref))
+        parts = urlsplit(resolved)
+    except ValueError as exc:  # a malformed authority, such as "//[bad"
+        raise UnresolvableReference(f"malformed reference {reference!r}: {exc}") from exc
     if parts.scheme not in ("http", "https") or not parts.netloc:
         raise UnresolvableReference(f"reference resolves to no http(s) URI: {reference!r}")
     return resolved

@@ -14,6 +14,8 @@ from memento_audit.cli import build_parser, main, resolve_config, run_meta_filen
 from memento_audit.config import CACHE_ENV, parse_config_file
 from memento_audit.errors import NotArchived, RobotsExcluded
 from memento_audit.fixture_archive.scenarios import (
+    BADREF_ORIGINAL,
+    BADREF_REFERENCE,
     GMAPS_LEAKS,
     GMAPS_ORIGINAL,
     NASA_ORIGINAL,
@@ -134,7 +136,10 @@ def test_config_file_rejects_bare_words(tmp_path):
     ("# full-line comment\nscreenshot = maybe\n", 2, "screenshot"),
     ("archive_host = a.example\nfixed_grid = sometimes\n", 2, "fixed-grid"),
     ("interval = 1y\ninterval = yearly\n", 2, "interval"),
-], ids=["unknown_key", "bad_boolean", "bad_boolean_underscored", "bad_interval"])
+    ("engine = scriptd\n", 1, "engine"),
+    ("scripting = maybe\n", 1, "scripting"),
+], ids=["unknown_key", "bad_boolean", "bad_boolean_underscored", "bad_interval",
+        "bad_engine_choice", "bad_scripting_choice"])
 def test_config_file_errors_name_file_line_and_key(service, capsys, tmp_path,
                                                    text, line, key):
     conf = tmp_path / "audit.conf"
@@ -154,6 +159,31 @@ def test_config_file_accepts_every_common_flag_name(tmp_path):
     assert cfg.endpoint.timemap_template == "http://a.example/tm/{original}"
     assert (cfg.fixed_grid, cfg.screenshot) == (False, True)
     assert cfg.out_dir == Path("/from/file")
+
+
+def test_default_echo_is_pinned(monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    assert _resolve(["audit", "http://s.example/"]).echo() == {
+        "archive_hosts": ["web.archive.org"],
+        "bridge": None,
+        "chrome_prefixes": ["/static/"],
+        "drop_threshold": 0.5,
+        "engine": "static",
+        "fixed_grid": False,
+        "interval": "1y",
+        "jobs": 1,
+        "max_redirects": 10,
+        "page_timeout_s": 30.0,
+        "per_host": 2,
+        "politeness_ms": 500,
+        "replay_template": "http://web.archive.org/web/{timestamp}/{original}",
+        "screenshot": False,
+        "scripting": "off",
+        "settle_ms": 3000,
+        "sustain_window": 2,
+        "timemap_template": "http://web.archive.org/list/timemap/link/{original}",
+        "timeout_s": 10.0,
+    }
 
 
 def test_invalid_combination_exits_2(capsys):
@@ -584,3 +614,23 @@ def test_scripted_audit_then_report_is_byte_identical(service, stub_bridge, caps
     assert len(list(cache.glob("*_scripted_*.json"))) == 2 * len(report["mementos"])
     assert main(["report", str(cache), "--out-dir", str(tmp_path / "again")]) == 0
     assert _outputs(tmp_path / "again") == _outputs(out)
+
+
+@pytest.mark.parametrize("modes, skipped", [
+    ([], 1),
+    (["--engine", "scripted", "--scripting", "both", "--settle-ms", "0"], 0),
+], ids=["static", "scripting_both"])
+def test_malformed_reference_fails_no_memento(service, stub_bridge, capsys, tmp_path,
+                                              modes, skipped):
+    # Static capture records the reference as skipped; the browser drops it.
+    if modes:
+        modes = [*modes, "--bridge", stub_bridge.url]
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    rc = main(_quiet(["audit", BADREF_ORIGINAL, "--endpoint", service.archive_base,
+                      *modes, "--cache-dir", str(cache), "--out-dir", str(out)]))
+    assert rc == 0
+    [memento] = json.loads((out / "report.json").read_text())["mementos"]
+    assert (memento["counts"]["archived_ok"], memento["counts"]["skipped"]) == (2, skipped)
+    logs = [load_log(path) for path in cache.glob("*_off.json")]
+    assert [f.request_uri for log in logs for f in log.subresources()
+            if f.request_uri == BADREF_REFERENCE] == [BADREF_REFERENCE] * skipped

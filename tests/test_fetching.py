@@ -5,6 +5,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import requests
 
+from memento_audit.analysis import FetchClass, classify_fetch
+from memento_audit.capture import PHASE_SUBRESOURCE, TRIGGER_MARKUP, _fetch_from_chain
 from memento_audit.fetching import PoliteFetcher, _environment_settings
 from memento_audit.fixture_archive.scenarios import (
     GMAPS_ORIGINAL,
@@ -13,6 +15,7 @@ from memento_audit.fixture_archive.scenarios import (
     NEWS_TIMESTAMPS,
     YT2011_ORIGINAL,
 )
+from memento_audit.replay import ArchiveEndpoint
 
 
 def test_follow_records_single_hop(service, fetcher):
@@ -55,6 +58,40 @@ def test_max_redirects_caps_chain(service):
         assert result.final_status == 302
     finally:
         fetcher.close()
+
+
+class _BadLocation(BaseHTTPRequestHandler):
+    """Answers 302 with a Location whose authority does not parse."""
+
+    def do_GET(self):
+        self.send_response(302)
+        self.send_header("Location", "http://[bad/x")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+def test_follow_ends_chain_at_unparsable_location(monkeypatch):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _BadLocation)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    uri = f"http://127.0.0.1:{server.server_port}/moved"
+    _clear_proxy_environment(monkeypatch)
+    fetcher = PoliteFetcher(politeness_s=0.0)
+    try:
+        result = fetcher.follow(uri)
+    finally:
+        fetcher.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert result.hops == [(302, uri)]
+    assert "http://[bad/x" in result.error
+    fetch = _fetch_from_chain(uri, result, TRIGGER_MARKUP, PHASE_SUBRESOURCE)
+    assert classify_fetch(fetch, ArchiveEndpoint.from_base(uri)) \
+        == FetchClass.NETWORK_ERROR
 
 
 def test_politeness_spaces_requests(service):

@@ -155,6 +155,7 @@ def test_chrome_asset_reference_passes_through():
     "data:image/gif;base64,R0lGOD=",
     "javascript:void(0)",
     "mailto:someone@example.com",
+    "//[bad",
 ])
 def test_unresolvable_references_raise(ref):
     base = make_replay_uri("20110731003335", "http://site.example/", WAYBACK)
