@@ -48,13 +48,16 @@ def classify_fetch(f: ResourceFetch, ep: ArchiveEndpoint) -> FetchClass:
     any live host is Leaked even when it ends 200 — a live 200 under replay is
     the leakage phenomenon, not a success; then transport failures; then the
     final status decides archived-ok (2xx/304) versus archived-missing.
+    The request URI's host is looked up once, and a chain URI's only when it
+    differs from the request URI.
     """
     if f.error is None and not f.chain:
         return FetchClass.SKIPPED
-    if classify_host(f.request_uri, ep) == HOST_CHROME:
+    host = classify_host(f.request_uri, ep)
+    if host == HOST_CHROME:
         return FetchClass.REPLAY_CHROME
-    touched = [f.request_uri, *(uri for _, uri in f.chain)]
-    if any(classify_host(uri, ep) == HOST_LIVE for uri in touched):
+    if host == HOST_LIVE or any(uri != f.request_uri and classify_host(uri, ep) == HOST_LIVE
+                                for _, uri in f.chain):
         return FetchClass.LEAKED
     if f.error is not None:
         return FetchClass.NETWORK_ERROR
@@ -79,26 +82,35 @@ class MementoMetrics:
         return self.counts.get(cls, 0)
 
 
-def compute_metrics(logs: list[CaptureLog], ep: ArchiveEndpoint) -> MementoMetrics:
+def classify_log(log: CaptureLog, ep: ArchiveEndpoint) -> tuple[FetchClass, ...]:
+    """The class of each of the log's fetches, in fetch order."""
+    return tuple(classify_fetch(f, ep) for f in log.fetches)
+
+
+def compute_metrics(logs: list[CaptureLog], ep: ArchiveEndpoint,
+                    classes: list[tuple[FetchClass, ...]] | None = None) -> MementoMetrics:
     """Tally one memento's capture logs.
 
     When both scripting modes are present, counts come from the scripting-on
     log (the browser's view of the page) and script_delta from the mode diff;
     otherwise the single log supplies the counts and script_delta is absent.
+    `classes`, when given, holds classify_log's result for each of `logs`, so
+    a caller that has classified them is not made to classify them again.
     """
     if not logs:
         raise NoPageFetch("no capture logs supplied")
     if len({log.memento.uri for log in logs}) > 1:
         raise MementoMismatch("capture logs refer to different mementos")
-    on = next((log for log in logs if log.scripting == SCRIPTING_ON), None)
+    at = next((i for i, log in enumerate(logs) if log.scripting == SCRIPTING_ON), 0)
+    primary = logs[at]
+    on = primary if primary.scripting == SCRIPTING_ON else None
     off = next((log for log in logs if log.scripting != SCRIPTING_ON), None)
-    primary = on if on is not None else off
     if primary.page_fetch is None:
         raise NoPageFetch(f"capture of {primary.memento.uri} has no page fetch")
 
     counts = {cls: 0 for cls in FetchClass}
-    for f in primary.fetches:
-        counts[classify_fetch(f, ep)] += 1
+    for cls in classes[at] if classes is not None else classify_log(primary, ep):
+        counts[cls] += 1
     total = sum(counts[cls] for cls in COUNTED_CLASSES)
     completeness = counts[FetchClass.ARCHIVED_OK] / total if total else 1.0
 

@@ -78,12 +78,20 @@ class FixtureService:
         self._live_server: ThreadingHTTPServer | None = None
         self._threads: list[threading.Thread] = []
         self._sites_by_host = {_host(s.original): s for s in manifest.sites}
+        self._bundles = {s.original: {b.timestamp: b for b in s.mementos}
+                         for s in manifest.sites}
         self._live_map = {res.path: res for res in manifest.live}
+        # Each filled on the first request that needs an entry (two racing
+        # first requests build equal values, so no lock); TimeMap bodies
+        # embed the archive's port, so start() empties theirs.
+        self._timemap_bodies: dict[str, bytes] = {}
+        self._concrete: dict[tuple[str, str], dict[str, ConcreteResponse]] = {}
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "FixtureService":
         port, live_port = self._requested_ports
+        self._timemap_bodies.clear()
         self._archive_server = self._bind(port, self._archive_handler())
         self._live_server = self._bind(live_port, self._live_handler())
         for server in (self._archive_server, self._live_server):
@@ -153,6 +161,9 @@ class FixtureService:
     # -- archive behavior -----------------------------------------------------
 
     def _timemap_body(self, site: SiteFixture) -> bytes:
+        body = self._timemap_bodies.get(site.original)
+        if body is not None:
+            return body
         bundles = sorted(site.mementos, key=lambda b: b.timestamp)
         records = tuple(
             memento_record(
@@ -169,7 +180,8 @@ class FixtureService:
             timemap_uri=self.timemap_uri(site.original),
             mementos=records,
         )
-        return serialize_link_format(tm).encode("utf-8")
+        body = self._timemap_bodies[site.original] = serialize_link_format(tm).encode("utf-8")
+        return body
 
     def _serve_archive(self, handler: _QuietHandler) -> None:
         path = handler.path
@@ -209,7 +221,7 @@ class FixtureService:
         if site is None:
             handler.respond(404, b"host not archived")
             return
-        bundle = next((b for b in site.mementos if b.timestamp == timestamp), None)
+        bundle = self._bundles[site.original].get(timestamp)
         if bundle is None:
             handler.respond(404, b"no memento at this timestamp")
             return
@@ -221,7 +233,11 @@ class FixtureService:
                             headers={"Memento-Datetime": memento_dt})
             return
 
-        concrete = concrete_responses(site, bundle).get(uri)
+        key = (site.original, timestamp)
+        responses = self._concrete.get(key)
+        if responses is None:
+            responses = self._concrete[key] = concrete_responses(site, bundle)
+        concrete = responses.get(uri)
         if concrete is None:
             handler.respond(404, b"not archived",
                             headers={"Memento-Datetime": memento_dt})

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urldefrag, urljoin, urlsplit
 
 from .errors import BadTimestamp, UnrecognizedShape, UnresolvableReference
-from .timefmt import parse_ts14
+from .timefmt import parse_ts14, split_netloc_path
 
 HOST_ARCHIVE = "archive"
 HOST_LIVE = "live"
@@ -133,11 +133,11 @@ def to_replay_uri(memento_uri: str, ep: ArchiveEndpoint) -> ReplayUri:
 
 def classify_host(uri: str, ep: ArchiveEndpoint) -> str:
     """Partition an absolute URI into archive, live, or replay-chrome."""
-    parts = urlsplit(uri)
-    if parts.netloc.lower() not in ep.archive_hosts:
+    netloc, path = split_netloc_path(uri)
+    if netloc.lower() not in ep.archive_hosts:
         return HOST_LIVE
     for prefix in ep.replay_chrome_prefixes:
-        if parts.path.startswith(prefix):
+        if path.startswith(prefix):
             return HOST_CHROME
     return HOST_ARCHIVE
 

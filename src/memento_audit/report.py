@@ -18,7 +18,7 @@ from .analysis import (
     FetchClass,
     MementoMetrics,
     build_series,
-    classify_fetch,
+    classify_log,
     compute_metrics,
     detect_drops,
 )
@@ -114,13 +114,18 @@ def sample_from_docs(docs: list[dict]) -> tuple[SampleEntry, ...]:
     )
 
 
-def collect_leaks(logs: list[CaptureLog], ep: ArchiveEndpoint) -> tuple[LeakRecord, ...]:
+def collect_leaks(logs: list[CaptureLog], ep: ArchiveEndpoint,
+                  classes: list[tuple[FetchClass, ...]] | None = None
+                  ) -> tuple[LeakRecord, ...]:
     """Every Leaked fetch across the given logs, deduplicated per memento and
-    request URI, in stable order."""
+    request URI, in stable order.  `classes`, when given, holds
+    classify_log's result for each of `logs`."""
+    if classes is None:
+        classes = [classify_log(log, ep) for log in logs]
     records: dict[tuple[str, str], LeakRecord] = {}
-    for log in logs:
-        for f in log.fetches:
-            if classify_fetch(f, ep) != FetchClass.LEAKED:
+    for log, log_classes in zip(logs, classes):
+        for f, cls in zip(log.fetches, log_classes):
+            if cls != FetchClass.LEAKED:
                 continue
             key = (log.memento.uri, f.request_uri)
             if key not in records:
@@ -138,12 +143,15 @@ def assemble_report(site: str, echo: dict, sample: tuple[SampleEntry, ...],
                     logs: list[CaptureLog]) -> AuditReport:
     """The report on `site` from its capture logs.  It reads only what the run
     metadata stores (the config echo, the sample and the logs), so `audit` and
-    `report` build it from equal inputs and write equal bytes."""
+    `report` build it from equal inputs and write equal bytes.  Each fetch of
+    each log is classified once, for both the metrics and the leaks."""
     ep = endpoint_from_echo(echo)
-    by_memento: dict[str, list[CaptureLog]] = {}
-    for log in logs:
-        by_memento.setdefault(log.memento.uri, []).append(log)
-    metrics = tuple(compute_metrics(group, ep) for group in by_memento.values())
+    classes = [classify_log(log, ep) for log in logs]
+    by_memento: dict[str, list[int]] = {}
+    for i, log in enumerate(logs):
+        by_memento.setdefault(log.memento.uri, []).append(i)
+    metrics = tuple(compute_metrics([logs[i] for i in group], ep, [classes[i] for i in group])
+                    for group in by_memento.values())
     series = build_series(list(metrics))
     try:
         flags = tuple(detect_drops(series, echo["drop_threshold"],
@@ -158,7 +166,7 @@ def assemble_report(site: str, echo: dict, sample: tuple[SampleEntry, ...],
         metrics=metrics,
         series=series,
         flags=flags,
-        leaks=collect_leaks(logs, ep),
+        leaks=collect_leaks(logs, ep, classes),
     )
 
 

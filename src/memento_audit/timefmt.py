@@ -21,12 +21,12 @@ _RFC1123_RE = re.compile(
 _TS14_RE = re.compile(r"^\d{14}$")
 _TS14_SEGMENT_RE = re.compile(r"/(\d{14})(?=/|$)")
 # `scheme://authority` then the path, up to any query or fragment. Where this
-# matches, the path is the one urlsplit gives: the URI starts with a letter (no
-# leading space to strip), holds no tab, CR or LF before the path's end (which
-# urlsplit deletes), and its authority is ASCII without brackets (which
-# urlsplit checks further).
+# matches, the authority and the path are the netloc and the path urlsplit
+# gives: the URI starts with a letter (no leading space to strip), holds no
+# tab, CR or LF before the path's end (which urlsplit deletes), and its
+# authority is ASCII without brackets (which urlsplit checks further).
 _ABSOLUTE_URI_PATH_RE = re.compile(
-    r"[A-Za-z][A-Za-z0-9+.-]*://[^/?#\[\]\t\r\n\x80-\U0010ffff]*"
+    r"[A-Za-z][A-Za-z0-9+.-]*://([^/?#\[\]\t\r\n\x80-\U0010ffff]*)"
     r"((?:/[^?#\t\r\n]*)?)(?=[?#]|\Z)"
 )
 
@@ -70,12 +70,20 @@ def parse_ts14(ts: str) -> datetime:
         raise BadTimestamp(f"timestamp encodes no valid instant: {ts!r}") from exc
 
 
+def split_netloc_path(uri: str) -> tuple[str, str]:
+    """The (netloc, path) pair that urlsplit gives for `uri`, read with one
+    regex where that is safe and from urlsplit otherwise."""
+    m = _ABSOLUTE_URI_PATH_RE.match(uri)
+    if m is not None:
+        return m.groups()
+    parts = urlsplit(uri)
+    return parts.netloc, parts.path
+
+
 def uri_ts14(uri: str) -> str | None:
     """The 14-digit archive timestamp that forms a whole segment of the URI's
     path, as in `/web/20000620180259/http://a.example/`, or None."""
-    m = _ABSOLUTE_URI_PATH_RE.match(uri)
-    path = m.group(1) if m is not None else urlsplit(uri).path
-    seg = _TS14_SEGMENT_RE.search(path)
+    seg = _TS14_SEGMENT_RE.search(split_netloc_path(uri)[1])
     return seg.group(1) if seg is not None else None
 
 

@@ -12,6 +12,7 @@ from memento_audit.analysis import (
     SeriesPoint,
     build_series,
     classify_fetch,
+    classify_log,
     compute_metrics,
     detect_drops,
 )
@@ -205,6 +206,8 @@ def test_script_on_log_is_primary_and_delta_computed():
     m = compute_metrics([off, on], EP)
     assert m.total_requested == 4  # from the scripting-on view
     assert m.script_delta == 2
+    # Classes handed in by the caller are read for the same log.
+    assert compute_metrics([off, on], EP, [classify_log(off, EP), classify_log(on, EP)]) == m
 
 
 # --- series and drop detection -----------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from memento_audit import cli
+from memento_audit import analysis, cli
 from memento_audit.capture import load_log
 from memento_audit.cli import build_parser, main, resolve_config, run_meta_filename
 from memento_audit.config import CACHE_ENV, parse_config_file
@@ -614,6 +614,36 @@ def test_scripted_audit_then_report_is_byte_identical(service, stub_bridge, caps
     assert len(list(cache.glob("*_scripted_*.json"))) == 2 * len(report["mementos"])
     assert main(["report", str(cache), "--out-dir", str(tmp_path / "again")]) == 0
     assert _outputs(tmp_path / "again") == _outputs(out)
+
+
+@pytest.mark.parametrize("site, modes", [
+    (NASA_ORIGINAL, []),
+    (GMAPS_ORIGINAL, ["--engine", "scripted", "--scripting", "both", "--settle-ms", "0"]),
+], ids=["static", "scripting_both"])
+def test_report_assembly_classifies_each_fetch_once(service, stub_bridge, capsys, tmp_path,
+                                                    monkeypatch, site, modes):
+    classified = []
+    classify = analysis.classify_fetch
+
+    def counting(f, ep):
+        classified.append(f)
+        return classify(f, ep)
+
+    monkeypatch.setattr(analysis, "classify_fetch", counting)
+    monkeypatch.setattr("memento_audit.report.classify_fetch", counting, raising=False)
+    if modes:
+        modes = [*modes, "--bridge", stub_bridge.url]
+    cache = tmp_path / "cache"
+    rc = main(_quiet(["audit", site, "--endpoint", service.archive_base, *modes,
+                      "--cache-dir", str(cache), "--out-dir", str(tmp_path / "out")]))
+    assert rc == 0
+    meta = json.loads((cache / run_meta_filename(site)).read_text())
+    fetches = sum(len(load_log(cache / name).fetches) for name in meta["log_files"])
+    assert len(meta["log_files"]) > 1 and fetches > 0
+    assert len(classified) == fetches
+    classified.clear()
+    assert main(["report", str(cache), "--out-dir", str(tmp_path / "again")]) == 0
+    assert len(classified) == fetches
 
 
 @pytest.mark.parametrize("modes, skipped", [

@@ -1,6 +1,7 @@
-"""The regex TimeMap tokenizer and the cheap URI-timestamp check against the
-character scanner and the urlsplit-based check they replace
-(oracles_linkformat.py): same output, or the same exception with the same
+"""The regex TimeMap tokenizer, the cheap URI-timestamp check and the
+one-lookup-per-URI classifiers against the character scanner and the
+urlsplit-based code they replace (oracles_linkformat.py,
+oracles_classify.py): same output, or the same exception with the same
 message and offset."""
 
 from datetime import datetime, timedelta, timezone
@@ -8,9 +9,17 @@ from datetime import datetime, timedelta, timezone
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memento_audit.analysis import classify_fetch
+from memento_audit.capture import ResourceFetch
 from memento_audit.linkformat import MementoRecord, _split_entries, parse_link_format
+from memento_audit.replay import ArchiveEndpoint, classify_host
 from memento_audit.sampling import extract_date
-from memento_audit.timefmt import format_rfc1123
+from memento_audit.timefmt import format_rfc1123, split_netloc_path
+from oracles_classify import (
+    oracle_classify_fetch,
+    oracle_classify_host,
+    oracle_split_netloc_path,
+)
 from oracles_linkformat import (
     oracle_extract_date,
     oracle_parse_link_format,
@@ -139,3 +148,95 @@ def _memento(draw):
                        uri="http://[::1/web/20000101000000/"))
 def test_extract_date_matches_urlsplit_reference(m):
     assert _outcome(extract_date, m) == _outcome(oracle_extract_date, m)
+
+
+_SCHEMES = st.sampled_from(["http://", "https://", "HTTP://", "hTtPs://", "a+b.c-d://", "",
+                            "//", "1x://", "mailto:", "http:", "http:/", " http://",
+                            "\x00http://"])
+_AUTHORITIES = st.sampled_from(["archive.example", "ARCHIVE.Example", "archive.example:8080",
+                                "user@archive.example", "u:p@h:1", "[::1]:80", "[::1", "h]",
+                                "[v1.x]", "ex\u00e4mple.org", "\uff41.example", "ex\u2100ample",
+                                "", "h:", "h%41"])
+_PATHS = st.sampled_from(["", "/", "/static/banner.css", "/web/20000101000000/http://o.example/",
+                          "/a;b", "/a b", "/\u00e4", "/[x]", "/static", "//x"])
+_TAILS = st.sampled_from(["", "?", "#", "?q=1", "#f", "?a#b", "#f?x", "?/static/", "#\t",
+                          "?\r\n"])
+
+
+@st.composite
+def _uri(draw):
+    """A URI mixing scheme case, ports, userinfo, brackets, non-ASCII hosts
+    and paths, queries and fragments right after the authority, with one
+    stray character put anywhere."""
+    uri = draw(_SCHEMES) + draw(_AUTHORITIES) + draw(_PATHS) + draw(_TAILS)
+    cut = draw(st.integers(0, len(uri)))
+    stray = draw(st.sampled_from(["", "\t", "\n", "\r", " ", "?", "#", "/", "[", "]",
+                                  "@", ":", "\u00e4"]))
+    return uri[:cut] + stray + uri[cut:]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_uri(), st.text(max_size=30)))
+@example("HTTP://Archive.Example:80/static/x")
+@example("http://h?q")
+@example("http://h#f/x")
+@example("http://[::1]:80/x")
+@example("http://ex\u00e4mple.org/x")
+@example("http://h\t/x")
+@example("http://h/x\t?q")
+def test_split_netloc_path_matches_urlsplit(uri):
+    assert _outcome(split_netloc_path, uri) == _outcome(oracle_split_netloc_path, uri)
+
+
+_EP = ArchiveEndpoint(timemap_template="http://archive.example/list/{original}",
+                      replay_template="http://archive.example/web/{timestamp}/{original}",
+                      archive_hosts=frozenset({"archive.example", "Mirror.example:81"}),
+                      replay_chrome_prefixes=("/static/", "/_chrome"))
+
+
+@settings(max_examples=800, deadline=None)
+@given(_uri())
+def test_classify_host_matches_urlsplit_reference(uri):
+    assert _outcome(classify_host, uri, _EP) == _outcome(oracle_classify_host, uri, _EP)
+
+
+_FETCH_URIS = st.sampled_from([
+    "http://archive.example/web/20000101000000/http://o.example/a.gif",
+    "HTTP://ARCHIVE.EXAMPLE/web/20000101000000/http://o.example/b.css",
+    "http://archive.example/static/banner.css",
+    "http://mirror.example:81/_chrome/x.js",
+    "http://mirror.example:81/web/x",
+    "http://archive.example",
+    "http://live.example/a.js",
+    "https://cdn.example/x.png?archive.example",
+    "http://[::1]/x",
+    "http://[bad/x",
+])
+
+
+@st.composite
+def _fetch(draw):
+    """A fetch whose chain runs through archive, chrome and live hosts, that
+    may end in an error, and whose chain may be empty or start at its own
+    request URI."""
+    request_uri = draw(_FETCH_URIS)
+    hops = draw(st.lists(st.tuples(st.sampled_from([200, 204, 301, 302, 304, 404, 503]),
+                                   _FETCH_URIS), max_size=3))
+    if hops and draw(st.booleans()):
+        hops[0] = (hops[0][0], request_uri)
+    return ResourceFetch(
+        request_uri=request_uri,
+        chain=tuple(hops),
+        final_status=draw(st.sampled_from([None, 200, 204, 299, 304, 302, 404, 500])),
+        content_type=None,
+        bytes=0,
+        trigger="markup",
+        phase="subresource",
+        error=draw(st.sampled_from([None, "connection reset"])),
+    )
+
+
+@settings(max_examples=800, deadline=None)
+@given(_fetch())
+def test_classify_fetch_matches_reference(f):
+    assert _outcome(classify_fetch, f, _EP) == _outcome(oracle_classify_fetch, f, _EP)

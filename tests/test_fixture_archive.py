@@ -24,6 +24,7 @@ from memento_audit.fixture_archive.scenarios import (
     build_all,
     youtube2011_site,
 )
+from memento_audit.fixture_archive import server
 from memento_audit.fixture_archive.server import FixtureService
 from memento_audit.linkformat import parse_link_format
 from memento_audit.replay import to_replay_uri
@@ -221,6 +222,31 @@ def test_responses_are_byte_identical(service):
     assert a.content == b.content
     assert "Date" not in a.headers
     assert "Server" not in a.headers
+
+
+def test_timemaps_and_bundle_responses_are_built_once(manifest, monkeypatch):
+    renders, unrolls = [], []
+    serialize, unroll = server.serialize_link_format, server.concrete_responses
+    monkeypatch.setattr(server, "serialize_link_format",
+                        lambda tm: renders.append(tm.original) or serialize(tm))
+    monkeypatch.setattr(server, "concrete_responses",
+                        lambda site, bundle: unrolls.append(bundle.timestamp)
+                        or unroll(site, bundle))
+    css = "/web/20110420002216/http://youtube2011.example/css/base.css"
+    svc = FixtureService(manifest)
+    with svc:
+        timemaps = {requests.get(svc.timemap_uri(NEWS_ORIGINAL), timeout=5).content
+                    for _ in range(3)}
+        statuses = [requests.get(svc.archive_base + css, timeout=5,
+                                 allow_redirects=False).status_code for _ in range(3)]
+    assert len(timemaps) == 1 and statuses == [302] * 3
+    assert renders == [NEWS_ORIGINAL]
+    assert unrolls == ["20110420002216"]
+    # A restarted service may listen elsewhere, and its TimeMaps say where.
+    with svc:
+        again = requests.get(svc.timemap_uri(NEWS_ORIGINAL), timeout=5).text
+        assert svc.archive_authority in again
+    assert renders == [NEWS_ORIGINAL] * 2
 
 
 def test_port_in_use_rejected(service):
