@@ -18,10 +18,10 @@ from datetime import datetime
 from functools import partial
 from pathlib import Path
 
-from .errors import AuditError, BadTimestamp, MementoMismatch, UnresolvableReference
+from .errors import (AuditError, BadTimestamp, MementoMismatch, UnrecognizedShape,
+                     UnresolvableReference)
 from .extract import extract_css_refs, extract_markup_refs
 from .fetching import ChainResult, PoliteFetcher
-from .errors import UnrecognizedShape
 from .replay import (
     HOST_LIVE,
     ArchiveEndpoint,
@@ -64,6 +64,11 @@ class ResourceFetch:
     phase: str
     error: str | None = None
 
+    @property
+    def ok(self) -> bool:
+        """Fetched without error, and the chain ended below 400."""
+        return self.error is None and self.final_status is not None and self.final_status < 400
+
 
 @dataclass(frozen=True)
 class CaptureLog:
@@ -89,9 +94,7 @@ class CaptureLog:
     @property
     def page_failed(self) -> bool:
         page = self.page_fetch
-        if page is None or page.error is not None:
-            return True
-        return page.final_status is None or page.final_status >= 400
+        return page is None or not page.ok
 
     def subresources(self) -> list[ResourceFetch]:
         return [f for f in self.fetches if f.phase == PHASE_SUBRESOURCE]
@@ -152,10 +155,22 @@ def _looks_like_css(fetch: ResourceFetch) -> bool:
 
 
 class StaticEngine:
-    """Crawler-perspective capture: markup and CSS only, no script execution."""
+    """Crawler-perspective capture: markup and CSS only, no script execution.
+    Each wave (the markup's references, then those of the stylesheets the last
+    wave fetched) runs on one pool of 2 x per_host threads that only fetch."""
 
     def __init__(self, fetcher: PoliteFetcher):
         self.fetcher = fetcher
+
+    def _dereference(self, request_uri: str, trigger: str
+                     ) -> tuple[ResourceFetch, tuple[str, str] | None]:
+        """Fetch one subresource. Returns its record and, for a stylesheet,
+        (the URI its body came from, the body); the response is dropped."""
+        result = self.fetcher.follow(request_uri)
+        fetch = _fetch_from_chain(request_uri, result, trigger, PHASE_SUBRESOURCE)
+        if fetch.ok and _looks_like_css(fetch) and result.response is not None:
+            return fetch, (result.final_uri, result.response.text)
+        return fetch, None
 
     def capture(self, m: ReplayUri, ep: ArchiveEndpoint) -> CaptureLog:
         started = utc_now_s()
@@ -163,72 +178,55 @@ class StaticEngine:
         page = _fetch_from_chain(m.uri, page_result, TRIGGER_MARKUP, PHASE_PAGE)
 
         subs: dict[str, ResourceFetch] = {}
-        # css request uri -> (uri its body came from, body), for recursion
-        bodies: dict[str, tuple[str, str]] = {}
-        lock = threading.Lock()
+        wave: dict[str, str] = {}  # request uri -> trigger, for the next wave
 
-        def dereference(request_uri: str, trigger: str) -> None:
-            result = self.fetcher.follow(request_uri)
-            fetch = _fetch_from_chain(request_uri, result, trigger, PHASE_SUBRESOURCE)
-            with lock:
-                subs[request_uri] = fetch
-                ok = fetch.error is None and fetch.final_status is not None \
-                    and fetch.final_status < 400
-                if ok and _looks_like_css(fetch) and result.response is not None:
-                    bodies[request_uri] = (result.final_uri, result.response.text)
-
-        def request_batch(resolve: Callable[[str], str], refs: list[str],
-                          trigger: str) -> list[tuple[str, str]]:
-            batch = []
+        def discover(resolve: Callable[[str], str], refs: list[str], trigger: str) -> None:
             for ref in refs:
                 try:
                     request_uri = resolve(ref)
                 except UnresolvableReference:
-                    if ref not in subs:
+                    if ref not in subs and ref not in wave:
                         subs[ref] = _skipped_fetch(ref, trigger)
                     continue
-                if request_uri not in subs and request_uri != m.uri:
-                    subs[request_uri] = None  # reserve to dedup concurrent discovery
-                    batch.append((request_uri, trigger))
-            return batch
+                if request_uri not in subs and request_uri not in wave and request_uri != m.uri:
+                    wave[request_uri] = trigger
 
-        page_ok = (page.error is None and page.final_status is not None
-                   and page.final_status < 400 and _looks_like_html(page))
-        if page_ok and page_result.response is not None:
-            html = page_result.response.text
-            pending = request_batch(partial(rewrite_subresource, m, ep=ep),
-                                    extract_markup_refs(html), TRIGGER_MARKUP)
-            while pending:
-                with ThreadPoolExecutor(max_workers=2 * self.fetcher.per_host) as pool:
-                    list(pool.map(lambda item: dereference(*item), pending))
-                pending = []
-                for css_uri, (css_base_uri, css_body) in list(bodies.items()):
-                    bodies.pop(css_uri)
-                    # A browser resolves a redirected stylesheet's url()s
-                    # against where the redirects ended, not where they began.
-                    if classify_host(css_base_uri, ep) == HOST_LIVE:
-                        # It left the archive: its url()s are live leaks too.
-                        resolve = partial(resolve_reference, css_base_uri)
-                    else:
-                        try:
-                            ts, css_original = parse_replay_uri(css_base_uri, ep)
-                        except (UnrecognizedShape, BadTimestamp):
-                            continue  # chrome or foreign stylesheet: do not recurse
-                        css_base = ReplayUri(timestamp=ts, original=css_original,
-                                             uri=css_base_uri)
-                        resolve = partial(rewrite_subresource, css_base, ep=ep)
-                    pending.extend(request_batch(resolve, extract_css_refs(css_body),
-                                                 TRIGGER_STYLESHEET))
+        if page.ok and _looks_like_html(page) and page_result.response is not None:
+            discover(partial(rewrite_subresource, m, ep=ep),
+                     extract_markup_refs(page_result.response.text), TRIGGER_MARKUP)
+            # Not the audit's memento pool: a memento task waits on these
+            # fetches, so one bounded pool for both deadlocks when full.
+            with ThreadPoolExecutor(max_workers=2 * self.fetcher.per_host) as pool:
+                while wave:
+                    results = list(pool.map(self._dereference, wave, wave.values()))
+                    wave.clear()
+                    subs.update((fetch.request_uri, fetch) for fetch, _ in results)
+                    for _, stylesheet in results:
+                        if stylesheet is None:
+                            continue
+                        css_base_uri, css_body = stylesheet
+                        # A browser resolves a redirected stylesheet's url()s
+                        # against where the redirects ended, not where they began.
+                        if classify_host(css_base_uri, ep) == HOST_LIVE:
+                            # It left the archive: its url()s are live leaks too.
+                            resolve = partial(resolve_reference, css_base_uri)
+                        else:
+                            try:
+                                ts, css_original = parse_replay_uri(css_base_uri, ep)
+                            except (UnrecognizedShape, BadTimestamp):
+                                continue  # chrome or foreign stylesheet: do not recurse
+                            css_base = ReplayUri(timestamp=ts, original=css_original,
+                                                 uri=css_base_uri)
+                            resolve = partial(rewrite_subresource, css_base, ep=ep)
+                        discover(resolve, extract_css_refs(css_body), TRIGGER_STYLESHEET)
 
-        finished = utc_now_s()
-        sub_list = [f for f in subs.values() if f is not None]
         return CaptureLog(
             memento=m,
             engine=ENGINE_STATIC,
             scripting=SCRIPTING_OFF,
-            fetches=_order_fetches(page, sub_list),
+            fetches=_order_fetches(page, list(subs.values())),
             started=started,
-            finished=finished,
+            finished=utc_now_s(),
         )
 
 

@@ -377,16 +377,15 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
             logs.append(_capture_one(cfg, m, engine, scripting, fetcher))
         return logs
 
-    results: dict[int, list[CaptureLog]] = {}
+    logs: list[CaptureLog] = []
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        futures = {pool.submit(work, entry): idx for idx, entry in enumerate(chosen)}
-        for future, idx in futures.items():
+        futures = [pool.submit(work, entry) for entry in chosen]
+        for entry, future in zip(chosen, futures):
             try:
-                results[idx] = future.result()
+                logs.extend(future.result())
             except (AuditError, OSError) as exc:
-                failures.append(f"{chosen[idx].memento_uri}: {exc}")
+                failures.append(f"{entry.memento_uri}: {exc}")
 
-    logs = [log for idx in sorted(results) for log in results[idx]]
     if not logs:
         raise AuditError("every capture failed; no report to emit")
     echo = cfg.echo()

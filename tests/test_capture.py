@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from memento_audit import capture
 from memento_audit.bridge import ScriptedEngine
 from memento_audit.capture import (
     ENGINE_STATIC,
@@ -56,6 +57,21 @@ def test_static_page_fetch_count(engine, service, endpoint):
     assert log.fetches[0].phase == PHASE_PAGE
     assert all(f.phase == PHASE_SUBRESOURCE for f in log.fetches[1:])
     assert all(f.final_status == 200 for f in log.fetches)
+
+
+def test_static_capture_builds_one_pool(engine, service, endpoint, monkeypatch):
+    # Two waves, the markup's references and then s.css's url(bg.gif), on one pool.
+    pools = []
+
+    class CountingPool(capture.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(capture, "ThreadPoolExecutor", CountingPool)
+    log = _capture(engine, endpoint, STATIC6_TIMESTAMP, STATIC6_ORIGINAL)
+    assert len(log.fetches) == STATIC6_FETCH_TOTAL
+    assert len(pools) == 1
 
 
 def test_stylesheet_background_is_attributed(engine, service, endpoint):

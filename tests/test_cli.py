@@ -247,6 +247,24 @@ def test_capture_of_missing_memento_reports_failure(service, capsys, tmp_path):
     assert capsys.readouterr().out.startswith("failed")
 
 
+def test_audit_of_missing_pages_exits_0(service, capsys, tmp_path):
+    # A sampled page that answers 404 is classified, not a failed capture.
+    gone = service.archive_base + "/gone/{timestamp}/{original}"
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    rc = main(_quiet(["audit", NEWS_ORIGINAL, "--endpoint", service.archive_base,
+                      "--replay-template", gone,
+                      "--cache-dir", str(cache), "--out-dir", str(out)]))
+    assert rc == 0
+    mementos = json.loads((out / "report.json").read_text())["mementos"]
+    assert mementos
+    assert all((m["counts"]["archived_missing"], m["total_requested"]) == (1, 1)
+               for m in mementos)
+    pages = [load_log(path).page_fetch for path in cache.glob("*_static_off.json")]
+    assert len(pages) == len(mementos)
+    assert all(page.final_status == 404 for page in pages)
+    assert json.loads((cache / run_meta_filename(NEWS_ORIGINAL)).read_text())["failures"] == []
+
+
 def test_audit_of_excluded_site_exits_2(service, capsys, tmp_path):
     rc = main(_quiet(["audit", ROBOTS_ORIGINAL, "--endpoint", service.archive_base,
                       "--cache-dir", str(tmp_path / "cache"),

@@ -3,10 +3,16 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import pytest
 import requests
 
 from memento_audit.analysis import FetchClass, classify_fetch
-from memento_audit.capture import PHASE_SUBRESOURCE, TRIGGER_MARKUP, _fetch_from_chain
+from memento_audit.capture import (
+    PHASE_SUBRESOURCE,
+    TRIGGER_MARKUP,
+    StaticEngine,
+    _fetch_from_chain,
+)
 from memento_audit.fetching import PoliteFetcher, _environment_settings
 from memento_audit.fixture_archive.scenarios import (
     GMAPS_ORIGINAL,
@@ -15,7 +21,7 @@ from memento_audit.fixture_archive.scenarios import (
     NEWS_TIMESTAMPS,
     YT2011_ORIGINAL,
 )
-from memento_audit.replay import ArchiveEndpoint
+from memento_audit.replay import ArchiveEndpoint, make_replay_uri
 
 
 def test_follow_records_single_hop(service, fetcher):
@@ -107,6 +113,70 @@ def test_politeness_spaces_requests(service):
         assert elapsed >= 0.4
     finally:
         fetcher.close()
+
+
+_SLOW_IMAGES = 8
+
+
+class _SlowImages(BaseHTTPRequestHandler):
+    """Serves a page of _SLOW_IMAGES images, answers each image after about
+    50 ms, and records the most requests it had in flight at once."""
+
+    lock = threading.Lock()
+    in_flight = 0
+    peak = 0
+
+    def do_GET(self):
+        cls = type(self)
+        with cls.lock:
+            cls.in_flight += 1
+            cls.peak = max(cls.peak, cls.in_flight)
+        if self.path.endswith(".gif"):
+            time.sleep(0.05)
+            body, content_type = b"GIF89a", "image/gif"
+        else:
+            body = "".join(f'<img src="i{n}.gif">' for n in range(_SLOW_IMAGES)).encode()
+            content_type = "text/html"
+        # Leave before answering, so a client's next request cannot be
+        # counted while this one still is.
+        with cls.lock:
+            cls.in_flight -= 1
+        self.send_response(200)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("per_host", [1, 2])
+def test_static_capture_fills_but_never_exceeds_the_host_cap(monkeypatch, per_host):
+    handler = type("Handler", (_SlowImages,), {"lock": threading.Lock()})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    ep = ArchiveEndpoint.from_base(f"http://127.0.0.1:{server.server_port}")
+    m = make_replay_uri("20100101000000", "http://slow.example/", ep)
+    _clear_proxy_environment(monkeypatch)
+    fetcher = PoliteFetcher(politeness_s=0.0, per_host=per_host)
+
+    def pool_threads():
+        return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor-")}
+
+    before = pool_threads()
+    try:
+        log = StaticEngine(fetcher).capture(m, ep)
+        left_running = pool_threads() - before
+    finally:
+        fetcher.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert [f.final_status for f in log.fetches] == [200] * (1 + _SLOW_IMAGES)
+    assert handler.peak == per_host
+    assert not left_running
 
 
 def _clear_proxy_environment(monkeypatch):
