@@ -110,22 +110,14 @@ class DifferentialReport:
 
 def _fetch_from_chain(request_uri: str, result: ChainResult, trigger: str,
                       phase: str) -> ResourceFetch:
-    content_type = None
-    size = 0
-    final_status = None
-    if result.error is None and result.hops:
-        final_status = result.hops[-1][0]
-    if result.response is not None:
-        raw_ct = result.response.headers.get("Content-Type")
-        if raw_ct:
-            content_type = raw_ct.split(";")[0].strip().lower()
-        size = len(result.response.content or b"")
+    """The one record of a fetch, whichever crawler made it."""
+    raw_ct = result.headers.get("Content-Type")
     return ResourceFetch(
         request_uri=request_uri,
         chain=tuple(result.hops),
-        final_status=final_status,
-        content_type=content_type,
-        bytes=size,
+        final_status=result.final_status,
+        content_type=raw_ct.split(";")[0].strip().lower() if raw_ct else None,
+        bytes=len(result.body),
         trigger=trigger,
         phase=phase,
         error=result.error,
@@ -168,8 +160,8 @@ class StaticEngine:
         (the URI its body came from, the body); the response is dropped."""
         result = self.fetcher.follow(request_uri)
         fetch = _fetch_from_chain(request_uri, result, trigger, PHASE_SUBRESOURCE)
-        if fetch.ok and _looks_like_css(fetch) and result.response is not None:
-            return fetch, (result.final_uri, result.response.text)
+        if fetch.ok and _looks_like_css(fetch):
+            return fetch, (result.final_uri, result.text)
         return fetch, None
 
     def capture(self, m: ReplayUri, ep: ArchiveEndpoint) -> CaptureLog:
@@ -191,9 +183,9 @@ class StaticEngine:
                 if request_uri not in subs and request_uri not in wave and request_uri != m.uri:
                     wave[request_uri] = trigger
 
-        if page.ok and _looks_like_html(page) and page_result.response is not None:
+        if page.ok and _looks_like_html(page):
             discover(partial(rewrite_subresource, m, ep=ep),
-                     extract_markup_refs(page_result.response.text), TRIGGER_MARKUP)
+                     extract_markup_refs(page_result.text), TRIGGER_MARKUP)
             # Not the audit's memento pool: a memento task waits on these
             # fetches, so one bounded pool for both deadlocks when full.
             with ThreadPoolExecutor(max_workers=2 * self.fetcher.per_host) as pool:

@@ -26,7 +26,7 @@ def fetch_timemap_body(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetche
         raise NotArchived(f"no TimeMap for {original}")
     if status != 200:
         raise NetworkError(f"unexpected status {status} fetching TimeMap {uri}")
-    body = result.response.text
+    body = result.text
     if ROBOTS_MARKER in body:
         raise RobotsExcluded(f"robots marker {ROBOTS_MARKER!r} in TimeMap response for {original}")
     return body

@@ -38,11 +38,26 @@ class ChainResult:
 
     @property
     def final_status(self) -> int | None:
-        return self.hops[-1][0] if self.hops else None
+        """The last hop's status; None when the chain ended in an error."""
+        return self.hops[-1][0] if self.hops and self.error is None else None
 
     @property
     def final_uri(self) -> str | None:
         return self.hops[-1][1] if self.hops else None
+
+    @property
+    def headers(self):
+        """The final response's headers; empty when there is no response."""
+        return self.response.headers if self.response is not None else {}
+
+    @property
+    def body(self) -> bytes:
+        return (self.response.content or b"") if self.response is not None else b""
+
+    @property
+    def text(self) -> str:
+        """The final response's body, decoded as `requests` decodes it."""
+        return self.response.text if self.response is not None else ""
 
 
 def _environment_settings(uri: str) -> dict:

@@ -15,8 +15,8 @@ fixed by the manifest, so identical manifests serve identical bytes.
 import logging
 import re
 import threading
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import urlsplit
 
 from ..errors import PortInUse
 from ..linkformat import TimeMap, memento_record, serialize_link_format
@@ -26,6 +26,7 @@ from .manifest import (
     ConcreteResponse,
     FixtureManifest,
     SiteFixture,
+    _host,
     concrete_responses,
     is_text_media,
     validate_manifest,
@@ -39,10 +40,6 @@ CHROME_ASSETS = {
     "/static/replay-banner.css": (b"#replay-banner { position: fixed; top: 0; }\n",
                                   "text/css"),
 }
-
-
-def _host(uri: str) -> str:
-    return urlsplit(uri).netloc.lower()
 
 
 class _QuietHandler(BaseHTTPRequestHandler):
@@ -65,6 +62,35 @@ class _QuietHandler(BaseHTTPRequestHandler):
             self.wfile.write(body)
 
 
+def _handler(serve: Callable[[_QuietHandler], None]) -> type[_QuietHandler]:
+    """A handler class that answers every GET with `serve(handler)`."""
+
+    class Handler(_QuietHandler):
+        def do_GET(self):
+            serve(self)
+
+    return Handler
+
+
+def serve_in_thread(host: str, port: int,
+                    handler: type[BaseHTTPRequestHandler]) -> ThreadingHTTPServer:
+    """Bind host:port, PortInUse when it cannot, and serve it from a daemon
+    thread until stop_serving."""
+    try:
+        server = ThreadingHTTPServer((host, port), handler)
+    except OSError as exc:
+        raise PortInUse(f"cannot bind {host}:{port}: {exc}") from exc
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def stop_serving(server: ThreadingHTTPServer | None) -> None:
+    """Stop serve_in_thread's loop and close its socket; None is a no-op."""
+    if server is not None:
+        server.shutdown()
+        server.server_close()
+
+
 class FixtureService:
     """Run the archive and live servers for one manifest."""
 
@@ -76,7 +102,6 @@ class FixtureService:
         self._requested_ports = (port, live_port)
         self._archive_server: ThreadingHTTPServer | None = None
         self._live_server: ThreadingHTTPServer | None = None
-        self._threads: list[threading.Thread] = []
         self._sites_by_host = {_host(s.original): s for s in manifest.sites}
         self._bundles = {s.original: {b.timestamp: b for b in s.mementos}
                          for s in manifest.sites}
@@ -92,36 +117,27 @@ class FixtureService:
     def start(self) -> "FixtureService":
         port, live_port = self._requested_ports
         self._timemap_bodies.clear()
-        self._archive_server = self._bind(port, self._archive_handler())
-        self._live_server = self._bind(live_port, self._live_handler())
-        for server in (self._archive_server, self._live_server):
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._archive_server = serve_in_thread(self.host, port,
+                                               _handler(self._serve_archive))
+        try:
+            self._live_server = serve_in_thread(self.host, live_port,
+                                                _handler(self._serve_live))
+        except PortInUse:
+            self.stop()
+            raise
         logger.info("fixture archive at %s, live web at %s",
                     self.archive_base, self.live_base)
         return self
 
     def stop(self) -> None:
-        for server in (self._archive_server, self._live_server):
-            if server is not None:
-                server.shutdown()
-                server.server_close()
-        for thread in self._threads:
-            thread.join(timeout=5)
-        self._threads.clear()
+        stop_serving(self._archive_server)
+        stop_serving(self._live_server)
 
     def __enter__(self) -> "FixtureService":
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-    def _bind(self, port: int, handler) -> ThreadingHTTPServer:
-        try:
-            return ThreadingHTTPServer((self.host, port), handler)
-        except OSError as exc:
-            raise PortInUse(f"cannot bind {self.host}:{port}: {exc}") from exc
 
     # -- addressing -----------------------------------------------------------
 
@@ -271,23 +287,3 @@ class FixtureService:
         if is_text_media(res.media_type):
             body = self.substitute(body.decode("utf-8")).encode("utf-8")
         handler.respond(res.status, body, res.media_type)
-
-    # -- handler factories ----------------------------------------------------
-
-    def _archive_handler(self):
-        service = self
-
-        class ArchiveHandler(_QuietHandler):
-            def do_GET(self):
-                service._serve_archive(self)
-
-        return ArchiveHandler
-
-    def _live_handler(self):
-        service = self
-
-        class LiveHandler(_QuietHandler):
-            def do_GET(self):
-                service._serve_live(self)
-
-        return LiveHandler

@@ -11,14 +11,15 @@ like a browser with JavaScript disabled.
 import json
 import logging
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urldefrag, urljoin
 
-from ..errors import PortInUse
+from ..bridge import _INITIATOR_TRIGGERS
+from ..capture import (PHASE_PAGE, PHASE_SUBRESOURCE, TRIGGER_MARKUP, ResourceFetch,
+                       _fetch_from_chain, _looks_like_css, _looks_like_html)
 from ..extract import extract_css_refs, extract_page_refs
-from ..fetching import ChainResult, PoliteFetcher
+from ..fetching import PoliteFetcher
 from ..replay import SKIP_SCHEMES
+from .server import _QuietHandler, serve_in_thread, stop_serving
 
 logger = logging.getLogger(__name__)
 
@@ -27,19 +28,10 @@ SCREENSHOT_B64 = ("iVBORw0KGgoAAAANSUhEUgAAAAEAAAABCAYAAAAfFcSJAAAADUlEQVR4"
                   "2mNkYPhfDwAChwGA60e6kgAAAABJRU5ErkJggg==")
 
 
-def _chain_doc(result: ChainResult) -> dict:
-    doc = {
-        "chain": [[status, uri] for status, uri in result.hops],
-        "error": result.error,
-        "content_type": None,
-        "bytes": 0,
-    }
-    if result.response is not None:
-        raw_ct = result.response.headers.get("Content-Type")
-        if raw_ct:
-            doc["content_type"] = raw_ct
-        doc["bytes"] = len(result.response.content or b"")
-    return doc
+def _fetch_doc(fetch: ResourceFetch) -> dict:
+    """A fetch as the capture protocol reports it."""
+    return {"chain": fetch.chain, "error": fetch.error,
+            "content_type": fetch.content_type, "bytes": fetch.bytes}
 
 
 def _resolvable(absolute: str) -> bool:
@@ -78,28 +70,16 @@ class StubBridge:
     def __init__(self, port: int = 0, host: str = "localhost"):
         self.host = host
         self._requested_port = port
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
+        self._server = None
         self.fetcher = PoliteFetcher(politeness_s=0.0)
 
     def start(self) -> "StubBridge":
-        try:
-            self._server = ThreadingHTTPServer(
-                (self.host, self._requested_port), self._handler())
-        except OSError as exc:
-            raise PortInUse(
-                f"cannot bind {self.host}:{self._requested_port}: {exc}") from exc
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
+        self._server = serve_in_thread(self.host, self._requested_port, self._handler())
         logger.info("stub bridge at %s", self.url)
         return self
 
     def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        stop_serving(self._server)
 
     def __enter__(self) -> "StubBridge":
         return self.start()
@@ -117,22 +97,18 @@ class StubBridge:
         url = payload["url"]
         scripting = payload.get("scripting", "on")
         page_result = self.fetcher.follow(url)
+        page = _fetch_from_chain(url, page_result, TRIGGER_MARKUP, PHASE_PAGE)
         doc = {
-            "page": _chain_doc(page_result),
+            "page": _fetch_doc(page),
             "subresources": [],
             "screenshot_b64": SCREENSHOT_B64 if payload.get("screenshot") else None,
         }
-        response = page_result.response
-        page_ok = (page_result.error is None and response is not None
-                   and response.status_code < 400)
-        content_type = (response.headers.get("Content-Type", "") if response else "")
-        if not page_ok or ("html" not in content_type and content_type):
+        if not (page.ok and _looks_like_html(page)):
             return doc
 
-        html = response.text
         page_url = page_result.final_uri or url
         planned: list[tuple[str, str, str]] = []  # (ref, base, initiator)
-        markup, script_srcs, script_loads = extract_page_refs(html)
+        markup, script_srcs, script_loads = extract_page_refs(page_result.text)
         for ref in markup:
             if scripting != "on" and ref in script_srcs:
                 continue  # script disabled: its source is never fetched
@@ -150,16 +126,14 @@ class StubBridge:
                 continue
             seen.add(absolute)
             result = self.fetcher.follow(absolute)
-            entry = _chain_doc(result)
-            entry["request_uri"] = absolute
-            entry["initiator"] = initiator
-            entries.append(entry)
-            response_ct = entry["content_type"] or ""
-            ok = result.error is None and result.hops and result.hops[-1][0] < 400
-            if ok and "css" in response_ct and result.response is not None:
+            fetch = _fetch_from_chain(absolute, result, _INITIATOR_TRIGGERS[initiator],
+                                      PHASE_SUBRESOURCE)
+            entries.append({**_fetch_doc(fetch), "request_uri": absolute,
+                            "initiator": initiator})
+            if fetch.ok and _looks_like_css(fetch):
                 css_base = result.final_uri or absolute
                 queue.extend((css_ref, css_base, "stylesheet")
-                             for css_ref in extract_css_refs(result.response.text))
+                             for css_ref in extract_css_refs(result.text))
         doc["subresources"] = entries
         return doc
 
@@ -168,36 +142,26 @@ class StubBridge:
     def _handler(self):
         bridge = self
 
-        class BridgeHandler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.0"
-
-            def log_message(self, fmt, *args):
-                logger.debug("%s %s", self.address_string(), fmt % args)
-
-            def _reply(self, status: int, doc: dict) -> None:
-                body = json.dumps(doc).encode("utf-8")
-                self.send_response_only(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+        class BridgeHandler(_QuietHandler):
+            def reply(self, status: int, doc: dict) -> None:
+                self.respond(status, json.dumps(doc).encode("utf-8"), "application/json")
 
             def do_GET(self):
                 if self.path == "/status":
-                    self._reply(200, {"ok": True, "engine": "stub"})
+                    self.reply(200, {"ok": True, "engine": "stub"})
                 else:
-                    self._reply(404, {"error": "unknown path"})
+                    self.reply(404, {"error": "unknown path"})
 
             def do_POST(self):
                 if self.path != "/capture":
-                    self._reply(404, {"error": "unknown path"})
+                    self.reply(404, {"error": "unknown path"})
                     return
                 length = int(self.headers.get("Content-Length", "0"))
                 try:
                     payload = json.loads(self.rfile.read(length) or b"{}")
-                    self._reply(200, bridge.browse(payload))
+                    self.reply(200, bridge.browse(payload))
                 except Exception as exc:  # surface stub bugs to the caller
                     logger.exception("stub bridge failed")
-                    self._reply(500, {"error": str(exc)})
+                    self.reply(500, {"error": str(exc)})
 
         return BridgeHandler

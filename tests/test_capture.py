@@ -1,5 +1,6 @@
 import dataclasses
 import re
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -35,6 +36,7 @@ from memento_audit.fixture_archive.scenarios import (
     YT2011_BROKEN_CSS,
     YT2011_ORIGINAL,
     YT2011_TIMESTAMP,
+    build_all,
 )
 from memento_audit.replay import make_replay_uri
 from memento_audit.report import collect_leaks
@@ -129,14 +131,26 @@ def test_redirected_stylesheet_resolves_against_final_uri(engine, service, endpo
         == {leak_css.uri, live_gif}
 
 
-def test_redirected_stylesheet_requests_match_the_bridge(engine, service, endpoint,
-                                                         stub_bridge):
-    m = make_replay_uri(MOVEDCSS_TIMESTAMP, MOVEDCSS_ORIGINAL, endpoint)
+_REPLAYABLE = [(site.original, bundle.timestamp) for site in build_all().sites
+               if not site.robots_blocked for bundle in site.mementos]
+
+
+def _recorded(log):
+    """What a capture log says of each fetch it made; skipped references,
+    which only the static engine records, are left out."""
+    return [(f.request_uri, f.chain, f.final_status, f.content_type, f.bytes,
+             f.trigger, f.phase) for f in log.fetches if f.chain or f.error]
+
+
+@pytest.mark.parametrize("original,timestamp", _REPLAYABLE,
+                         ids=[f"{urlsplit(o).netloc}-{ts}" for o, ts in _REPLAYABLE])
+def test_static_fetches_match_the_bridge(engine, service, endpoint, stub_bridge,
+                                         original, timestamp):
+    m = make_replay_uri(timestamp, original, endpoint)
     static = engine.capture(m, endpoint)
     browser = ScriptedEngine(stub_bridge.url, settle_ms=0).capture(
         m, endpoint, scripting=SCRIPTING_OFF)
-    assert ({f.request_uri for f in static.subresources()}
-            == {f.request_uri for f in browser.subresources()})
+    assert _recorded(static) == _recorded(browser)
 
 
 def test_chrome_stylesheet_requested_verbatim(engine, service, endpoint):

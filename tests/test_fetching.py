@@ -7,13 +7,16 @@ import pytest
 import requests
 
 from memento_audit.analysis import FetchClass, classify_fetch
+from memento_audit.bridge import ScriptedEngine
 from memento_audit.capture import (
     PHASE_SUBRESOURCE,
+    SCRIPTING_OFF,
     TRIGGER_MARKUP,
     StaticEngine,
     _fetch_from_chain,
 )
 from memento_audit.fetching import PoliteFetcher, _environment_settings
+from memento_audit.fixture_archive.server import serve_in_thread, stop_serving
 from memento_audit.fixture_archive.scenarios import (
     GMAPS_ORIGINAL,
     GMAPS_TIMESTAMP,
@@ -95,6 +98,7 @@ def test_follow_ends_chain_at_unparsable_location(monkeypatch):
         thread.join(timeout=5)
     assert result.hops == [(302, uri)]
     assert "http://[bad/x" in result.error
+    assert result.final_status is None
     fetch = _fetch_from_chain(uri, result, TRIGGER_MARKUP, PHASE_SUBRESOURCE)
     assert classify_fetch(fetch, ArchiveEndpoint.from_base(uri)) \
         == FetchClass.NETWORK_ERROR
@@ -177,6 +181,46 @@ def test_static_capture_fills_but_never_exceeds_the_host_cap(monkeypatch, per_ho
     assert [f.final_status for f in log.fetches] == [200] * (1 + _SLOW_IMAGES)
     assert handler.peak == per_host
     assert not left_running
+
+
+class _UntypedStylesheet(BaseHTTPRequestHandler):
+    """Serves a page linking s.css, and s.css, which holds url(bg.gif), with
+    no Content-Type."""
+
+    def do_GET(self):
+        if self.path.endswith(".css"):
+            body, content_type = b"body { background: url(bg.gif) }", None
+        elif self.path.endswith(".gif"):
+            body, content_type = b"GIF89a", "image/gif"
+        else:
+            body, content_type = b'<link rel="stylesheet" href="s.css">', "text/html"
+        self.send_response(200)
+        if content_type is not None:
+            self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_untyped_stylesheet_recorded_alike_by_both_crawlers(monkeypatch, stub_bridge):
+    _clear_proxy_environment(monkeypatch)
+    server = serve_in_thread("127.0.0.1", 0, _UntypedStylesheet)
+    ep = ArchiveEndpoint.from_base(f"http://127.0.0.1:{server.server_port}")
+    m = make_replay_uri("20100101000000", "http://untyped.example/", ep)
+    fetcher = PoliteFetcher(politeness_s=0.0)
+    try:
+        static = StaticEngine(fetcher).capture(m, ep)
+        browser = ScriptedEngine(stub_bridge.url, settle_ms=0).capture(
+            m, ep, scripting=SCRIPTING_OFF)
+    finally:
+        fetcher.close()
+        stop_serving(server)
+    background = make_replay_uri("20100101000000", "http://untyped.example/bg.gif", ep)
+    assert background.uri in {f.request_uri for f in static.subresources()}
+    assert static.subresources() == browser.subresources()
 
 
 def _clear_proxy_environment(monkeypatch):

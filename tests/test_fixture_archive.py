@@ -26,6 +26,7 @@ from memento_audit.fixture_archive.scenarios import (
 )
 from memento_audit.fixture_archive import server
 from memento_audit.fixture_archive.server import FixtureService
+from memento_audit.fixture_archive.stub_bridge import StubBridge
 from memento_audit.linkformat import parse_link_format
 from memento_audit.replay import to_replay_uri
 from memento_audit.timefmt import parse_rfc1123
@@ -249,10 +250,15 @@ def test_timemaps_and_bundle_responses_are_built_once(manifest, monkeypatch):
     assert renders == [NEWS_ORIGINAL] * 2
 
 
-def test_port_in_use_rejected(service):
+@pytest.mark.parametrize("server_on", [
+    lambda port: FixtureService(build_all(), port=port),
+    lambda port: FixtureService(build_all(), live_port=port),
+    lambda port: StubBridge(port=port),
+], ids=["FixtureService", "FixtureService-live", "StubBridge"])
+def test_port_in_use_rejected(service, server_on):
     taken = service._archive_server.server_address[1]
     with pytest.raises(PortInUse):
-        FixtureService(build_all(), port=taken).start()
+        server_on(taken).start()
 
 
 # --- persistence -------------------------------------------------------------
