@@ -110,13 +110,14 @@ class DifferentialReport:
 
 def _fetch_from_chain(request_uri: str, result: ChainResult, trigger: str,
                       phase: str) -> ResourceFetch:
-    """The one record of a fetch, whichever crawler made it."""
-    raw_ct = result.headers.get("Content-Type")
+    """The one record of a fetch, whichever crawler made it.  A Content-Type
+    that names no media type, such as "; charset=utf-8", records None."""
+    media_type = result.headers.get("Content-Type", "").split(";")[0].strip().lower()
     return ResourceFetch(
         request_uri=request_uri,
         chain=tuple(result.hops),
         final_status=result.final_status,
-        content_type=raw_ct.split(";")[0].strip().lower() if raw_ct else None,
+        content_type=media_type or None,
         bytes=len(result.body),
         trigger=trigger,
         phase=phase,

@@ -35,7 +35,7 @@ from .capture import (
     site_digest,
     write_text_atomic,
 )
-from .client import fetch_timemap, fetch_timemap_body
+from .client import decode_timemap, fetch_timemap, fetch_timemap_body
 from .config import CACHE_ENV, AuditConfig, endpoint_from_echo, parse_config_file
 from .errors import AuditError
 from .fetching import PoliteFetcher
@@ -57,7 +57,7 @@ logger = logging.getLogger(__name__)
 
 RUN_META_SCHEMA_VERSION = "2"
 
-#: The config echo keys that, with the TimeMap text, decide the sample.
+#: The config echo keys that, with the TimeMap body, decide the sample.
 SAMPLE_CONFIG_KEYS = ("interval", "fixed_grid", "timemap_template")
 
 DEFAULT_ENDPOINT_BASE = "http://web.archive.org"
@@ -307,11 +307,10 @@ def _read_run_meta(path: Path) -> dict:
     return meta
 
 
-def _stored_sample(cfg: AuditConfig, site: str,
-                   timemap_sha256: str) -> tuple[SampleEntry, ...] | None:
-    """The sample the last audit of `site` stored, when it was drawn from a
-    TimeMap with this digest under the same sampling settings; else None.
-    Metadata that cannot be used is logged and treated as absent."""
+def _stored_run(cfg: AuditConfig, site: str) -> dict | None:
+    """The run metadata the last audit of `site` stored, when its sample was
+    drawn under the same sampling settings; else None.  Metadata that cannot
+    be used is logged and treated as absent."""
     path = cfg.cache_dir / run_meta_filename(site)
     if not path.exists():
         return None
@@ -321,40 +320,55 @@ def _stored_sample(cfg: AuditConfig, site: str,
         if version != RUN_META_SCHEMA_VERSION:
             raise AuditError(f"run metadata {path} has schema_version {version!r}, "
                              f"not {RUN_META_SCHEMA_VERSION!r}")
+        if not (isinstance(meta.get("timemap_sha256"), str)
+                and isinstance(meta.get("timemap_etag"), (str, type(None)))):
+            raise AuditError(f"malformed run metadata {path}: timemap_sha256 or "
+                             f"timemap_etag is not text")
     except AuditError as exc:
         logger.warning("%s; sampling the TimeMap afresh", exc)
         return None
     stored, echo = meta["config"], cfg.echo()
-    if (meta["site"] != site or meta.get("timemap_sha256") != timemap_sha256
-            or any(stored.get(key) != echo[key] for key in SAMPLE_CONFIG_KEYS)):
+    if meta["site"] != site or any(stored.get(key) != echo[key]
+                                   for key in SAMPLE_CONFIG_KEYS):
         return None
-    return meta["sample"]
+    return meta
 
 
 def _annual_sample(cfg: AuditConfig, site: str,
-                   fetcher: PoliteFetcher) -> tuple[tuple[SampleEntry, ...], str]:
-    """GET the site's TimeMap and return (its annual sample, the SHA-256 of
-    its body).  The digest is taken over the decoded text that the parser
-    reads, so a stored sample is reused only for identical parser input; the
-    GET is always made, so a changed TimeMap is always sampled afresh."""
-    body = fetch_timemap_body(site, cfg.endpoint, fetcher=fetcher)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    sample = _stored_sample(cfg, site, digest)
-    if sample is None:
-        tm = parse_link_format(body)
-        del body  # a large TimeMap's text need not outlive its parse
+                   fetcher: PoliteFetcher) -> tuple[tuple[SampleEntry, ...], dict]:
+    """GET the site's TimeMap and return (its annual sample, the run metadata
+    keys that describe the TimeMap: its SHA-256 and its ETag).
+
+    When the last audit stored a sample drawn under the same settings, the
+    GET is conditional on that TimeMap's ETag, and a 304 reuses the sample
+    without reading a body.  So does a 200 whose body has the stored digest,
+    for an archive that sends no ETag.  The digest is taken over the body's
+    bytes, the parser's input once decoded as UTF-8."""
+    stored = _stored_run(cfg, site) or {}
+    fetched = fetch_timemap_body(site, cfg.endpoint, fetcher,
+                                 etag=stored.get("timemap_etag"))
+    if fetched is None:
+        logger.info("TimeMap not modified; reusing the stored sample for %s", site)
+        return stored["sample"], {"timemap_sha256": stored["timemap_sha256"],
+                                  "timemap_etag": stored["timemap_etag"]}
+    body, etag = fetched
+    digest = hashlib.sha256(body).hexdigest()
+    if stored.get("timemap_sha256") == digest:
+        logger.info("TimeMap unchanged; reusing the stored sample for %s", site)
+        sample = stored["sample"]
+    else:
+        tm = parse_link_format(decode_timemap(body, site, cfg.endpoint))
+        del body, fetched  # a large TimeMap's bytes need not outlive its parse
         sample = sample_entries(select_annual(tm, interval=cfg.interval,
                                               fixed_grid=cfg.fixed_grid))
-    else:
-        logger.info("TimeMap unchanged; reusing the stored sample for %s", site)
-    return sample, digest
+    return sample, {"timemap_sha256": digest, "timemap_etag": etag}
 
 
 def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], dict]:
     """Run the pipeline for one site.  Returns (report, failure messages,
     run metadata for the cache)."""
     fetcher = _fetcher(cfg)
-    sample, timemap_sha256 = _annual_sample(cfg, site, fetcher)
+    sample, timemap_keys = _annual_sample(cfg, site, fetcher)
     if not sample:
         raise AuditError(f"no mementos to audit for {site}")
 
@@ -393,7 +407,9 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
         "schema_version": RUN_META_SCHEMA_VERSION,
         "site": site,
         "config": echo,
-        "timemap_sha256": timemap_sha256,
+        # timemap_etag is optional: readers that predate it ignore it, and
+        # without it the GET is unconditional.
+        **timemap_keys,
         "sample": sample_to_docs(sample),
         "log_files": [log_filename(log) for log in logs],
         "failures": failures,

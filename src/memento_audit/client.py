@@ -1,22 +1,27 @@
 """Memento archive client: TimeMap retrieval."""
 
-from .errors import NetworkError, NotArchived, RobotsExcluded
+from .errors import NetworkError, NotArchived, RobotsExcluded, UndecodableTimeMap
 from .fetching import PoliteFetcher
 from .linkformat import TimeMap, parse_link_format
 from .replay import ArchiveEndpoint, validate_original_uri
 
-ROBOTS_MARKER = "robots.txt"
+ROBOTS_MARKER = b"robots.txt"
 
 
-def fetch_timemap_body(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetcher) -> str:
-    """GET the TimeMap for an original URI and return its checked body text.
+def fetch_timemap_body(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetcher,
+                       etag: str | None = None) -> tuple[bytes, str | None] | None:
+    """GET the TimeMap for an original URI and return (its checked body, its
+    ETag or None).
 
-    Archives signal robots exclusions inconsistently, so both a 403 and a 200
-    whose body contains ROBOTS_MARKER map to RobotsExcluded.
+    Given the `etag` of a stored TimeMap, the GET is conditional on it
+    (If-None-Match, RFC 9110 §13.1.2), and a 304 Not Modified returns None.
+    A 304 to an unconditional GET is a NetworkError.  Archives signal robots
+    exclusions inconsistently, so both a 403 and a 200 whose body contains
+    ROBOTS_MARKER map to RobotsExcluded.
     """
     validate_original_uri(original)
     uri = ep.expand_timemap(original)
-    result = fetcher.follow(uri)
+    result = fetcher.follow(uri, headers=None if etag is None else {"If-None-Match": etag})
     if result.error is not None:
         raise NetworkError(f"fetching TimeMap {uri}: {result.error}")
     status = result.final_status
@@ -24,14 +29,29 @@ def fetch_timemap_body(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetche
         raise RobotsExcluded(f"archive returned 403 for {original}")
     if status == 404:
         raise NotArchived(f"no TimeMap for {original}")
+    if status == 304 and etag is not None:
+        return None
     if status != 200:
         raise NetworkError(f"unexpected status {status} fetching TimeMap {uri}")
-    body = result.text
+    body = result.body
     if ROBOTS_MARKER in body:
-        raise RobotsExcluded(f"robots marker {ROBOTS_MARKER!r} in TimeMap response for {original}")
-    return body
+        raise RobotsExcluded(f"robots marker {ROBOTS_MARKER.decode()!r} in TimeMap "
+                             f"response for {original}")
+    return body, result.headers.get("ETag")
+
+
+def decode_timemap(body: bytes, original: str, ep: ArchiveEndpoint) -> str:
+    """The body of `original`'s TimeMap as text.  Link-format is UTF-8 (RFC
+    6690 §2), so no charset is sniffed; a body that is not UTF-8 raises
+    UndecodableTimeMap naming the TimeMap URI and the byte offset."""
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise UndecodableTimeMap(f"TimeMap {ep.expand_timemap(original)} is not UTF-8: "
+                                 f"{exc.reason} at byte offset {exc.start}") from exc
 
 
 def fetch_timemap(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetcher) -> TimeMap:
     """GET and parse the TimeMap for an original URI (see fetch_timemap_body)."""
-    return parse_link_format(fetch_timemap_body(original, ep, fetcher))
+    body, _ = fetch_timemap_body(original, ep, fetcher)
+    return parse_link_format(decode_timemap(body, original, ep))

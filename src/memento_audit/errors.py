@@ -39,6 +39,10 @@ class NetworkError(AuditError):
     """Transport-level failure (timeout, connection error, unexpected status)."""
 
 
+class UndecodableTimeMap(AuditError):
+    """A TimeMap body is not UTF-8, the only encoding of link-format."""
+
+
 # --- sampling ---
 
 class TimestampMismatch(AuditError):

@@ -136,17 +136,17 @@ class PoliteFetcher:
                 self._gates[host] = gate
             return gate
 
-    def get_once(self, uri: str) -> requests.Response:
-        """One GET, no redirect following. Raises requests exceptions after
-        RETRIES further attempts."""
+    def get_once(self, uri: str, headers: dict[str, str] | None = None) -> requests.Response:
+        """One GET with `headers` added to the session's, no redirect
+        following. Raises requests exceptions after RETRIES further attempts."""
         last_exc: Exception | None = None
         gate = self._gate_for(uri)
         for attempt in range(RETRIES + 1):
             with gate:
                 try:
                     return self.session.get(
-                        uri, allow_redirects=False, timeout=self.timeout_s,
-                        **gate.settings,
+                        uri, headers=headers, allow_redirects=False,
+                        timeout=self.timeout_s, **gate.settings,
                     )
                 except requests.RequestException as exc:
                     last_exc = exc
@@ -154,8 +154,9 @@ class PoliteFetcher:
         assert last_exc is not None
         raise last_exc
 
-    def follow(self, uri: str) -> ChainResult:
-        """Follow `uri` through 3xx hops, recording (status, uri) per hop.
+    def follow(self, uri: str, headers: dict[str, str] | None = None) -> ChainResult:
+        """Follow `uri` through 3xx hops, recording (status, uri) per hop;
+        every hop's GET carries `headers`.
 
         Transport failures, and a 3xx whose Location does not parse, end the
         chain with `error` set; hops observed so far are kept. The chain is
@@ -165,7 +166,7 @@ class PoliteFetcher:
         current = uri
         while True:
             try:
-                resp = self.get_once(current)
+                resp = self.get_once(current, headers)
             except requests.RequestException as exc:
                 result.error = f"{type(exc).__name__}: {exc}"
                 return result

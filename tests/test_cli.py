@@ -12,7 +12,13 @@ from memento_audit import analysis, cli
 from memento_audit.capture import load_log
 from memento_audit.cli import build_parser, main, resolve_config, run_meta_filename
 from memento_audit.config import CACHE_ENV, parse_config_file
-from memento_audit.errors import NotArchived, RobotsExcluded
+from memento_audit.client import fetch_timemap
+from memento_audit.errors import (
+    NetworkError,
+    NotArchived,
+    RobotsExcluded,
+    UndecodableTimeMap,
+)
 from memento_audit.fixture_archive.scenarios import (
     BADREF_ORIGINAL,
     BADREF_REFERENCE,
@@ -354,18 +360,35 @@ def test_jobs_and_per_host_do_not_change_the_report(service, capsys, tmp_path):
 @pytest.fixture()
 def news_timemap(service):
     """A TimeMap server whose response the test sets: it starts with the news
-    site's TimeMap (mementos on the fixture archive) and counts its GETs."""
+    site's TimeMap (mementos on the fixture archive), counts its GETs and
+    keeps each GET's request headers and answered status.  Given an `etag`
+    or a `last_modified`, it sends them with its 200s and answers a GET that
+    sends one back unchanged (If-None-Match, If-Modified-Since) with 304."""
     state = {"status": 200, "body": requests.get(service.timemap_uri(NEWS_ORIGINAL),
-                                                 timeout=10).content, "gets": 0}
+                                                 timeout=10).content, "gets": 0,
+             "etag": None, "last_modified": None, "requests": [], "statuses": []}
 
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self):
             state["gets"] += 1
-            self.send_response(state["status"])
-            self.send_header("Content-Type", "application/link-format")
-            self.send_header("Content-Length", str(len(state["body"])))
+            state["requests"].append(self.headers)
+            validators = {name: state[key] for name, key in (
+                ("ETag", "etag"), ("Last-Modified", "last_modified")) if state[key]}
+            conditions = (("If-None-Match", "ETag"), ("If-Modified-Since", "Last-Modified"))
+            status = state["status"]
+            if status == 200 and any(name in validators and self.headers.get(header)
+                                     == validators[name] for header, name in conditions):
+                status = 304
+            state["statuses"].append(status)
+            self.send_response(status)
+            for name, value in validators.items():
+                self.send_header(name, value)
+            if status != 304:
+                self.send_header("Content-Type", "application/link-format")
+                self.send_header("Content-Length", str(len(state["body"])))
             self.end_headers()
-            self.wfile.write(state["body"])
+            if status != 304:
+                self.wfile.write(state["body"])
 
         def log_message(self, *args):
             pass
@@ -475,6 +498,162 @@ def test_timemap_checks_run_before_reuse(service, news_timemap, tmp_path, capsys
 def _as_v1(meta: dict) -> dict:
     return {**{k: v for k, v in meta.items() if k != "timemap_sha256"},
             "schema_version": "1"}
+
+
+@pytest.mark.parametrize("status, body, error", [
+    (403, b"", RobotsExcluded),
+    (200, b"Blocked by robots.txt", RobotsExcluded),
+    (404, b"", NotArchived),
+])
+def test_timemap_checks_run_before_revalidated_reuse(service, news_timemap, tmp_path,
+                                                     capsys, status, body, error):
+    news_timemap["etag"] = '"v1"'
+    argv = _news_argv(service, news_timemap, tmp_path, "first")
+    assert main(argv) == 0
+    capsys.readouterr()
+    news_timemap["status"], news_timemap["body"], news_timemap["etag"] = status, body, '"v2"'
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert news_timemap["requests"][-1]["If-None-Match"] == '"v1"'
+    with pytest.raises(error):
+        cli._audit_site(_resolve(argv), NEWS_ORIGINAL)
+
+
+# --- revalidating the TimeMap by its validators -------------------------------
+
+
+def _conditions(request) -> tuple:
+    return request.get("If-None-Match"), request.get("If-Modified-Since")
+
+
+def test_revalidated_timemap_reuses_the_sample(service, news_timemap, tmp_path,
+                                               monkeypatch, capsys):
+    news_timemap["etag"] = '"v1"'
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+    meta = json.loads(_meta_path(tmp_path).read_text())
+    assert meta["timemap_etag"] == '"v1"'
+    assert len(meta["timemap_sha256"]) == 64
+
+    _refuse_parsing(monkeypatch)
+    assert main(_news_argv(service, news_timemap, tmp_path, "second")) == 0
+    assert [_conditions(r) for r in news_timemap["requests"]] == [(None, None),
+                                                                  ('"v1"', None)]
+    assert news_timemap["statuses"] == [200, 304]
+    assert _outputs(tmp_path / "second") == _outputs(tmp_path / "first")
+    assert json.loads(_meta_path(tmp_path).read_text()) == meta
+
+
+def test_new_etag_is_sampled_afresh(service, news_timemap, tmp_path, monkeypatch,
+                                    capsys):
+    full = news_timemap["body"]
+    tm = parse_link_format(full.decode("utf-8"))
+    news_timemap["body"] = serialize_link_format(
+        dataclasses.replace(tm, mementos=tm.mementos[:-1])).encode("utf-8")
+    news_timemap["etag"] = '"v1"'
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+    first = json.loads((tmp_path / "first" / "report.json").read_text())
+    first_digest = json.loads(_meta_path(tmp_path).read_text())["timemap_sha256"]
+
+    news_timemap["body"], news_timemap["etag"] = full, '"v2"'
+    parses = _count_parses(monkeypatch)
+    assert main(_news_argv(service, news_timemap, tmp_path, "second")) == 0
+    assert _conditions(news_timemap["requests"][-1]) == ('"v1"', None)
+    assert news_timemap["statuses"] == [200, 200]
+    assert len(parses) == 1
+    second = json.loads((tmp_path / "second" / "report.json").read_text())
+    assert len(second["sample"]) == len(first["sample"]) + 1
+    meta = json.loads(_meta_path(tmp_path).read_text())
+    assert meta["timemap_etag"] == '"v2"'
+    assert meta["timemap_sha256"] not in (first_digest, None)
+
+
+# Only an ETag is sent back: a Last-Modified alone leaves the GET
+# unconditional, and the digest decides.
+@pytest.mark.parametrize("last_modified", [None, "Wed, 21 Oct 2015 07:28:00 GMT"],
+                         ids=["no-validators", "last-modified-only"])
+def test_without_an_etag_the_digest_decides(service, news_timemap, tmp_path,
+                                            monkeypatch, capsys, last_modified):
+    news_timemap["last_modified"] = last_modified
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+    _refuse_parsing(monkeypatch)
+    assert main(_news_argv(service, news_timemap, tmp_path, "second")) == 0
+    assert [_conditions(r) for r in news_timemap["requests"]] == [(None, None)] * 2
+    assert news_timemap["statuses"] == [200, 200]
+    assert _outputs(tmp_path / "second") == _outputs(tmp_path / "first")
+    meta = json.loads(_meta_path(tmp_path).read_text())
+    assert meta["timemap_etag"] is None
+    assert "timemap_last_modified" not in meta
+
+
+def _drop_validators(meta: dict) -> dict:
+    return {k: v for k, v in meta.items() if k != "timemap_etag"}
+
+
+@pytest.mark.parametrize("edit, extra", [
+    (None, ["--interval", "365d"]),
+    (None, ["--fixed-grid"]),
+    ("missing", []),
+    (_as_v1, []),
+    (_drop_validators, []),
+    (lambda meta: {**meta, "timemap_etag": 7}, []),
+], ids=["interval", "fixed-grid", "missing", "v1", "no-validator-keys", "bad-etag"])
+def test_validators_sent_only_with_a_usable_sample(service, news_timemap, tmp_path,
+                                                   capsys, edit, extra):
+    news_timemap["etag"] = '"v1"'
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+    if edit == "missing":
+        _meta_path(tmp_path).unlink()
+    elif edit is not None:
+        meta = json.loads(_meta_path(tmp_path).read_text())
+        _meta_path(tmp_path).write_text(json.dumps(edit(meta)))
+    assert main(_news_argv(service, news_timemap, tmp_path, "second", *extra)) == 0
+    assert _conditions(news_timemap["requests"][-1]) == (None, None)
+    assert news_timemap["statuses"] == [200, 200]
+    assert json.loads(_meta_path(tmp_path).read_text())["timemap_etag"] == '"v1"'
+
+
+def test_not_modified_to_an_unconditional_get_exits_2(service, news_timemap, tmp_path,
+                                                      capsys):
+    argv = _news_argv(service, news_timemap, tmp_path, "first")
+    assert main(argv) == 0
+    capsys.readouterr()
+    news_timemap["status"] = 304
+    assert main(argv) == 2
+    assert "unexpected status 304" in capsys.readouterr().err
+    assert _conditions(news_timemap["requests"][-1]) == (None, None)
+    with pytest.raises(NetworkError):
+        cli._audit_site(_resolve(argv), NEWS_ORIGINAL)
+
+
+def test_timemap_is_read_as_utf8(service, news_timemap, tmp_path, capsys):
+    tm = parse_link_format(news_timemap["body"].decode("utf-8"))
+    paths = ["caf\u00e9/", "\u65e5\u672c/", "na\u00efve-\u00fcber/"]
+    mementos = tuple(dataclasses.replace(record, uri=f"{record.uri}{path}")
+                     for record, path in zip(tm.mementos, paths))
+    news_timemap["body"] = serialize_link_format(
+        dataclasses.replace(tm, mementos=mementos)).encode("utf-8")
+    argv = _news_argv(service, news_timemap, tmp_path, "unused")
+    cfg = _resolve(argv)
+    fetcher = cli._fetcher(cfg)
+    try:
+        fetched = fetch_timemap(NEWS_ORIGINAL, cfg.endpoint, fetcher)
+    finally:
+        fetcher.close()
+    assert [r.uri for r in fetched.mementos] == [r.uri for r in mementos]
+
+
+def test_undecodable_timemap_exits_2(service, news_timemap, tmp_path, capsys):
+    body = news_timemap["body"]
+    offset = body.index(b"/memento/") + 1
+    news_timemap["body"] = body[:offset] + b"\xff" + body[offset:]
+    argv = _news_argv(service, news_timemap, tmp_path, "first")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"byte offset {offset}" in err
+    assert news_timemap["template"].format(original=NEWS_ORIGINAL) in err
+    with pytest.raises(UndecodableTimeMap):
+        cli._audit_site(_resolve(argv), NEWS_ORIGINAL)
+    assert main(["timemap", *argv[1:]]) == 2
 
 
 @pytest.mark.parametrize("edit, warns", [

@@ -184,16 +184,22 @@ def test_static_capture_fills_but_never_exceeds_the_host_cap(monkeypatch, per_ho
 
 
 class _UntypedStylesheet(BaseHTTPRequestHandler):
-    """Serves a page linking s.css, and s.css, which holds url(bg.gif), with
-    no Content-Type."""
+    """Serves a page showing a.gif and linking s.css, which holds
+    url(bg.gif).  a.gif and s.css come with `untyped` as their Content-Type,
+    or with none when it is None."""
+
+    untyped: str | None = None
 
     def do_GET(self):
-        if self.path.endswith(".css"):
-            body, content_type = b"body { background: url(bg.gif) }", None
-        elif self.path.endswith(".gif"):
+        if self.path.endswith("/s.css"):
+            body, content_type = b"body { background: url(bg.gif) }", self.untyped
+        elif self.path.endswith("/a.gif"):
+            body, content_type = b"GIF89a", self.untyped
+        elif self.path.endswith("/bg.gif"):
             body, content_type = b"GIF89a", "image/gif"
         else:
-            body, content_type = b'<link rel="stylesheet" href="s.css">', "text/html"
+            body = b'<img src="a.gif"><link rel="stylesheet" href="s.css">'
+            content_type = "text/html"
         self.send_response(200)
         if content_type is not None:
             self.send_header("Content-Type", content_type)
@@ -205,9 +211,16 @@ class _UntypedStylesheet(BaseHTTPRequestHandler):
         pass
 
 
-def test_untyped_stylesheet_recorded_alike_by_both_crawlers(monkeypatch, stub_bridge):
+class _ParameterOnlyContentType(_UntypedStylesheet):
+    untyped = "; charset=utf-8"
+
+
+def _capture_both_ways(monkeypatch, stub_bridge, handler) -> dict:
+    """Capture the page `handler` serves statically and through the stub
+    bridge with scripting off; assert both record the same subresources
+    and return the static ones by request URI."""
     _clear_proxy_environment(monkeypatch)
-    server = serve_in_thread("127.0.0.1", 0, _UntypedStylesheet)
+    server = serve_in_thread("127.0.0.1", 0, handler)
     ep = ArchiveEndpoint.from_base(f"http://127.0.0.1:{server.server_port}")
     m = make_replay_uri("20100101000000", "http://untyped.example/", ep)
     fetcher = PoliteFetcher(politeness_s=0.0)
@@ -218,9 +231,23 @@ def test_untyped_stylesheet_recorded_alike_by_both_crawlers(monkeypatch, stub_br
     finally:
         fetcher.close()
         stop_serving(server)
-    background = make_replay_uri("20100101000000", "http://untyped.example/bg.gif", ep)
-    assert background.uri in {f.request_uri for f in static.subresources()}
     assert static.subresources() == browser.subresources()
+    # With no media type, s.css is sniffed by its suffix, so its url() is fetched.
+    by_uri = {f.request_uri: f for f in static.subresources()}
+    assert make_replay_uri("20100101000000", "http://untyped.example/bg.gif",
+                           ep).uri in by_uri
+    return {uri.rsplit("/", 1)[1]: fetch for uri, fetch in by_uri.items()}
+
+
+def test_untyped_stylesheet_recorded_alike_by_both_crawlers(monkeypatch, stub_bridge):
+    _capture_both_ways(monkeypatch, stub_bridge, _UntypedStylesheet)
+
+
+def test_parameter_only_content_type_recorded_alike_by_both_crawlers(monkeypatch,
+                                                                     stub_bridge):
+    fetches = _capture_both_ways(monkeypatch, stub_bridge, _ParameterOnlyContentType)
+    assert fetches["a.gif"].content_type is None
+    assert fetches["s.css"].content_type is None
 
 
 def _clear_proxy_environment(monkeypatch):
