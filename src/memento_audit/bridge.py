@@ -17,6 +17,11 @@ every network request it made.  Protocol:
                                   "error": str?}, ...],
                 "screenshot_b64": str?}
 
+`page`, and `chain` in every fetch, are required; a `?` marks an optional
+key.  A fetch's final status is its chain's last status unless `error` is
+set, for both engines and for cached capture logs: a cached log writes
+`final_status` but it is never read back.
+
 A bridge that cannot be reached raises BridgeUnavailable; one that accepts the
 job but never settles raises BridgeTimeout; a reply that does not fit the shape
 above raises ProtocolError, which fails that memento only.  The static engine
@@ -43,6 +48,7 @@ from .capture import (
     CaptureLog,
     ResourceFetch,
     _order_fetches,
+    fetch_from_entry,
     log_filename,
 )
 from .errors import BridgeTimeout, BridgeUnavailable, ProtocolError
@@ -68,27 +74,6 @@ def bridge_available(bridge_url: str, timeout_s: float = 2.0) -> bool:
     except requests.RequestException:
         return False
     return resp.status_code == 200
-
-
-def _entry_to_fetch(entry: dict, request_uri: str, trigger: str, phase: str) -> ResourceFetch:
-    chain = tuple((int(s), u) for s, u in entry.get("chain") or ())
-    if not all(isinstance(u, str) for _, u in chain):
-        raise TypeError(f"chain {chain!r} holds a URI that is not a string")
-    error = entry.get("error")
-    final_status = chain[-1][0] if (error is None and chain) else None
-    content_type = entry.get("content_type")
-    if content_type:
-        content_type = content_type.split(";")[0].strip().lower()
-    return ResourceFetch(
-        request_uri=request_uri,
-        chain=chain,
-        final_status=final_status,
-        content_type=content_type or None,
-        bytes=int(entry.get("bytes") or 0),
-        trigger=trigger,
-        phase=phase,
-        error=error,
-    )
 
 
 class ScriptedEngine:
@@ -126,8 +111,7 @@ class ScriptedEngine:
                 f"bridge returned {resp.status_code} for {m.uri}")
         try:
             doc = resp.json()
-            page = _entry_to_fetch(doc.get("page") or {}, m.uri, TRIGGER_MARKUP,
-                                   PHASE_PAGE)
+            page = fetch_from_entry(doc["page"], m.uri, TRIGGER_MARKUP, PHASE_PAGE)
             subs: dict[str, ResourceFetch] = {}
             for entry in doc.get("subresources") or ():
                 request_uri = entry["request_uri"]
@@ -136,8 +120,8 @@ class ScriptedEngine:
                 if request_uri == m.uri or request_uri in subs:
                     continue
                 trigger = _INITIATOR_TRIGGERS.get(entry.get("initiator"), TRIGGER_MARKUP)
-                subs[request_uri] = _entry_to_fetch(entry, request_uri, trigger,
-                                                    PHASE_SUBRESOURCE)
+                subs[request_uri] = fetch_from_entry(entry, request_uri, trigger,
+                                                     PHASE_SUBRESOURCE)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"malformed bridge reply for {m.uri} "
                                 f"({type(exc).__name__}: {exc})") from exc

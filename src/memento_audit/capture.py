@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import (AuditError, BadTimestamp, MementoMismatch, UnrecognizedShape,
                      UnresolvableReference)
 from .extract import extract_css_refs, extract_markup_refs
-from .fetching import ChainResult, PoliteFetcher
+from .fetching import ChainResult, PoliteFetcher, final_status_of
 from .replay import (
     HOST_LIVE,
     ArchiveEndpoint,
@@ -57,12 +57,15 @@ class ResourceFetch:
 
     request_uri: str
     chain: tuple[tuple[int, str], ...]
-    final_status: int | None
     content_type: str | None
     bytes: int
     trigger: str
     phase: str
     error: str | None = None
+
+    @property
+    def final_status(self) -> int | None:
+        return final_status_of(self.chain, self.error)
 
     @property
     def ok(self) -> bool:
@@ -108,16 +111,19 @@ class DifferentialReport:
     script_delta: int
 
 
+def media_type(content_type: str | None) -> str | None:
+    """The lowercased media type of a Content-Type value; None when it names
+    none, such as "; charset=utf-8"."""
+    return (content_type or "").split(";")[0].strip().lower() or None
+
+
 def _fetch_from_chain(request_uri: str, result: ChainResult, trigger: str,
                       phase: str) -> ResourceFetch:
-    """The one record of a fetch, whichever crawler made it.  A Content-Type
-    that names no media type, such as "; charset=utf-8", records None."""
-    media_type = result.headers.get("Content-Type", "").split(";")[0].strip().lower()
+    """The record of a fetch that followed its chain, whichever crawler made it."""
     return ResourceFetch(
         request_uri=request_uri,
         chain=tuple(result.hops),
-        final_status=result.final_status,
-        content_type=media_type or None,
+        content_type=media_type(result.headers.get("Content-Type")),
         bytes=len(result.body),
         trigger=trigger,
         phase=phase,
@@ -125,9 +131,31 @@ def _fetch_from_chain(request_uri: str, result: ChainResult, trigger: str,
     )
 
 
+def fetch_from_entry(entry: dict, request_uri: str, trigger: str,
+                     phase: str) -> ResourceFetch:
+    """The record of a fetch read from a document: a bridge reply's page or
+    subresource, or a cached capture log's fetch.  `chain` is required, a
+    list of [int, str] hops; `content_type`, `bytes` and `error` are optional.
+    A stored `final_status` is not read: the chain decides it.  KeyError,
+    TypeError or ValueError when the entry does not fit."""
+    chain = tuple([(int(status), uri) for status, uri in entry["chain"]])
+    for _, uri in chain:
+        if not isinstance(uri, str):
+            raise TypeError(f"chain {chain!r} holds a URI that is not a string")
+    return ResourceFetch(
+        request_uri=request_uri,
+        chain=chain,
+        content_type=media_type(entry.get("content_type")),
+        bytes=int(entry.get("bytes") or 0),
+        trigger=trigger,
+        phase=phase,
+        error=entry.get("error"),
+    )
+
+
 def _skipped_fetch(raw_ref: str, trigger: str) -> ResourceFetch:
     return ResourceFetch(
-        request_uri=raw_ref, chain=(), final_status=None, content_type=None,
+        request_uri=raw_ref, chain=(), content_type=None,
         bytes=0, trigger=trigger, phase=PHASE_SUBRESOURCE,
     )
 
@@ -283,19 +311,8 @@ def log_to_document(log: CaptureLog) -> dict:
 
 def log_from_document(doc: dict) -> CaptureLog:
     mem = doc["memento"]
-    fetches = tuple(
-        ResourceFetch(
-            request_uri=f["request_uri"],
-            chain=tuple((int(s), u) for s, u in f["chain"]),
-            final_status=f["final_status"],
-            content_type=f["content_type"],
-            bytes=f["bytes"],
-            trigger=f["trigger"],
-            phase=f["phase"],
-            error=f.get("error"),
-        )
-        for f in doc["fetches"]
-    )
+    fetches = tuple([fetch_from_entry(f, f["request_uri"], f["trigger"], f["phase"])
+                     for f in doc["fetches"]])
     return CaptureLog(
         memento=ReplayUri(timestamp=mem["timestamp"], original=mem["original"], uri=mem["uri"]),
         engine=doc["engine"],

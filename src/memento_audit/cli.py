@@ -35,22 +35,20 @@ from .capture import (
     site_digest,
     write_text_atomic,
 )
-from .client import decode_timemap, fetch_timemap, fetch_timemap_body
+from .client import decode_timemap, fetch_timemap
 from .config import CACHE_ENV, AuditConfig, endpoint_from_echo, parse_config_file
 from .errors import AuditError
 from .fetching import PoliteFetcher
-from .linkformat import parse_link_format, serialize_link_format
+from .linkformat import TimeMap, parse_link_format, serialize_link_format
 from .replay import ArchiveEndpoint, to_replay_uri, validate_original_uri
 from .report import (
     AuditReport,
-    SampleEntry,
     assemble_report,
-    sample_entries,
     sample_from_docs,
     sample_to_docs,
     write_report,
 )
-from .sampling import parse_interval, select_annual
+from .sampling import Selection, parse_interval, select_annual
 from .timefmt import format_iso
 
 logger = logging.getLogger(__name__)
@@ -252,16 +250,21 @@ def _capture_one(cfg: AuditConfig, m, engine: str, scripting: str,
 
 # --- subcommands -------------------------------------------------------------
 
+def _timemap(cfg: AuditConfig, uri: str) -> TimeMap:
+    """GET `uri`'s TimeMap, decode it and parse it."""
+    body, _ = fetch_timemap(uri, cfg.endpoint, _fetcher(cfg))
+    return parse_link_format(decode_timemap(body, uri, cfg.endpoint))
+
+
 def cmd_timemap(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    tm = fetch_timemap(args.uri, cfg.endpoint, fetcher=_fetcher(cfg))
-    print(serialize_link_format(tm))
+    print(serialize_link_format(_timemap(cfg, args.uri)))
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    tm = fetch_timemap(args.uri, cfg.endpoint, fetcher=_fetcher(cfg))
+    tm = _timemap(cfg, args.uri)
     sample = select_annual(tm, interval=cfg.interval, fixed_grid=cfg.fixed_grid)
     for sel in sample.selections:
         deviation = int(sel.deviation.total_seconds())
@@ -335,7 +338,7 @@ def _stored_run(cfg: AuditConfig, site: str) -> dict | None:
 
 
 def _annual_sample(cfg: AuditConfig, site: str,
-                   fetcher: PoliteFetcher) -> tuple[tuple[SampleEntry, ...], dict]:
+                   fetcher: PoliteFetcher) -> tuple[tuple[Selection, ...], dict]:
     """GET the site's TimeMap and return (its annual sample, the run metadata
     keys that describe the TimeMap: its SHA-256 and its ETag).
 
@@ -345,8 +348,7 @@ def _annual_sample(cfg: AuditConfig, site: str,
     for an archive that sends no ETag.  The digest is taken over the body's
     bytes, the parser's input once decoded as UTF-8."""
     stored = _stored_run(cfg, site) or {}
-    fetched = fetch_timemap_body(site, cfg.endpoint, fetcher,
-                                 etag=stored.get("timemap_etag"))
+    fetched = fetch_timemap(site, cfg.endpoint, fetcher, etag=stored.get("timemap_etag"))
     if fetched is None:
         logger.info("TimeMap not modified; reusing the stored sample for %s", site)
         return stored["sample"], {"timemap_sha256": stored["timemap_sha256"],
@@ -359,8 +361,8 @@ def _annual_sample(cfg: AuditConfig, site: str,
     else:
         tm = parse_link_format(decode_timemap(body, site, cfg.endpoint))
         del body, fetched  # a large TimeMap's bytes need not outlive its parse
-        sample = sample_entries(select_annual(tm, interval=cfg.interval,
-                                              fixed_grid=cfg.fixed_grid))
+        sample = select_annual(tm, interval=cfg.interval,
+                               fixed_grid=cfg.fixed_grid).selections
     return sample, {"timemap_sha256": digest, "timemap_etag": etag}
 
 
@@ -373,19 +375,19 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
         raise AuditError(f"no mementos to audit for {site}")
 
     # One memento per calendar year: keep the first selection of each year.
-    chosen: list[SampleEntry] = []
+    chosen: list[Selection] = []
     seen_years: set[int] = set()
-    for entry in sample:
-        year = entry.memento_datetime.year
+    for sel in sample:
+        year = sel.chosen.datetime.year
         if year not in seen_years:
             seen_years.add(year)
-            chosen.append(entry)
+            chosen.append(sel)
 
     modes = _modes(cfg)
     failures: list[str] = []
 
-    def work(entry: SampleEntry):
-        m = to_replay_uri(entry.memento_uri, cfg.endpoint)
+    def work(sel: Selection):
+        m = to_replay_uri(sel.chosen.uri, cfg.endpoint)
         logs = []
         for engine, scripting in modes:
             logs.append(_capture_one(cfg, m, engine, scripting, fetcher))
@@ -393,12 +395,12 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
 
     logs: list[CaptureLog] = []
     with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        futures = [pool.submit(work, entry) for entry in chosen]
-        for entry, future in zip(chosen, futures):
+        futures = [pool.submit(work, sel) for sel in chosen]
+        for sel, future in zip(chosen, futures):
             try:
                 logs.extend(future.result())
             except (AuditError, OSError) as exc:
-                failures.append(f"{entry.memento_uri}: {exc}")
+                failures.append(f"{sel.chosen.uri}: {exc}")
 
     if not logs:
         raise AuditError("every capture failed; no report to emit")

@@ -1,15 +1,18 @@
 """Memento archive client: TimeMap retrieval."""
 
+import re
+
 from .errors import NetworkError, NotArchived, RobotsExcluded, UndecodableTimeMap
 from .fetching import PoliteFetcher
-from .linkformat import TimeMap, parse_link_format
 from .replay import ArchiveEndpoint, validate_original_uri
 
 ROBOTS_MARKER = b"robots.txt"
+#: The start of a link-format entry, `<uri>;` (RFC 6690 §2).
+_LINK_ENTRY_START_RE = re.compile(rb"\s*<[^>]*>\s*;")
 
 
-def fetch_timemap_body(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetcher,
-                       etag: str | None = None) -> tuple[bytes, str | None] | None:
+def fetch_timemap(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetcher,
+                  etag: str | None = None) -> tuple[bytes, str | None] | None:
     """GET the TimeMap for an original URI and return (its checked body, its
     ETag or None).
 
@@ -17,7 +20,8 @@ def fetch_timemap_body(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetche
     (If-None-Match, RFC 9110 §13.1.2), and a 304 Not Modified returns None.
     A 304 to an unconditional GET is a NetworkError.  Archives signal robots
     exclusions inconsistently, so both a 403 and a 200 whose body contains
-    ROBOTS_MARKER map to RobotsExcluded.
+    ROBOTS_MARKER map to RobotsExcluded; a body that starts like a
+    link-format entry is a TimeMap, whatever its URIs hold.
     """
     validate_original_uri(original)
     uri = ep.expand_timemap(original)
@@ -34,7 +38,7 @@ def fetch_timemap_body(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetche
     if status != 200:
         raise NetworkError(f"unexpected status {status} fetching TimeMap {uri}")
     body = result.body
-    if ROBOTS_MARKER in body:
+    if _LINK_ENTRY_START_RE.match(body) is None and ROBOTS_MARKER in body:
         raise RobotsExcluded(f"robots marker {ROBOTS_MARKER.decode()!r} in TimeMap "
                              f"response for {original}")
     return body, result.headers.get("ETag")
@@ -49,9 +53,3 @@ def decode_timemap(body: bytes, original: str, ep: ArchiveEndpoint) -> str:
     except UnicodeDecodeError as exc:
         raise UndecodableTimeMap(f"TimeMap {ep.expand_timemap(original)} is not UTF-8: "
                                  f"{exc.reason} at byte offset {exc.start}") from exc
-
-
-def fetch_timemap(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetcher) -> TimeMap:
-    """GET and parse the TimeMap for an original URI (see fetch_timemap_body)."""
-    body, _ = fetch_timemap_body(original, ep, fetcher)
-    return parse_link_format(decode_timemap(body, original, ep))

@@ -18,15 +18,9 @@ _CSS_IMPORT_RE = re.compile(r"""@import\s+(?!url\()['"]([^'"]+)['"]""", re.IGNOR
 
 def extract_css_refs(css_text: str) -> list[str]:
     """References pulled from url(...) and @import in CSS, document order."""
-    refs = []
-    seen = set()
     matches = [(m.start(), m.group(1)) for m in _CSS_URL_RE.finditer(css_text)]
     matches += [(m.start(), m.group(1)) for m in _CSS_IMPORT_RE.finditer(css_text)]
-    for _, ref in sorted(matches):
-        if ref not in seen:
-            seen.add(ref)
-            refs.append(ref)
-    return refs
+    return _dedup([ref for _, ref in sorted(matches)])
 
 
 class _MarkupRefParser(HTMLParser):

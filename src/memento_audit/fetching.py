@@ -14,6 +14,7 @@ import logging
 import os
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import requests
@@ -28,6 +29,12 @@ USER_AGENT = f"memento-audit/{__version__}"
 RETRIES = 1
 
 
+def final_status_of(chain: Sequence[tuple[int, str]], error: str | None) -> int | None:
+    """A fetch's final status: its chain's last status, or None when the
+    fetch ended in an error or made no hop."""
+    return chain[-1][0] if chain and error is None else None
+
+
 @dataclass
 class ChainResult:
     """Outcome of following one URI through its redirect chain."""
@@ -38,8 +45,7 @@ class ChainResult:
 
     @property
     def final_status(self) -> int | None:
-        """The last hop's status; None when the chain ended in an error."""
-        return self.hops[-1][0] if self.hops and self.error is None else None
+        return final_status_of(self.hops, self.error)
 
     @property
     def final_uri(self) -> str | None:

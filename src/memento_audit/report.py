@@ -9,7 +9,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 from .analysis import (
@@ -22,11 +22,12 @@ from .analysis import (
     compute_metrics,
     detect_drops,
 )
-from .capture import CaptureLog, write_text_atomic
+from .capture import CaptureLog, ResourceFetch, write_text_atomic
 from .config import endpoint_from_echo
 from .errors import InsufficientData
+from .linkformat import memento_record
 from .replay import ArchiveEndpoint
-from .sampling import AnnualSample
+from .sampling import Selection
 from .timefmt import format_iso, parse_iso
 
 REPORT_SCHEMA_VERSION = "1"
@@ -44,71 +45,38 @@ REPORT_NOTES = {
 
 
 @dataclass(frozen=True)
-class SampleEntry:
-    """One sampling decision: the target instant and the memento chosen."""
-
-    target: datetime
-    memento_uri: str
-    memento_datetime: datetime
-    deviation_s: int
-
-
-@dataclass(frozen=True)
-class LeakRecord:
-    """One fetch that escaped to the live web, with its redirect chain."""
-
-    memento_uri: str
-    request_uri: str
-    chain: tuple[tuple[int, str], ...]
-    final_status: int | None
-    trigger: str
-
-
-@dataclass(frozen=True)
 class AuditReport:
     site: str
     generated: datetime
     config_echo: dict
-    sample: tuple[SampleEntry, ...]
+    sample: tuple[Selection, ...]
     metrics: tuple[MementoMetrics, ...]
     series: AnnualSeries
     flags: tuple[DropFlag, ...]
-    leaks: tuple[LeakRecord, ...]
+    #: (memento URI, fetch) for each fetch that escaped to the live web.
+    leaks: tuple[tuple[str, ResourceFetch], ...]
 
 
-def sample_entries(sample: AnnualSample) -> tuple[SampleEntry, ...]:
-    return tuple(
-        SampleEntry(
-            target=sel.target,
-            memento_uri=sel.chosen.uri,
-            memento_datetime=sel.chosen.datetime,
-            deviation_s=int(sel.deviation.total_seconds()),
-        )
-        for sel in sample.selections
-    )
-
-
-def sample_to_docs(sample: tuple[SampleEntry, ...]) -> list[dict]:
+def sample_to_docs(sample: tuple[Selection, ...]) -> list[dict]:
     """The JSON form of a sample, shared by the report and the run metadata."""
     return [
         {
-            "target": format_iso(e.target),
-            "memento": e.memento_uri,
-            "datetime": format_iso(e.memento_datetime),
-            "deviation_s": e.deviation_s,
+            "target": format_iso(sel.target),
+            "memento": sel.chosen.uri,
+            "datetime": format_iso(sel.chosen.datetime),
+            "deviation_s": int(sel.deviation.total_seconds()),
         }
-        for e in sample
+        for sel in sample
     ]
 
 
-def sample_from_docs(docs: list[dict]) -> tuple[SampleEntry, ...]:
+def sample_from_docs(docs: list[dict]) -> tuple[Selection, ...]:
     """Inverse of sample_to_docs."""
     return tuple(
-        SampleEntry(
+        Selection(
             target=parse_iso(e["target"]),
-            memento_uri=e["memento"],
-            memento_datetime=parse_iso(e["datetime"]),
-            deviation_s=e["deviation_s"],
+            chosen=memento_record(e["memento"], parse_iso(e["datetime"])),
+            deviation=timedelta(seconds=e["deviation_s"]),
         )
         for e in docs
     )
@@ -116,30 +84,21 @@ def sample_from_docs(docs: list[dict]) -> tuple[SampleEntry, ...]:
 
 def collect_leaks(logs: list[CaptureLog], ep: ArchiveEndpoint,
                   classes: list[tuple[FetchClass, ...]] | None = None
-                  ) -> tuple[LeakRecord, ...]:
-    """Every Leaked fetch across the given logs, deduplicated per memento and
-    request URI, in stable order.  `classes`, when given, holds
-    classify_log's result for each of `logs`."""
+                  ) -> tuple[tuple[str, ResourceFetch], ...]:
+    """(memento URI, fetch) for every Leaked fetch across the given logs,
+    deduplicated per memento and request URI, in stable order.  `classes`,
+    when given, holds classify_log's result for each of `logs`."""
     if classes is None:
         classes = [classify_log(log, ep) for log in logs]
-    records: dict[tuple[str, str], LeakRecord] = {}
+    leaks: dict[tuple[str, str], ResourceFetch] = {}
     for log, log_classes in zip(logs, classes):
         for f, cls in zip(log.fetches, log_classes):
-            if cls != FetchClass.LEAKED:
-                continue
-            key = (log.memento.uri, f.request_uri)
-            if key not in records:
-                records[key] = LeakRecord(
-                    memento_uri=log.memento.uri,
-                    request_uri=f.request_uri,
-                    chain=f.chain,
-                    final_status=f.final_status,
-                    trigger=f.trigger,
-                )
-    return tuple(records[key] for key in sorted(records))
+            if cls == FetchClass.LEAKED:
+                leaks.setdefault((log.memento.uri, f.request_uri), f)
+    return tuple((memento_uri, f) for (memento_uri, _), f in sorted(leaks.items()))
 
 
-def assemble_report(site: str, echo: dict, sample: tuple[SampleEntry, ...],
+def assemble_report(site: str, echo: dict, sample: tuple[Selection, ...],
                     logs: list[CaptureLog]) -> AuditReport:
     """The report on `site` from its capture logs.  It reads only what the run
     metadata stores (the config echo, the sample and the logs), so `audit` and
@@ -211,13 +170,13 @@ def emit_json(r: AuditReport) -> str:
         ],
         "leaks": [
             {
-                "memento": leak.memento_uri,
-                "request_uri": leak.request_uri,
-                "chain": [[status, uri] for status, uri in leak.chain],
-                "final_status": leak.final_status,
-                "trigger": leak.trigger,
+                "memento": memento_uri,
+                "request_uri": f.request_uri,
+                "chain": [[status, uri] for status, uri in f.chain],
+                "final_status": f.final_status,
+                "trigger": f.trigger,
             }
-            for leak in r.leaks
+            for memento_uri, f in r.leaks
         ],
     }
     return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"

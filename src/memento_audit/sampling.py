@@ -100,8 +100,6 @@ class Selection:
 @dataclass(frozen=True)
 class AnnualSample:
     selections: tuple[Selection, ...]
-    interval: Interval
-    fixed_grid: bool
 
     def __len__(self) -> int:
         return len(self.selections)
@@ -149,4 +147,4 @@ def select_annual(tm: TimeMap, interval: Interval = ONE_YEAR,
         prev_dt = dts[chosen_idx]
         k += 1
 
-    return AnnualSample(selections=tuple(selections), interval=interval, fixed_grid=fixed_grid)
+    return AnnualSample(selections=tuple(selections))

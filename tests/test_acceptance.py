@@ -205,11 +205,11 @@ def test_criterion_04_leak_set_exact(capsys, service, endpoint, fetcher):
 
         leaks = collect_leaks([log], endpoint)
         leaked_originals = {parse_replay_uri(leak.request_uri, endpoint)[1]
-                            for leak in leaks}
+                            for _, leak in leaks}
         assert leaked_originals == set(GMAPS_LEAKS)
 
         live_host = service.live_authority
-        for leak in leaks:
+        for _, leak in leaks:
             # redirect-into-live chain: starts 302 inside the archive,
             # ends 200 on the live host
             assert leak.chain[0][0] == 302

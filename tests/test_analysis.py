@@ -47,18 +47,17 @@ ARCHIVE = "http://archive.example/web/20100101000000/http://s.example"
 LIVE = "http://cdn.example"
 
 
-def _fetch(request_uri, chain=((200, None),), final_status=200, error=None,
-           phase=PHASE_SUBRESOURCE):
+def _fetch(request_uri, chain=((200, None),), error=None, phase=PHASE_SUBRESOURCE):
     hops = tuple((s, u if u is not None else request_uri) for s, u in chain)
     return ResourceFetch(
-        request_uri=request_uri, chain=hops, final_status=final_status,
+        request_uri=request_uri, chain=hops,
         content_type=None, bytes=0, trigger=TRIGGER_MARKUP, phase=phase,
         error=error,
     )
 
 
 def _skipped(raw_ref):
-    return ResourceFetch(request_uri=raw_ref, chain=(), final_status=None,
+    return ResourceFetch(request_uri=raw_ref, chain=(),
                          content_type=None, bytes=0, trigger=TRIGGER_MARKUP,
                          phase=PHASE_SUBRESOURCE)
 
@@ -69,14 +68,14 @@ def _skipped(raw_ref):
 def test_classify_archived_ok():
     assert classify_fetch(_fetch(f"{ARCHIVE}/a.gif"), EP) == FetchClass.ARCHIVED_OK
     assert classify_fetch(
-        _fetch(f"{ARCHIVE}/a.gif", chain=((304, None),), final_status=304),
+        _fetch(f"{ARCHIVE}/a.gif", chain=((304, None),)),
         EP) == FetchClass.ARCHIVED_OK
 
 
 def test_classify_archived_missing():
     for status in (404, 500, 403):
         got = classify_fetch(
-            _fetch(f"{ARCHIVE}/a.gif", chain=((status, None),), final_status=status), EP)
+            _fetch(f"{ARCHIVE}/a.gif", chain=((status, None),)), EP)
         assert got == FetchClass.ARCHIVED_MISSING
 
 
@@ -95,19 +94,19 @@ def test_classify_leak_by_request_uri():
 
 def test_classify_leak_by_redirect_hop():
     f = _fetch(f"{ARCHIVE}/t1.png",
-               chain=((302, None), (200, f"{LIVE}/t1.png")), final_status=200)
+               chain=((302, None), (200, f"{LIVE}/t1.png")))
     assert classify_fetch(f, EP) == FetchClass.LEAKED
 
 
 def test_leak_outranks_network_error():
     f = _fetch(f"{ARCHIVE}/t1.png",
-               chain=((302, None), (0, f"{LIVE}/t1.png")), final_status=None,
+               chain=((302, None), (0, f"{LIVE}/t1.png")),
                error="connection refused")
     assert classify_fetch(f, EP) == FetchClass.LEAKED
 
 
 def test_classify_network_error():
-    f = ResourceFetch(request_uri=f"{ARCHIVE}/a.gif", chain=(), final_status=None,
+    f = ResourceFetch(request_uri=f"{ARCHIVE}/a.gif", chain=(),
                       content_type=None, bytes=0, trigger=TRIGGER_MARKUP,
                       phase=PHASE_SUBRESOURCE, error="timeout")
     assert classify_fetch(f, EP) == FetchClass.NETWORK_ERROR
@@ -146,7 +145,7 @@ def test_completeness_arithmetic():
         _fetch(f"{ARCHIVE}/a.gif"),
         _fetch(f"{ARCHIVE}/b.gif"),
         _fetch(f"{LIVE}/leak.js"),
-        _fetch(f"{ARCHIVE}/gone.gif", chain=((404, None),), final_status=404),
+        _fetch(f"{ARCHIVE}/gone.gif", chain=((404, None),)),
     ]
     m = compute_metrics([_log(fetches)], EP)
     assert m.total_requested == 5
@@ -173,7 +172,7 @@ def test_chrome_and_skipped_outside_denominator():
 
 
 def test_empty_denominator_is_fully_complete():
-    page = ResourceFetch(request_uri=_memento().uri, chain=(), final_status=None,
+    page = ResourceFetch(request_uri=_memento().uri, chain=(),
                          content_type=None, bytes=0, trigger=TRIGGER_MARKUP,
                          phase=PHASE_PAGE)
     m = compute_metrics([_log([page])], EP)

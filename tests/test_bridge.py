@@ -165,6 +165,9 @@ _MALFORMED = {
     "not_json": lambda url: "<html>",
     "not_an_object": lambda url: [_good_reply(url)],
     "page_not_an_object": lambda url: {"page": [200, url]},
+    "no_page": lambda url: {"subresources": _good_reply(url)["subresources"]},
+    "page_without_chain": lambda url: {**_good_reply(url),
+                                       "page": {"content_type": "text/html", "bytes": 9}},
     "no_request_uri": lambda url: {**_good_reply(url), "subresources": [{"chain": []}]},
     "request_uri_not_a_string": lambda url: _with_sub(url, request_uri=7),
     "status_not_an_integer": lambda url: _with_page(url, chain=[["OK", url]]),

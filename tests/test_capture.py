@@ -127,7 +127,7 @@ def test_redirected_stylesheet_resolves_against_final_uri(engine, service, endpo
     for uri in (background.uri, live_gif):
         assert by_uri[uri].trigger == TRIGGER_STYLESHEET
         assert by_uri[uri].final_status == 200
-    assert {leak.request_uri for leak in collect_leaks([log], endpoint)} \
+    assert {leak.request_uri for _, leak in collect_leaks([log], endpoint)} \
         == {leak_css.uri, live_gif}
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import threading
+from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from memento_audit import analysis, cli
 from memento_audit.capture import load_log
 from memento_audit.cli import build_parser, main, resolve_config, run_meta_filename
 from memento_audit.config import CACHE_ENV, parse_config_file
-from memento_audit.client import fetch_timemap
+from memento_audit.client import decode_timemap, fetch_timemap
 from memento_audit.errors import (
     NetworkError,
     NotArchived,
@@ -35,7 +36,12 @@ from memento_audit.fixture_archive.scenarios import (
     YT2006_ORIGINAL,
     YT2006_SCRIPT_LOADED,
 )
-from memento_audit.linkformat import parse_link_format, serialize_link_format
+from memento_audit.linkformat import (
+    TimeMap,
+    memento_record,
+    parse_link_format,
+    serialize_link_format,
+)
 
 
 def _resolve(argv):
@@ -495,6 +501,26 @@ def test_timemap_checks_run_before_reuse(service, news_timemap, tmp_path, capsys
         cli._audit_site(_resolve(argv), NEWS_ORIGINAL)
 
 
+def test_timemap_naming_robots_txt_is_not_an_exclusion(service, news_timemap, tmp_path):
+    """A 200 that starts like a link-format entry is a TimeMap, even when its
+    URIs hold the robots marker."""
+    original = "http://example.com/robots.txt"
+    memento = service.memento_uri("20100101000000", original)
+    news_timemap["body"] = serialize_link_format(TimeMap(
+        original=original, timegate_uri=service.timegate_uri(original),
+        timemap_uri=news_timemap["template"].format(original=original),
+        mementos=(memento_record(memento, datetime(2010, 1, 1, tzinfo=timezone.utc)),),
+    )).encode("utf-8")
+    cfg = _resolve(_news_argv(service, news_timemap, tmp_path, "unused"))
+    fetcher = cli._fetcher(cfg)
+    try:
+        body, _ = fetch_timemap(original, cfg.endpoint, fetcher)
+    finally:
+        fetcher.close()
+    tm = parse_link_format(decode_timemap(body, original, cfg.endpoint))
+    assert [r.uri for r in tm.mementos] == [memento]
+
+
 def _as_v1(meta: dict) -> dict:
     return {**{k: v for k, v in meta.items() if k != "timemap_sha256"},
             "schema_version": "1"}
@@ -636,9 +662,10 @@ def test_timemap_is_read_as_utf8(service, news_timemap, tmp_path, capsys):
     cfg = _resolve(argv)
     fetcher = cli._fetcher(cfg)
     try:
-        fetched = fetch_timemap(NEWS_ORIGINAL, cfg.endpoint, fetcher)
+        body, _ = fetch_timemap(NEWS_ORIGINAL, cfg.endpoint, fetcher)
     finally:
         fetcher.close()
+    fetched = parse_link_format(decode_timemap(body, NEWS_ORIGINAL, cfg.endpoint))
     assert [r.uri for r in fetched.mementos] == [r.uri for r in mementos]
 
 
@@ -761,6 +788,22 @@ def _truncate_a_log(cache: Path) -> Path:
     return path
 
 
+def _edit_logs(cache: Path, edit, count: int | None = 1) -> list[Path]:
+    """Apply `edit` to the fetches of the first `count` (None: all) static
+    capture logs in `cache`."""
+    paths = sorted(cache.glob("*_static_off.json"))[:count]
+    for path in paths:
+        doc = json.loads(path.read_text())
+        for fetch in doc["fetches"]:
+            edit(fetch)
+        path.write_text(json.dumps(doc))
+    return paths
+
+
+def _hop_uri_not_a_string(fetch: dict) -> None:
+    fetch["chain"][0][1] = 7
+
+
 def _outputs_but_generated(out: Path) -> tuple[dict, bytes]:
     report = json.loads((out / "report.json").read_text())
     del report["generated"]
@@ -787,6 +830,44 @@ def test_report_on_truncated_capture_log_exits_2(service, capsys, tmp_path):
     rc = main(["report", str(cache), "--out-dir", str(tmp_path / "out-torn-log-2")])
     assert rc == 2
     assert str(log_path) in capsys.readouterr().err
+
+
+def test_capture_log_with_a_hop_uri_not_a_string_is_captured_again(service, capsys, caplog,
+                                                                   tmp_path):
+    cache, out = _run_audit(service, tmp_path, WHITEHOUSE_ORIGINAL, "hop-uri")
+    [log_path] = _edit_logs(cache, _hop_uri_not_a_string)
+    with caplog.at_level(logging.WARNING, logger="memento_audit.cli"):
+        rc = main(_quiet(["audit", WHITEHOUSE_ORIGINAL, "--endpoint", service.archive_base,
+                          "--cache-dir", str(cache),
+                          "--out-dir", str(tmp_path / "out-hop-uri-2")]))
+    assert rc == 0
+    assert f"unreadable capture log {log_path}" in caplog.text
+    assert all(isinstance(uri, str) for f in load_log(log_path).fetches for _, uri in f.chain)
+    assert _outputs_but_generated(tmp_path / "out-hop-uri-2") == _outputs_but_generated(out)
+
+
+def test_report_on_capture_log_with_a_hop_uri_not_a_string_exits_2(service, capsys,
+                                                                   tmp_path):
+    cache, _ = _run_audit(service, tmp_path, STATIC6_ORIGINAL, "hop-uri-report")
+    [log_path] = _edit_logs(cache, _hop_uri_not_a_string)
+    capsys.readouterr()
+    rc = main(["report", str(cache), "--out-dir", str(tmp_path / "out-hop-uri-2")])
+    assert rc == 2
+    assert f"unreadable capture log {log_path}" in capsys.readouterr().err
+
+
+def test_cached_final_status_is_not_read(service, capsys, tmp_path):
+    """A cached fetch is classified by its chain, whatever final_status its
+    log stores."""
+    cache, out = _run_audit(service, tmp_path, WHITEHOUSE_ORIGINAL, "status")
+
+    def contradict(fetch):
+        fetch["final_status"] = 404 if fetch["final_status"] == 200 else 200
+
+    _edit_logs(cache, contradict, count=None)
+    rc = main(["report", str(cache), "--out-dir", str(tmp_path / "out-status-2")])
+    assert rc == 0
+    assert _outputs(tmp_path / "out-status-2") == _outputs(out)
 
 
 # --- scripted audits -----------------------------------------------------------

@@ -220,14 +220,13 @@ def _fetch(draw):
     may end in an error, and whose chain may be empty or start at its own
     request URI."""
     request_uri = draw(_FETCH_URIS)
-    hops = draw(st.lists(st.tuples(st.sampled_from([200, 204, 301, 302, 304, 404, 503]),
-                                   _FETCH_URIS), max_size=3))
+    statuses = st.sampled_from([200, 204, 299, 301, 302, 304, 404, 500, 503])
+    hops = draw(st.lists(st.tuples(statuses, _FETCH_URIS), max_size=3))
     if hops and draw(st.booleans()):
         hops[0] = (hops[0][0], request_uri)
     return ResourceFetch(
         request_uri=request_uri,
         chain=tuple(hops),
-        final_status=draw(st.sampled_from([None, 200, 204, 299, 304, 302, 404, 500])),
         content_type=None,
         bytes=0,
         trigger="markup",

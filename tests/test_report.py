@@ -14,17 +14,17 @@ from memento_audit.analysis import (
     MementoMetrics,
     SeriesPoint,
 )
-from memento_audit.capture import CaptureLog, save_log
+from memento_audit.capture import CaptureLog, ResourceFetch, save_log
+from memento_audit.linkformat import memento_record
 from memento_audit.report import (
     CSV_HEADER,
     AuditReport,
-    LeakRecord,
-    SampleEntry,
     emit_csv_series,
     emit_json,
     write_report,
 )
 from memento_audit.replay import ReplayUri
+from memento_audit.sampling import Selection
 
 
 def _metrics(year, ok=5, missing=1, leaked=1, delta=None):
@@ -47,18 +47,16 @@ def _report(years=(2004, 2005), delta=None):
                                metrics=m) for m in metrics)
     dt = datetime(2012, 7, 31, 0, 33, 35, tzinfo=timezone.utc)
     sample = tuple(
-        SampleEntry(target=dt + timedelta(days=365 * i),
-                    memento_uri=m.memento.uri,
-                    memento_datetime=dt + timedelta(days=365 * i, hours=2),
-                    deviation_s=7200)
+        Selection(target=dt + timedelta(days=365 * i),
+                  chosen=memento_record(m.memento.uri, dt + timedelta(days=365 * i, hours=2)),
+                  deviation=timedelta(hours=2))
         for i, m in enumerate(metrics))
     leaks = (
-        LeakRecord(
-            memento_uri=metrics[0].memento.uri,
+        (metrics[0].memento.uri, ResourceFetch(
             request_uri="http://archive.example/web/20040601000000/http://s.example/t.png",
             chain=((302, "http://archive.example/web/20040601000000/http://s.example/t.png"),
                    (200, "http://live.example/t.png")),
-            final_status=200, trigger="markup"),
+            content_type="image/png", bytes=4, trigger="markup", phase="subresource")),
     )
     return AuditReport(
         site="http://s.example/",
