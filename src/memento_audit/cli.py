@@ -252,7 +252,8 @@ def _capture_one(cfg: AuditConfig, m, engine: str, scripting: str,
 
 def _timemap(cfg: AuditConfig, uri: str) -> TimeMap:
     """GET `uri`'s TimeMap, decode it and parse it."""
-    body, _ = fetch_timemap(uri, cfg.endpoint, _fetcher(cfg))
+    with _fetcher(cfg) as fetcher:
+        body, _ = fetch_timemap(uri, cfg.endpoint, fetcher)
     return parse_link_format(decode_timemap(body, uri, cfg.endpoint))
 
 
@@ -277,7 +278,8 @@ def cmd_capture(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     m = to_replay_uri(args.memento, cfg.endpoint)
     engine, scripting = _modes(cfg)[0]
-    log = _capture_one(cfg, m, engine, scripting, _fetcher(cfg))
+    with _fetcher(cfg) as fetcher:
+        log = _capture_one(cfg, m, engine, scripting, fetcher)
     path = cfg.cache_dir / log_filename(log)
     status = "failed" if log.page_failed else "ok"
     print(f"{status}\t{len(log.fetches)} fetches\t{path}")
@@ -369,38 +371,38 @@ def _annual_sample(cfg: AuditConfig, site: str,
 def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], dict]:
     """Run the pipeline for one site.  Returns (report, failure messages,
     run metadata for the cache)."""
-    fetcher = _fetcher(cfg)
-    sample, timemap_keys = _annual_sample(cfg, site, fetcher)
-    if not sample:
-        raise AuditError(f"no mementos to audit for {site}")
+    with _fetcher(cfg) as fetcher:
+        sample, timemap_keys = _annual_sample(cfg, site, fetcher)
+        if not sample:
+            raise AuditError(f"no mementos to audit for {site}")
 
-    # One memento per calendar year: keep the first selection of each year.
-    chosen: list[Selection] = []
-    seen_years: set[int] = set()
-    for sel in sample:
-        year = sel.chosen.datetime.year
-        if year not in seen_years:
-            seen_years.add(year)
-            chosen.append(sel)
+        # One memento per calendar year: keep the first selection of each year.
+        chosen: list[Selection] = []
+        seen_years: set[int] = set()
+        for sel in sample:
+            year = sel.chosen.datetime.year
+            if year not in seen_years:
+                seen_years.add(year)
+                chosen.append(sel)
 
-    modes = _modes(cfg)
-    failures: list[str] = []
+        modes = _modes(cfg)
+        failures: list[str] = []
 
-    def work(sel: Selection):
-        m = to_replay_uri(sel.chosen.uri, cfg.endpoint)
-        logs = []
-        for engine, scripting in modes:
-            logs.append(_capture_one(cfg, m, engine, scripting, fetcher))
-        return logs
+        def work(sel: Selection):
+            m = to_replay_uri(sel.chosen.uri, cfg.endpoint)
+            logs = []
+            for engine, scripting in modes:
+                logs.append(_capture_one(cfg, m, engine, scripting, fetcher))
+            return logs
 
-    logs: list[CaptureLog] = []
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        futures = [pool.submit(work, sel) for sel in chosen]
-        for sel, future in zip(chosen, futures):
-            try:
-                logs.extend(future.result())
-            except (AuditError, OSError) as exc:
-                failures.append(f"{sel.chosen.uri}: {exc}")
+        logs: list[CaptureLog] = []
+        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+            futures = [pool.submit(work, sel) for sel in chosen]
+            for sel, future in zip(chosen, futures):
+                try:
+                    logs.extend(future.result())
+                except (AuditError, OSError) as exc:
+                    failures.append(f"{sel.chosen.uri}: {exc}")
 
     if not logs:
         raise AuditError("every capture failed; no report to emit")

@@ -2,22 +2,38 @@
 one retry on transport errors, and manual redirect-chain following.
 
 One PoliteFetcher instance should be shared across everything that talks to
-the same hosts so the per-host limits hold globally.
+the same hosts so the per-host limits hold globally.  It keeps connections
+open for reuse, so close it, or use it as a context manager, when done.
 
-The session does not read the environment on each request (`trust_env` is
-off). What `requests` would take from it, proxies honouring `no_proxy`, a
-`REQUESTS_CA_BUNDLE`/`CURL_CA_BUNDLE` CA bundle and `.netrc` credentials, is
-resolved once per host instead, when the host is first seen.
+Each GET is one request over the standard library's `http.client`, with the
+headers, content decoding and cookie handling a `requests` session would
+apply.  What such a session would take from the environment, proxies
+honouring `no_proxy`, a `REQUESTS_CA_BUNDLE`/`CURL_CA_BUNDLE` CA bundle and
+`.netrc` credentials, is resolved once per host instead, when the host is
+first seen.
 """
 
+import base64
+import functools
+import http.client
+import http.cookiejar
 import logging
 import os
+import re
+import ssl
 import threading
 import time
+import urllib.request
+import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from urllib.parse import SplitResult, quote, unquote, urljoin, urlsplit
 
+import certifi
+import idna
 import requests
+from requests.compat import chardet
+from requests.utils import get_encoding_from_headers
 
 from . import __version__
 
@@ -27,6 +43,27 @@ REDIRECT_STATUSES = (301, 302, 303, 307, 308)
 USER_AGENT = f"memento-audit/{__version__}"
 #: Further attempts after a GET fails in transport.
 RETRIES = 1
+#: The headers of every GET, as a `requests` session sends them.
+BASE_HEADERS = {
+    "User-Agent": USER_AGENT,
+    "Accept-Encoding": "gzip, deflate",
+    "Accept": "*/*",
+    "Connection": "keep-alive",
+}
+#: What a GET that fails in transport raises: socket and TLS errors, a
+#: malformed or cut-short response, a URI that cannot be requested, and a
+#: body whose content coding does not decode.
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError, zlib.error)
+#: What a reused connection raises, before any status line, when the server
+#: closed it while it was idle (RemoteDisconnected is a ConnectionResetError).
+_STALE = (ConnectionResetError, BrokenPipeError)
+_SCHEME_PORTS = {"http": 80, "https": 443}
+
+#: What urllib3 leaves unescaped in a path or a query ("?" only occurs in
+#: the query); every other character is percent-encoded as UTF-8.
+_TARGET_SAFE = "!$&'()*+,;=:@/?"
+_ESCAPE_RE = re.compile(r"%[0-9A-Fa-f]{2}")
+_UNRESERVED = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~")
 
 
 def final_status_of(chain: Sequence[tuple[int, str]], error: str | None) -> int | None:
@@ -37,10 +74,13 @@ def final_status_of(chain: Sequence[tuple[int, str]], error: str | None) -> int 
 
 @dataclass
 class ChainResult:
-    """Outcome of following one URI through its redirect chain."""
+    """Outcome of following one URI through its redirect chain: the final
+    response's headers and decoded body, empty when the chain ended in an
+    error."""
 
     hops: list[tuple[int, str]] = field(default_factory=list)
-    response: requests.Response | None = None
+    headers: http.client.HTTPMessage = field(default_factory=http.client.HTTPMessage)
+    body: bytes = b""
     error: str | None = None
 
     @property
@@ -52,18 +92,18 @@ class ChainResult:
         return self.hops[-1][1] if self.hops else None
 
     @property
-    def headers(self):
-        """The final response's headers; empty when there is no response."""
-        return self.response.headers if self.response is not None else {}
-
-    @property
-    def body(self) -> bytes:
-        return (self.response.content or b"") if self.response is not None else b""
-
-    @property
     def text(self) -> str:
-        """The final response's body, decoded as `requests` decodes it."""
-        return self.response.text if self.response is not None else ""
+        """The body decoded as `requests` decodes it: by the Content-Type
+        charset, ISO-8859-1 for any other text/* type, else by the charset
+        detected in the body."""
+        if not self.body:
+            return ""
+        encoding = (get_encoding_from_headers(self.headers)
+                    or chardet.detect(self.body)["encoding"])
+        try:
+            return str(self.body, encoding, errors="replace")
+        except (LookupError, TypeError):
+            return str(self.body, errors="replace")
 
 
 def _environment_settings(uri: str) -> dict:
@@ -80,17 +120,145 @@ def _environment_settings(uri: str) -> dict:
     return settings
 
 
-class _HostGate:
-    """Serializes request starts against one host: a concurrency cap plus a
-    minimum spacing between starts. Also carries the host's environment
-    settings, the keyword arguments every GET to the host passes."""
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode("latin1")).decode()
 
-    def __init__(self, per_host: int, delay_s: float, settings: dict):
+
+@functools.cache
+def _tls_context(ca_bundle: str) -> ssl.SSLContext:
+    """A context that checks certificates and hostnames against `ca_bundle`,
+    a file or a directory of certificates."""
+    if os.path.isdir(ca_bundle):
+        return ssl.create_default_context(capath=ca_bundle)
+    return ssl.create_default_context(cafile=ca_bundle)
+
+
+def _normal_escape(match: re.Match) -> str:
+    char = chr(int(match[0][1:], 16))
+    return char if char in _UNRESERVED else match[0].upper()
+
+
+def _encoded(component: str) -> str:
+    """A path or query as requests and urllib3 put it on the wire: when
+    every "%" starts an escape, escapes are upper-cased and those of
+    unreserved characters undone; otherwise every "%" is escaped too."""
+    if "%" in component and component.count("%") == len(_ESCAPE_RE.findall(component)):
+        return _ESCAPE_RE.sub(_normal_escape, quote(component, safe=_TARGET_SAFE + "%"))
+    return quote(component, safe=_TARGET_SAFE)
+
+
+def _without_dot_segments(path: str) -> str:
+    """`path` with its "." and ".." segments resolved (RFC 3986 §5.2.4), as
+    urllib3 resolves them."""
+    out: list[str] = []
+    for segment in path.split("/"):
+        if segment == "..":
+            if out:
+                out.pop()
+        elif segment != ".":
+            out.append(segment)
+    if path.startswith("/") and (not out or out[0]):
+        out.insert(0, "")
+    if path.endswith(("/.", "/..")):
+        out.append("")
+    return "/".join(out)
+
+
+def _request_target(path: str, query: str) -> str:
+    """The origin-form request target (RFC 9112 §3.2.1) of a URI's path and
+    query, as requests and urllib3 put it on the wire."""
+    if "/." in path:
+        path = _without_dot_segments(path)
+    return _encoded(path or "/") + ("?" + _encoded(query) if query else "")
+
+
+def _gunzip(data: bytes) -> bytes:
+    """Member after member, as urllib3 decodes gzip: a member that fails
+    after the first ends the body, and a cut-short member gives what it
+    holds."""
+    out = bytearray()
+    later = False
+    while data:
+        decoder = zlib.decompressobj(16 + zlib.MAX_WBITS)
+        try:
+            out += decoder.decompress(data)
+        except zlib.error:
+            if later:
+                break
+            raise
+        if not decoder.eof:
+            break
+        data, later = decoder.unused_data, True
+    return bytes(out)
+
+
+def _inflate(data: bytes) -> bytes:
+    """A zlib stream, or as urllib3 falls back to, a raw deflate stream."""
+    try:
+        return zlib.decompressobj().decompress(data)
+    except zlib.error:
+        return zlib.decompressobj(-zlib.MAX_WBITS).decompress(data)
+
+
+def _decoded(body: bytes, headers: http.client.HTTPMessage) -> bytes:
+    """`body` with its gzip and deflate content codings undone, the last
+    listed first; any other coding is left as it is."""
+    codings = headers.get_all("Content-Encoding")
+    if not codings:
+        return body
+    for coding in reversed(", ".join(codings).lower().split(",")):
+        coding = coding.strip()
+        if coding in ("gzip", "x-gzip"):
+            body = _gunzip(body)
+        elif coding == "deflate":
+            body = _inflate(body)
+    return body
+
+
+def _send(conn: http.client.HTTPConnection, target: str,
+          headers: dict[str, str]) -> http.client.HTTPResponse:
+    """Send a GET on `conn` and read the response up to its body; `conn` is
+    closed when that fails."""
+    try:
+        conn.request("GET", target, headers=headers)
+        return conn.getresponse()
+    except BaseException:
+        conn.close()
+        raise
+
+
+class _HostGate:
+    """One host's share of the fetcher: a concurrency cap and a minimum
+    spacing between request starts, the host's environment settings, and
+    up to `per_host` idle connections per scheme."""
+
+    def __init__(self, per_host: int, delay_s: float, uri: str):
         self.semaphore = threading.Semaphore(per_host)
         self.lock = threading.Lock()
         self.delay_s = delay_s
         self.next_at = 0.0
-        self.settings = settings
+        self.per_host = per_host
+        self.idle: dict[str, list[http.client.HTTPConnection]] = {s: [] for s in _SCHEME_PORTS}
+        settings = _environment_settings(uri)
+        self.ca_bundle = settings.get("verify") or certifi.where()
+        # netrc credentials, else those in the URI, as requests picks them.
+        parts = urlsplit(uri)
+        auth = settings.get("auth") or (
+            (unquote(parts.username), unquote(parts.password or ""))
+            if parts.username is not None else None)
+        self.authorization = _basic_auth(*auth) if auth else None
+        #: scheme -> (proxy scheme, host and port, its Proxy-Authorization header)
+        self.proxies: dict[str, tuple[str, str, int, dict[str, str]]] = {}
+        for scheme in _SCHEME_PORTS:
+            proxy = requests.utils.select_proxy(f"{scheme}://{parts.netloc}",
+                                                settings["proxies"])
+            if proxy:
+                proxy_parts = urlsplit(requests.utils.prepend_scheme_if_needed(proxy, "http"))
+                proxy_user, proxy_password = requests.utils.get_auth_from_url(proxy)
+                self.proxies[scheme] = (
+                    proxy_parts.scheme, proxy_parts.hostname, proxy_parts.port or 80,
+                    {"Proxy-Authorization": _basic_auth(proxy_user, proxy_password)}
+                    if proxy_user else {})
 
     def __enter__(self):
         self.semaphore.acquire()
@@ -106,14 +274,64 @@ class _HostGate:
         self.semaphore.release()
         return False
 
+    def _connection(self, scheme: str, host: str, port: int,
+                    timeout_s: float) -> http.client.HTTPConnection:
+        """A new connection to host:port; through the scheme's proxy, if
+        any, by a CONNECT tunnel for https.  Only http:// proxies are
+        spoken to."""
+        proxy = self.proxies.get(scheme)
+        if proxy and proxy[0] != "http":
+            raise http.client.InvalidURL(f"{proxy[0]}:// proxies are not supported")
+        address = proxy[1:3] if proxy else (host, port)
+        if scheme == "http":
+            return http.client.HTTPConnection(*address, timeout=timeout_s)
+        conn = http.client.HTTPSConnection(*address, timeout=timeout_s,
+                                           context=_tls_context(self.ca_bundle))
+        if proxy:
+            conn.set_tunnel(host, port, headers=proxy[3])
+        return conn
 
-class _Session(requests.Session):
-    """A session that leaves redirects to `PoliteFetcher.follow`.  Even when
-    not following, requests prepares the next request of every 3xx, and
-    raises ValueError for a Location that does not parse."""
+    def exchange(self, scheme: str, host: str, port: int, target: str,
+                 headers: dict[str, str], timeout_s: float
+                 ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One GET, read whole: (the response, its undecoded body).
 
-    def get_redirect_target(self, resp):
-        return None
+        An idle connection is used when there is one.  If the server closed
+        it while idle, the GET is sent once more on a new connection.  The
+        connection is kept for reuse unless the response closes it."""
+        with self.lock:
+            idle = self.idle[scheme]
+            conn = idle.pop() if idle else None
+        resp = None
+        if conn is not None:
+            try:
+                resp = _send(conn, target, headers)
+            except _STALE as exc:
+                logger.debug("idle connection to %s closed (%s); sending again", host, exc)
+        if resp is None:
+            conn = self._connection(scheme, host, port, timeout_s)
+            resp = _send(conn, target, headers)
+        try:
+            body = resp.read()
+        except BaseException:
+            resp.close()
+            conn.close()
+            raise
+        with self.lock:
+            keep = not resp.will_close and len(idle) < self.per_host
+            if keep:
+                idle.append(conn)
+        if not keep:
+            conn.close()
+        return resp, body
+
+    def close(self) -> None:
+        with self.lock:
+            conns = [conn for idle in self.idle.values() for conn in idle]
+            for idle in self.idle.values():
+                idle.clear()
+        for conn in conns:
+            conn.close()
 
 
 class PoliteFetcher:
@@ -123,38 +341,72 @@ class PoliteFetcher:
         self.politeness_s = politeness_s
         self.per_host = per_host
         self.max_redirects = max_redirects
-        self.session = _Session()
-        self.session.trust_env = False  # read per host in _gate_for, not per request
-        self.session.headers["User-Agent"] = USER_AGENT
+        self.cookies = http.cookiejar.CookieJar()
         self._gates: dict[str, _HostGate] = {}
         self._gates_lock = threading.Lock()
 
-    def close(self) -> None:
-        self.session.close()
+    def __enter__(self) -> "PoliteFetcher":
+        return self
 
-    def _gate_for(self, uri: str) -> _HostGate:
-        host = requests.utils.urlparse(uri).netloc.lower()
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every idle connection; the fetcher stays usable."""
         with self._gates_lock:
-            gate = self._gates.get(host)
+            gates = list(self._gates.values())
+        for gate in gates:
+            gate.close()
+
+    def _gate_for(self, netloc: str, uri: str) -> _HostGate:
+        with self._gates_lock:
+            gate = self._gates.get(netloc)
             if gate is None:
-                gate = _HostGate(self.per_host, self.politeness_s,
-                                 _environment_settings(uri))
-                self._gates[host] = gate
+                gate = _HostGate(self.per_host, self.politeness_s, uri)
+                self._gates[netloc] = gate
             return gate
 
-    def get_once(self, uri: str, headers: dict[str, str] | None = None) -> requests.Response:
-        """One GET with `headers` added to the session's, no redirect
-        following. Raises requests exceptions after RETRIES further attempts."""
+    def _get(self, gate: _HostGate, uri: str, parts: SplitResult,
+             headers: dict[str, str] | None) -> tuple[int, http.client.HTTPMessage, bytes]:
+        if parts.scheme not in _SCHEME_PORTS or not parts.hostname:
+            raise http.client.InvalidURL(f"not an http(s) URI: {uri!r}")
+        port = parts.port or _SCHEME_PORTS[parts.scheme]
+        host, netloc = parts.hostname, parts.netloc.rpartition("@")[2]
+        if not netloc.isascii():  # an internationalised name, sent as requests sends it
+            host = idna.encode(host, uts46=True).decode()
+            netloc = f"{host}:{parts.port}" if parts.port else host
+        target = _request_target(parts.path, parts.query)
+        sent = BASE_HEADERS | headers if headers else dict(BASE_HEADERS)
+        proxy = gate.proxies.get(parts.scheme)
+        if proxy and parts.scheme == "http":
+            # Absolute form, without user information (RFC 9112 §3.2.2).
+            target = f"http://{netloc}{target}"
+            sent |= proxy[3]
+        request = urllib.request.Request(uri)
+        self.cookies.add_cookie_header(request)
+        cookie = request.get_header("Cookie")
+        if cookie:
+            sent["Cookie"] = cookie
+        if gate.authorization:
+            sent["Authorization"] = gate.authorization
+        resp, body = gate.exchange(parts.scheme, host, port, target, sent, self.timeout_s)
+        if "Set-Cookie" in resp.headers:
+            self.cookies.extract_cookies(resp, request)
+        return resp.status, resp.headers, _decoded(body, resp.headers)
+
+    def get_once(self, uri: str, headers: dict[str, str] | None = None
+                 ) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One GET with `headers` added to BASE_HEADERS, no redirect
+        following: (status, response headers, decoded body).  Raises one of
+        TRANSPORT_ERRORS after RETRIES further attempts."""
         last_exc: Exception | None = None
-        gate = self._gate_for(uri)
+        parts = urlsplit(uri)
+        gate = self._gate_for(parts.netloc.lower(), uri)
         for attempt in range(RETRIES + 1):
             with gate:
                 try:
-                    return self.session.get(
-                        uri, headers=headers, allow_redirects=False,
-                        timeout=self.timeout_s, **gate.settings,
-                    )
-                except requests.RequestException as exc:
+                    return self._get(gate, uri, parts, headers)
+                except TRANSPORT_ERRORS as exc:
                     last_exc = exc
                     logger.debug("GET %s failed (attempt %d): %s", uri, attempt + 1, exc)
         assert last_exc is not None
@@ -165,32 +417,27 @@ class PoliteFetcher:
         every hop's GET carries `headers`.
 
         Transport failures, and a 3xx whose Location does not parse, end the
-        chain with `error` set; hops observed so far are kept. The chain is
-        capped at max_redirects hops.
+        chain with `error` set; hops observed so far are kept.  A 3xx with
+        no Location ends the chain as it is.  The chain is capped at
+        max_redirects hops.
         """
         result = ChainResult()
         current = uri
         while True:
             try:
-                resp = self.get_once(current, headers)
-            except requests.RequestException as exc:
+                status, headers_in, body = self.get_once(current, headers)
+            except TRANSPORT_ERRORS as exc:
                 result.error = f"{type(exc).__name__}: {exc}"
                 return result
-            result.hops.append((resp.status_code, current))
-            if resp.status_code in REDIRECT_STATUSES:
-                location = resp.headers.get("Location")
-                if not location:
-                    # 3xx without Location terminates the chain as-is
-                    result.response = resp
-                    return result
-                if len(result.hops) >= self.max_redirects:
-                    result.response = resp
-                    return result
+            result.hops.append((status, current))
+            location = headers_in.get("Location")
+            if (status in REDIRECT_STATUSES and location
+                    and len(result.hops) < self.max_redirects):
                 try:
-                    current = requests.compat.urljoin(current, location)
+                    current = urljoin(current, location)
                 except ValueError as exc:  # e.g. "http://[bad/x"
                     result.error = f"unparsable Location {location!r}: {exc}"
                     return result
                 continue
-            result.response = resp
+            result.headers, result.body = headers_in, body
             return result

@@ -80,6 +80,7 @@ class StubBridge:
 
     def stop(self) -> None:
         stop_serving(self._server)
+        self.fetcher.close()
 
     def __enter__(self) -> "StubBridge":
         return self.start()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import socket
 import threading
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -283,6 +284,18 @@ def test_audit_of_excluded_site_exits_2(service, capsys, tmp_path):
                       "--out-dir", str(tmp_path / "out")]))
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_timemap_get_failing_in_transport_exits_2(capsys, tmp_path):
+    with socket.socket() as s:
+        s.bind(("localhost", 0))
+        closed = f"http://localhost:{s.getsockname()[1]}"
+    rc = main(_quiet(["audit", NEWS_ORIGINAL, "--endpoint", closed,
+                      "--cache-dir", str(tmp_path / "cache"),
+                      "--out-dir", str(tmp_path / "out")]))
+    assert rc == 2
+    assert f"fetching TimeMap {closed}/list/timemap/link/{NEWS_ORIGINAL}" \
+        in capsys.readouterr().err
 
 
 def test_report_on_empty_cache_exits_2(capsys, tmp_path):

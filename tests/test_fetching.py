@@ -1,14 +1,22 @@
+import gzip
+import select
 import socket
+import ssl
 import threading
 import time
+from contextlib import contextmanager
+from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 import requests
 
+from memento_audit import __version__, cli, fetching
 from memento_audit.analysis import FetchClass, classify_fetch
 from memento_audit.bridge import ScriptedEngine
 from memento_audit.capture import (
+    PHASE_PAGE,
     PHASE_SUBRESOURCE,
     SCRIPTING_OFF,
     TRIGGER_MARKUP,
@@ -24,6 +32,7 @@ from memento_audit.fixture_archive.scenarios import (
     NEWS_TIMESTAMPS,
     YT2011_ORIGINAL,
 )
+from memento_audit.linkformat import TimeMap, memento_record, serialize_link_format
 from memento_audit.replay import ArchiveEndpoint, make_replay_uri
 
 
@@ -32,7 +41,7 @@ def test_follow_records_single_hop(service, fetcher):
     assert result.error is None
     assert result.final_status == 200
     assert len(result.hops) == 1
-    assert result.response is not None
+    assert result.body
 
 
 def test_follow_walks_redirect_chain(service, fetcher):
@@ -302,9 +311,9 @@ def test_proxy_environment_resolved_per_host(service, monkeypatch):
         thread.join(timeout=5)
     assert not thread.is_alive()
     assert proxied.final_status == 200
-    assert proxied.response.content == b"via proxy"
+    assert proxied.body == b"via proxy"
     assert bypassed.final_status == 200
-    assert b"News as of" in bypassed.response.content
+    assert b"News as of" in bypassed.body
     assert _RecordingProxy.seen == [f"http://localhost:{closed_port}/page"]
 
 
@@ -331,3 +340,317 @@ def test_environment_settings_match_a_trust_env_session(tmp_path, monkeypatch):
     assert _environment_settings("http://archive.example/")["auth"] == ("alice", "s3cret")
     assert "auth" not in _environment_settings("http://other.example/")
     assert _environment_settings("http://other.example/")["proxies"] == {}
+
+
+# --- the transport against an HTTP/1.1 server ---------------------------------
+
+
+class _Recorder(BaseHTTPRequestHandler):
+    """An HTTP/1.1 handler answering each GET with `answer(handler)`, a
+    (status, headers, body) triple.  It keeps each request's path and
+    headers in `state`, and counts the connections opened and closed."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # else each answer waits on a delayed ACK
+    timeout = 10  # a connection left open cannot hold a handler thread for good
+    state: dict = {}
+
+    def answer(self) -> tuple[int, dict[str, str], bytes]:
+        raise NotImplementedError
+
+    def setup(self):
+        super().setup()
+        with self.state["lock"]:
+            self.state["opened"] += 1
+
+    def finish(self):
+        super().finish()
+        with self.state["lock"]:
+            self.state["closed"] += 1
+
+    def do_GET(self):
+        self.state["requests"].append((self.path, dict(self.headers)))
+        status, headers, body = self.answer()
+        self.send_response_only(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def _http11(monkeypatch, answer, recorder: type[_Recorder] = _Recorder):
+    """Serve `answer` over HTTP/1.1 on 127.0.0.1; yields (base URL, state)."""
+    _clear_proxy_environment(monkeypatch)
+    state = {"lock": threading.Lock(), "opened": 0, "closed": 0, "requests": []}
+    handler = type("Handler", (recorder,), {"answer": answer, "state": state})
+    server = serve_in_thread("127.0.0.1", 0, handler)
+    state["base"] = f"http://127.0.0.1:{server.server_port}"
+    try:
+        yield state["base"], state
+    finally:
+        stop_serving(server)
+
+
+def _eventually(predicate, timeout_s: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _follow_all(*uris: str, headers: dict[str, str] | None = None) -> list:
+    """Follow each URI in turn with one fetcher, closed before returning."""
+    fetcher = PoliteFetcher(politeness_s=0.0)
+    try:
+        return [fetcher.follow(uri, headers) for uri in uris]
+    finally:
+        fetcher.close()
+
+
+def _ok(handler):
+    return 200, {"Content-Type": "text/plain"}, b"ok"
+
+
+def test_sequential_follows_share_one_connection(monkeypatch):
+    with _http11(monkeypatch, _ok) as (base, state):
+        results = _follow_all(*(f"{base}/r{n}" for n in range(20)))
+    assert [r.final_status for r in results] == [200] * 20
+    assert len(state["requests"]) == 20
+    assert state["opened"] == 1
+
+
+def test_close_closes_idle_connections(monkeypatch):
+    with _http11(monkeypatch, _ok) as (base, state):
+        _follow_all(f"{base}/a", f"{base}/b")
+        assert _eventually(lambda: state["closed"] == state["opened"] == 1)
+
+
+def test_connection_closed_while_idle_is_replaced_unseen(monkeypatch):
+    def close_after(handler):
+        handler.close_connection = True  # without saying so in the response
+        return _ok(handler)
+
+    entries = []
+    enter = fetching._HostGate.__enter__
+    monkeypatch.setattr(fetching._HostGate, "__enter__",
+                        lambda gate: entries.append(gate) or enter(gate))
+    with _http11(monkeypatch, close_after) as (base, state):
+        fetcher = PoliteFetcher(politeness_s=0.0)
+        try:
+            first = fetcher.follow(f"{base}/first")
+            assert _eventually(lambda: state["closed"] == 1)
+            entries.clear()
+            second = fetcher.follow(f"{base}/second")
+        finally:
+            fetcher.close()
+    assert (first.hops, first.error) == ([(200, f"{base}/first")], None)
+    assert (second.hops, second.error) == ([(200, f"{base}/second")], None)
+    assert [path for path, _ in state["requests"]] == ["/first", "/second"]
+    assert len(entries) == 1  # the resend neither passed the gate again nor retried
+
+
+def test_gzip_body_is_recorded_and_read_decoded(monkeypatch):
+    page = b'<p>hello</p><img src="a.gif">' * 40
+
+    def gzipped(handler):
+        return 200, {"Content-Type": "text/html", "Content-Encoding": "gzip"}, \
+            gzip.compress(page)
+
+    with _http11(monkeypatch, gzipped) as (base, state):
+        [result] = _follow_all(f"{base}/page")
+    fetch = _fetch_from_chain(f"{base}/page", result, TRIGGER_MARKUP, PHASE_PAGE)
+    assert fetch.bytes == len(page)
+    assert result.text == page.decode()
+
+
+class _ShortBody(BaseHTTPRequestHandler):
+    """/start redirects to /short, whose body ends 90 bytes before its
+    Content-Length, then the connection closes."""
+
+    def do_GET(self):
+        self.send_response_only(302 if self.path == "/start" else 200)
+        if self.path == "/start":
+            self.send_header("Location", "/short")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        self.send_header("Content-Length", "100")
+        self.end_headers()
+        self.wfile.write(b"only ten b")
+
+    def log_message(self, *args):
+        pass
+
+
+def test_body_cut_short_is_a_network_error_after_its_hops(monkeypatch):
+    _clear_proxy_environment(monkeypatch)
+    server = serve_in_thread("127.0.0.1", 0, _ShortBody)
+    uri = f"http://127.0.0.1:{server.server_port}/start"
+    try:
+        [result] = _follow_all(uri)
+    finally:
+        stop_serving(server)
+    assert result.hops == [(302, uri)]
+    assert result.error is not None
+    fetch = _fetch_from_chain(uri, result, TRIGGER_MARKUP, PHASE_SUBRESOURCE)
+    assert classify_fetch(fetch, ArchiveEndpoint.from_base(uri)) \
+        == FetchClass.NETWORK_ERROR
+
+
+def test_request_headers_on_the_wire(tmp_path, monkeypatch):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login alice password s3cret\n")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    with _http11(monkeypatch, _ok) as (base, state):
+        _follow_all(f"{base}/tm", headers={"If-None-Match": '"v1"'})
+    # As a requests session sent them.
+    assert state["requests"] == [("/tm", {
+        "Host": base.removeprefix("http://"),
+        "User-Agent": f"memento-audit/{__version__}",
+        "Accept-Encoding": "gzip, deflate",
+        "Accept": "*/*",
+        "Connection": "keep-alive",
+        "If-None-Match": '"v1"',
+        "Authorization": "Basic YWxpY2U6czNjcmV0",
+    })]
+
+
+def test_cookie_is_sent_back_to_its_host(monkeypatch):
+    def set_cookie(handler):
+        return 200, {"Set-Cookie": "sid=abc; Path=/"}, b"ok"
+
+    with _http11(monkeypatch, set_cookie) as (base, state):
+        _follow_all(f"{base}/a", f"{base}/b")
+    assert [headers.get("Cookie") for _, headers in state["requests"]] == [None, "sid=abc"]
+
+
+#: A self-signed certificate for the name "localhost" only, and its key.
+_LOCALHOST_PEM = str(Path(__file__).with_name("localhost.pem"))
+
+
+class _TLSRecorder(_Recorder):
+    """_Recorder over TLS, with the localhost certificate."""
+
+    def setup(self):
+        tls = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+        tls.load_cert_chain(_LOCALHOST_PEM)
+        self.request = tls.wrap_socket(self.request, server_side=True)
+        super().setup()
+
+    def finish(self):
+        super().finish()
+        self.request.close()
+
+
+class _Tunnel(BaseHTTPRequestHandler):
+    """A CONNECT proxy: records each target and Proxy-Authorization, then
+    relays bytes both ways until either side closes."""
+
+    seen: list[tuple[str, str | None]] = []
+
+    def do_CONNECT(self):
+        self.seen.append((self.path, self.headers.get("Proxy-Authorization")))
+        host, port = self.path.rsplit(":", 1)
+        with socket.create_connection((host, int(port))) as upstream:
+            self.send_response(200)
+            self.end_headers()
+            ends = {self.connection: upstream, upstream: self.connection}
+            while True:
+                readable, _, _ = select.select(list(ends), [], [], 10)
+                for end in readable:
+                    data = end.recv(65536)
+                    if not data:
+                        return
+                    ends[end].sendall(data)
+                if not readable:
+                    return
+
+    def log_message(self, *args):
+        pass
+
+
+def test_https_checks_the_certificate_and_tunnels_through_a_proxy(monkeypatch):
+    with _http11(monkeypatch, _ok, _TLSRecorder) as (base, state):
+        port = base.rsplit(":", 1)[1]
+        uri = f"https://localhost:{port}/x"
+        [untrusted] = _follow_all(uri)
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", _LOCALHOST_PEM)
+        trusted = _follow_all(uri, uri)
+        [misnamed] = _follow_all(f"https://127.0.0.1:{port}/x")
+        _Tunnel.seen = []
+        proxy = serve_in_thread("127.0.0.1", 0, _Tunnel)
+        monkeypatch.setenv("HTTPS_PROXY", f"http://bob:pw@127.0.0.1:{proxy.server_port}")
+        try:
+            [tunnelled] = _follow_all(uri)
+        finally:
+            stop_serving(proxy)
+    assert "CERTIFICATE_VERIFY_FAILED" in untrusted.error
+    assert "CERTIFICATE_VERIFY_FAILED" in misnamed.error
+    assert [(r.final_status, r.body) for r in [*trusted, tunnelled]] == [(200, b"ok")] * 3
+    assert _Tunnel.seen == [(f"localhost:{port}", "Basic Ym9iOnB3")]
+
+
+def test_proxy_other_than_http_is_refused_without_contact(monkeypatch):
+    _clear_proxy_environment(monkeypatch)
+    monkeypatch.setenv("HTTPS_PROXY", "https://127.0.0.1:9")
+    [result] = _follow_all("https://localhost:9/x")
+    assert (result.hops, result.error) == ([], "InvalidURL: https:// proxies are not supported")
+
+
+def test_internationalised_host_is_sent_in_idna_form(monkeypatch):
+    # Through a proxy, so that the name is never looked up.
+    _clear_proxy_environment(monkeypatch)
+    proxy = serve_in_thread("127.0.0.1", 0, _RecordingProxy)
+    _RecordingProxy.seen = []
+    monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.server_port}")
+    try:
+        [result] = _follow_all("http://Bücher.example/page")
+    finally:
+        stop_serving(proxy)
+    assert result.final_status == 200
+    assert _RecordingProxy.seen == ["http://xn--bcher-kva.example/page"]
+
+
+def test_redirect_without_location_ends_the_chain(monkeypatch):
+    with _http11(monkeypatch, lambda handler: (302, {}, b"")) as (base, state):
+        [result] = _follow_all(f"{base}/moved")
+    assert result.hops == [(302, f"{base}/moved")]
+    assert (result.final_status, result.error) == (302, None)
+
+
+_ONE_ORIGINAL = "http://one.example/"
+_ONE_TIMESTAMP = "20100101000000"
+
+
+def _one_memento_archive(handler):
+    base = handler.state["base"]
+    if handler.path.startswith("/list/timemap/link/"):
+        tm = TimeMap(original=_ONE_ORIGINAL, timegate_uri=f"{base}/web/{_ONE_ORIGINAL}",
+                     timemap_uri=f"{base}{handler.path}",
+                     mementos=(memento_record(f"{base}/web/{_ONE_TIMESTAMP}/{_ONE_ORIGINAL}",
+                                              datetime(2010, 1, 1, tzinfo=timezone.utc),
+                                              first=True, last=True),))
+        return 200, {"Content-Type": "application/link-format"}, \
+            serialize_link_format(tm).encode()
+    if handler.path.endswith(".gif"):
+        return 200, {"Content-Type": "image/gif"}, b"GIF89a"
+    return 200, {"Content-Type": "text/html"}, b'<img src="a.gif"><img src="b.gif">'
+
+
+def test_audit_closes_every_connection(tmp_path, monkeypatch, capsys):
+    with _http11(monkeypatch, _one_memento_archive) as (base, state):
+        rc = cli.main(["audit", _ONE_ORIGINAL, "--endpoint", base, "--politeness-ms", "0",
+                       "--cache-dir", str(tmp_path / "cache"),
+                       "--out-dir", str(tmp_path / "out")])
+        closed = _eventually(lambda: state["closed"] == state["opened"])
+    assert rc == 0
+    assert len(state["requests"]) == 4  # the TimeMap, the page and its two images
+    assert closed, f"{state['opened'] - state['closed']} connection(s) left open"
