@@ -35,7 +35,7 @@ from .capture import (
     site_digest,
     write_text_atomic,
 )
-from .client import decode_timemap, fetch_timemap
+from .client import decode_timemap, decode_timemap_pieces, fetch_timemap
 from .config import CACHE_ENV, AuditConfig, endpoint_from_echo, parse_config_file
 from .errors import AuditError
 from .fetching import PoliteFetcher
@@ -48,7 +48,7 @@ from .report import (
     sample_to_docs,
     write_report,
 )
-from .sampling import Selection, parse_interval, select_annual
+from .sampling import Selection, parse_interval, sample_timemap, select_annual
 from .timefmt import format_iso
 
 logger = logging.getLogger(__name__)
@@ -101,7 +101,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", type=Path)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given `command`, the subcommand that argv
+    names, only that subcommand gets its arguments: parsing needs no other,
+    and every subcommand is still listed by --help."""
     parser = argparse.ArgumentParser(
         prog="memento-audit",
         description="Audit how completely an archive can replay a page's history.")
@@ -114,14 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
              "memento", "memento URI (API or replay form)"),
             ("audit", "run the full pipeline for a site", "uri", "original URI")):
         p_common = sub.add_parser(name, help=help_text)
-        p_common.add_argument(target, help=target_help)
-        _add_common_flags(p_common)
+        if command in (None, name):
+            p_common.add_argument(target, help=target_help)
+            _add_common_flags(p_common)
 
     p_report = sub.add_parser("report",
                               help="recompute the report from cached capture logs")
-    p_report.add_argument("cache", help="cache directory holding capture logs")
-    p_report.add_argument("--site", help="site to report on when several are cached")
-    p_report.add_argument("--out-dir")
+    if command in (None, "report"):
+        p_report.add_argument("cache", help="cache directory holding capture logs")
+        p_report.add_argument("--site", help="site to report on when several are cached")
+        p_report.add_argument("--out-dir")
     return parser
 
 
@@ -348,7 +353,8 @@ def _annual_sample(cfg: AuditConfig, site: str,
     GET is conditional on that TimeMap's ETag, and a 304 reuses the sample
     without reading a body.  So does a 200 whose body has the stored digest,
     for an archive that sends no ETag.  The digest is taken over the body's
-    bytes, the parser's input once decoded as UTF-8."""
+    bytes, the parser's input once decoded as UTF-8.  Otherwise the body is
+    sampled in one pass, holding it plus a fixed-width index per memento."""
     stored = _stored_run(cfg, site) or {}
     fetched = fetch_timemap(site, cfg.endpoint, fetcher, etag=stored.get("timemap_etag"))
     if fetched is None:
@@ -361,10 +367,8 @@ def _annual_sample(cfg: AuditConfig, site: str,
         logger.info("TimeMap unchanged; reusing the stored sample for %s", site)
         sample = stored["sample"]
     else:
-        tm = parse_link_format(decode_timemap(body, site, cfg.endpoint))
-        del body, fetched  # a large TimeMap's bytes need not outlive its parse
-        sample = select_annual(tm, interval=cfg.interval,
-                               fixed_grid=cfg.fixed_grid).selections
+        sample = sample_timemap(body, decode_timemap_pieces(body, site, cfg.endpoint),
+                                interval=cfg.interval, fixed_grid=cfg.fixed_grid).selections
     return sample, {"timemap_sha256": digest, "timemap_etag": etag}
 
 
@@ -469,7 +473,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser takes no option with a value, so its first
+    # positional argument, the subcommand, is argv's first non-option.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     handlers = {
         "timemap": cmd_timemap,
         "sample": cmd_sample,

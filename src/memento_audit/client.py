@@ -1,6 +1,8 @@
 """Memento archive client: TimeMap retrieval."""
 
+import codecs
 import re
+from collections.abc import Iterator
 
 from .errors import NetworkError, NotArchived, RobotsExcluded, UndecodableTimeMap
 from .fetching import PoliteFetcher
@@ -9,6 +11,8 @@ from .replay import ArchiveEndpoint, validate_original_uri
 ROBOTS_MARKER = b"robots.txt"
 #: The start of a link-format entry, `<uri>;` (RFC 6690 §2).
 _LINK_ENTRY_START_RE = re.compile(rb"\s*<[^>]*>\s*;")
+#: Bytes of a TimeMap body decoded at a time.
+_PIECE_BYTES = 1 << 14
 
 
 def fetch_timemap(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetcher,
@@ -44,12 +48,26 @@ def fetch_timemap(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetcher,
     return body, result.headers.get("ETag")
 
 
+def decode_timemap_pieces(body: bytes, original: str, ep: ArchiveEndpoint) -> Iterator[str]:
+    """The body of `original`'s TimeMap as text, decoded _PIECE_BYTES at a
+    time; a character cut by a piece's end comes whole in the next piece.
+    Link-format is UTF-8 (RFC 6690 §2), so no charset is sniffed; a body that
+    is not UTF-8 raises UndecodableTimeMap naming the TimeMap URI and the byte
+    offset, as decoding it whole would."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    view = memoryview(body)
+    for start in range(0, len(body), _PIECE_BYTES):
+        held = len(decoder.getstate()[0])  # bytes of a character the last piece cut
+        try:
+            text = decoder.decode(view[start:start + _PIECE_BYTES],
+                                  final=start + _PIECE_BYTES >= len(body))
+        except UnicodeDecodeError as exc:
+            raise UndecodableTimeMap(f"TimeMap {ep.expand_timemap(original)} is not UTF-8: "
+                                     f"{exc.reason} at byte offset "
+                                     f"{start - held + exc.start}") from exc
+        yield text
+
+
 def decode_timemap(body: bytes, original: str, ep: ArchiveEndpoint) -> str:
-    """The body of `original`'s TimeMap as text.  Link-format is UTF-8 (RFC
-    6690 §2), so no charset is sniffed; a body that is not UTF-8 raises
-    UndecodableTimeMap naming the TimeMap URI and the byte offset."""
-    try:
-        return body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise UndecodableTimeMap(f"TimeMap {ep.expand_timemap(original)} is not UTF-8: "
-                                 f"{exc.reason} at byte offset {exc.start}") from exc
+    """The body of `original`'s TimeMap as one text, or UndecodableTimeMap."""
+    return "".join(decode_timemap_pieces(body, original, ep))

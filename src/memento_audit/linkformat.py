@@ -5,14 +5,16 @@ Datetime parameter values contain commas ("Tue, 20 Jun 2000 ..."), so a plain
 `split(",")` will not do: entries, and the parameters within an entry, are cut
 by compiled regexes that step over quoted strings and `<...>` as whole tokens.
 An unterminated quote or bracket runs to the end of the text. A TimeMap can
-hold 10^5 entries or more, so entries are taken one at a time and every step
-per entry is a few C-level string or regex calls.
+hold 10^5 entries or more, so entries are taken one at a time, from text that
+may come in pieces, and every step per entry is a few C-level string or regex
+calls.
 """
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import chain
 from operator import attrgetter
 
 from .errors import BadDatetime, MalformedEntry, MissingRole
@@ -83,20 +85,35 @@ _ENTRY_RE = re.compile(r'(?:[^,"<]+|"[^"]*"?|<[^>]*>?)*')
 _PARAM_RE = re.compile(r'((?:[^;"]+|"[^"]*"?)*)(?:;|\Z)')
 
 
-def _split_entries(body: str) -> Iterator[tuple[int, str]]:
-    """Yield (offset, text) for each non-blank entry, splitting on commas that
-    sit outside <...> and outside quoted strings."""
+def _split_entries(pieces: Iterable[str]) -> Iterator[tuple[int, int, str]]:
+    """Yield (offset, byte offset, text) for each non-blank entry of the text
+    that `pieces` make up, splitting on commas that sit outside <...> and
+    outside quoted strings.  Offsets count from the start of the whole text,
+    in characters and in UTF-8 bytes.  The text after a piece's last comma is
+    carried into the next piece, so an entry may straddle pieces."""
     match = _ENTRY_RE.match
-    end = len(body)
-    pos = 0
-    while True:
-        stop = match(body, pos).end()
-        text = body[pos:stop]
-        if text.strip():
-            yield pos, text
-        if stop >= end:
-            return
-        pos = stop + 1  # past the comma
+    carry = ""
+    offset = byte = 0  # where carry starts
+    scanned = 0  # length of the carry, scanned to its end without meeting a comma
+    for piece in chain(pieces, [None]):
+        final = piece is None  # the text's end ends its last entry
+        text = carry if final else carry + piece
+        if not final and len(text) < 2 * scanned:
+            carry = text  # one long entry: scan it again only once it has doubled
+            continue
+        end = len(text)
+        pos = 0
+        while (stop := match(text, pos).end()) < end or final:
+            entry = text[pos:stop]
+            if entry.strip():
+                yield offset + pos, byte, entry
+            if stop >= end:
+                return
+            byte += 1 + (len(entry) if entry.isascii() else len(entry.encode()))
+            pos = stop + 1  # past the comma
+        carry = text[pos:]
+        offset += pos
+        scanned = len(carry)
 
 
 def _parse_entry(offset: int, text: str) -> tuple[str, dict[str, str]]:
@@ -122,17 +139,22 @@ def _parse_entry(offset: int, text: str) -> tuple[str, dict[str, str]]:
     return uri, params
 
 
-def parse_link_format(body: str) -> TimeMap:
-    """Parse a link-format TimeMap body.
+def memento_entries(pieces: Iterable[str],
+                    roles: dict[str, str] | None = None
+                    ) -> Iterator[tuple[int, str, datetime, bool, bool]]:
+    """Yield (byte offset, URI, datetime, first, last) for each memento entry
+    of the link-format text that `pieces` make up, in text order, and put
+    each role entry's URI in `roles` under its rel.
 
     Raises MalformedEntry for unparseable segments or duplicated roles,
     MissingRole when no original/timegate/timemap entry exists, and
-    BadDatetime when a memento entry has no valid RFC-1123 datetime.
+    BadDatetime when a memento entry has no valid RFC-1123 datetime.  A
+    missing role, and a second first or last memento, are raised once the
+    last entry has been read.
     """
-    roles: dict[str, str] = {}
-    mementos: list[MementoRecord] = []
+    roles = {} if roles is None else roles
     firsts = lasts = 0
-    for offset, text in _split_entries(body):
+    for offset, byte, text in _split_entries(pieces):
         uri, params = _parse_entry(offset, text)
         rel = params.get("rel")
         if rel is None:
@@ -154,7 +176,7 @@ def parse_link_format(body: str) -> TimeMap:
         first, last = "first" in tokens, "last" in tokens
         firsts += first
         lasts += last
-        mementos.append(memento_record(uri, parse_rfc1123(raw_dt), first, last))
+        yield byte, uri, parse_rfc1123(raw_dt), first, last
 
     for role in ("original", "timemap", "timegate"):
         if role not in roles:
@@ -162,6 +184,30 @@ def parse_link_format(body: str) -> TimeMap:
     if firsts > 1 or lasts > 1:
         raise MalformedEntry("more than one first-memento or last-memento entry")
 
+
+def memento_at(body: bytes, byte: int) -> MementoRecord:
+    """The record of the memento entry that memento_entries found at `byte`
+    of the UTF-8 `body`, read back from the body alone."""
+    size = 512
+    while True:
+        # A character cut by the window's end is dropped: the entry then runs
+        # to the window's end, and the window grows.
+        text = body[byte:byte + size].decode("utf-8", "ignore")
+        stop = _ENTRY_RE.match(text).end()
+        if stop < len(text) or byte + size >= len(body):
+            break
+        size *= 2
+    uri, params = _parse_entry(byte, text[:stop])
+    tokens = params["rel"].split()
+    return memento_record(uri, parse_rfc1123(params["datetime"]),
+                          "first" in tokens, "last" in tokens)
+
+
+def parse_link_format(body: str) -> TimeMap:
+    """Parse a link-format TimeMap body; raises as memento_entries does."""
+    roles: dict[str, str] = {}
+    mementos = [memento_record(uri, dt, first, last)
+                for _, uri, dt, first, last in memento_entries((body,), roles)]
     mementos.sort(key=attrgetter("datetime", "uri"))
     return TimeMap(
         original=roles["original"],

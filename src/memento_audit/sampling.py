@@ -4,50 +4,55 @@ Two target modes exist. The drifting anchor advances each target from the
 previously *chosen* memento's datetime; the fixed grid lays targets at
 pivot + k * interval. Both pick, per target, the not-yet-passed memento
 closest to the target, ties going to the earlier one.
+
+`select_annual` samples a parsed TimeMap.  `sample_timemap` samples a TimeMap
+body in one pass over its text, keeping a fixed-width index per memento in
+place of its record.  Both run the one selection loop, `_select`.
 """
 
 import re
+from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 
 from dateutil.relativedelta import relativedelta
 
-from .errors import BadTimestamp, TimestampMismatch
-from .linkformat import MementoRecord, TimeMap
+from .errors import AuditError, BadTimestamp, TimestampMismatch
+from .linkformat import MementoRecord, TimeMap, memento_at, memento_entries
 from .timefmt import parse_ts14, uri_ts14
 
 _INTERVAL_RE = re.compile(r"^(\d+)\s*([yd])$")
 
 URI_AGREEMENT_TOLERANCE = timedelta(hours=24)
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+
 
 @dataclass(frozen=True)
 class Interval:
-    """A sampling stride: whole calendar years, a fixed number of days, or both."""
+    """A sampling stride: whole calendar years or a fixed number of days."""
 
     years: int = 0
     days: float = 0.0
 
     def __post_init__(self):
-        if self.years == 0 and self.days == 0:
-            raise ValueError("interval must be non-zero")
+        if (self.years == 0) == (self.days == 0):
+            raise ValueError("interval must be a non-zero number of years or of days")
 
     def advance(self, dt: datetime, k: int = 1) -> datetime:
-        out = dt
         if self.years:
-            out = out + relativedelta(years=self.years * k)
-        if self.days:
-            out = out + timedelta(days=self.days * k)
-        return out
+            return dt + relativedelta(years=self.years * k)
+        return dt + timedelta(days=self.days * k)
 
     def __str__(self) -> str:
-        if self.days == 0:
+        if self.years:
             return f"{self.years}y"
-        if self.years == 0:
-            days = int(self.days) if float(self.days).is_integer() else self.days
-            return f"{days}d"
-        return f"{self.years}y+{self.days}d"
+        days = int(self.days) if float(self.days).is_integer() else self.days
+        return f"{days}d"
 
 
 ONE_YEAR = Interval(years=1)
@@ -62,6 +67,22 @@ def parse_interval(text: str) -> Interval:
     return Interval(years=value) if unit == "y" else Interval(days=value)
 
 
+def _uri_date_error(uri: str, dt: datetime) -> TimestampMismatch | None:
+    """The error to raise when a 14-digit timestamp in `uri`'s path lies more
+    than 24 hours from `dt`, else None."""
+    ts = uri_ts14(uri)
+    if ts is None or (dt.tzinfo is timezone.utc and int(ts) == _ts14_value(dt)):
+        return None  # no URI timestamp, or one naming the record's own second
+    try:
+        uri_dt = parse_ts14(ts)
+    except BadTimestamp:
+        return None  # digits that encode no instant are not a timestamp
+    if abs(uri_dt - dt) > URI_AGREEMENT_TOLERANCE:
+        return TimestampMismatch(
+            f"datetime attribute {dt.isoformat()} vs URI timestamp {ts} in {uri}")
+    return None
+
+
 def extract_date(m: MementoRecord) -> datetime:
     """Return the record's datetime, cross-checked against any 14-digit
     timestamp embedded in its URI path.
@@ -69,18 +90,10 @@ def extract_date(m: MementoRecord) -> datetime:
     The two sources must agree to within 24 hours; archives stamp the URI at
     capture time, so a larger gap means corrupt input.
     """
-    dt = m.datetime
-    ts = uri_ts14(m.uri)
-    if ts is None or (dt.tzinfo is timezone.utc and int(ts) == _ts14_value(dt)):
-        return dt  # no URI timestamp, or one naming the record's own second
-    try:
-        uri_dt = parse_ts14(ts)
-    except BadTimestamp:
-        return dt  # digits that encode no instant are not a timestamp
-    if abs(uri_dt - dt) > URI_AGREEMENT_TOLERANCE:
-        raise TimestampMismatch(
-            f"datetime attribute {dt.isoformat()} vs URI timestamp {ts} in {m.uri}")
-    return dt
+    error = _uri_date_error(m.uri, m.datetime)
+    if error is not None:
+        raise error
+    return m.datetime
 
 
 def _ts14_value(dt: datetime) -> int:
@@ -116,35 +129,97 @@ def select_annual(tm: TimeMap, interval: Interval = ONE_YEAR,
     """
     if not tm.mementos:
         raise ValueError("TimeMap has no mementos to sample")
-    records = list(tm.mementos)
-    dts = [extract_date(m) for m in records]
+    dts = [extract_date(m) for m in tm.mementos]
+    return _select(dts, None, tm.mementos.__getitem__, interval, fixed_grid)
 
-    pivot_dt = dts[0]
-    selections = [Selection(target=pivot_dt, chosen=records[0], deviation=timedelta(0))]
+
+def sample_timemap(body: bytes, pieces: Iterator[str], interval: Interval = ONE_YEAR,
+                   fixed_grid: bool = False) -> AnnualSample:
+    """select_annual(parse_link_format(text)), where `pieces` yields the text
+    of the TimeMap `body`: the same sample, or the same error, in memory
+    bounded by the body plus 16 bytes per memento.
+
+    Each memento entry leaves only its second since the epoch and its byte
+    offset in `body`.  The records of the chosen mementos, and of the
+    mementos dated to the same second as one, are read back from the body.
+    As from the whole text, an undecodable byte anywhere outranks a parse
+    error, and a parse error outranks a URI timestamp that disagrees with
+    its datetime.  A TimeMap out of datetime order also costs a sort, which
+    holds a list of ints per memento while it runs.
+    """
+    seconds, starts = array("q"), array("q")
+    ascending = True
+    mismatch = None  # ((second, URI), error) of the first bad entry in that order
+    try:
+        for byte, uri, dt, _, _ in memento_entries(pieces):
+            second = (dt - _EPOCH) // _SECOND
+            if seconds and second < seconds[-1]:
+                ascending = False
+            seconds.append(second)
+            starts.append(byte)
+            error = _uri_date_error(uri, dt)
+            if error is not None and (mismatch is None or (second, uri) < mismatch[0]):
+                mismatch = (second, uri), error
+    except AuditError:
+        for _ in pieces:  # a body that is not UTF-8 raises that before a parse error
+            pass
+        raise
+    if not seconds:
+        raise ValueError("TimeMap has no mementos to sample")
+    if mismatch is not None:
+        raise mismatch[1]
+    if not ascending:  # a stable sort: entries of one second stay in text order
+        order = sorted(range(len(seconds)), key=seconds.__getitem__)
+        seconds = array("q", map(seconds.__getitem__, order))
+        starts = array("q", map(starts.__getitem__, order))
+        del order
+
+    def record_at(i: int) -> MementoRecord:
+        run = range(i, bisect_right(seconds, seconds[i], i))
+        return min((memento_at(body, starts[j]) for j in run), key=attrgetter("uri"))
+
+    return _select(seconds, _from_epoch, record_at, interval, fixed_grid)
+
+
+def _from_epoch(second: int) -> datetime:
+    return _EPOCH + timedelta(seconds=second)
+
+
+def _select(dts: Sequence, key: Callable[[int], datetime] | None,
+            record_at: Callable[[int], MementoRecord], interval: Interval,
+            fixed_grid: bool) -> AnnualSample:
+    """The selection loop of select_annual.  `dts` holds the mementos'
+    datetimes in ascending order, or values that `key` maps to them;
+    record_at(i) is the record of the first memento in URI order among
+    those dated like the i-th."""
+    dt_at = dts.__getitem__ if key is None else (lambda i: key(dts[i]))
+    pivot_dt = dt_at(0)
+    selections = [Selection(target=pivot_dt, chosen=record_at(0), deviation=timedelta(0))]
     prev_dt = pivot_dt
     k = 1
-    n = len(records)
+    n = len(dts)
     while True:
-        lo = bisect_right(dts, prev_dt)
+        lo = bisect_right(dts, prev_dt, key=key)
         if lo >= n:
             break
         target = interval.advance(pivot_dt, k) if fixed_grid else interval.advance(prev_dt, 1)
-        pos = bisect_left(dts, target, lo)
+        pos = bisect_left(dts, target, lo, key=key)
         best = None
         for idx in (pos - 1, pos):
             if lo <= idx < n:
-                dev = abs(dts[idx] - target)
+                dev = abs(dt_at(idx) - target)
                 if best is None or dev < best[0]:
                     best = (dev, idx)
         assert best is not None
+        chosen_dt = dt_at(best[1])
         # land on the first record among equal datetimes (URI tie order)
-        chosen_idx = bisect_left(dts, dts[best[1]], lo)
+        chosen_idx = bisect_left(dts, chosen_dt, lo, key=key)
         selections.append(Selection(
             target=target,
-            chosen=records[chosen_idx],
-            deviation=dts[chosen_idx] - target,
+            chosen=record_at(chosen_idx),
+            deviation=chosen_dt - target,
         ))
-        prev_dt = dts[chosen_idx]
+        prev_dt = chosen_dt
         k += 1
 
     return AnnualSample(selections=tuple(selections))

@@ -199,16 +199,57 @@ def test_default_echo_is_pinned(monkeypatch):
     }
 
 
+# The rejection tests below point their audits at a closed port on this
+# machine: were their settings let through, they would reach no archive.
+
+
 def test_invalid_combination_exits_2(capsys):
-    rc = main(["audit", "http://s.example/", "--scripting", "on"])
+    rc = main(["audit", "http://s.example/", "--endpoint", "http://127.0.0.1:9",
+               "--scripting", "on"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
 
 def test_scripted_engine_requires_bridge(capsys):
-    rc = main(["audit", "http://s.example/", "--engine", "scripted"])
+    rc = main(["audit", "http://s.example/", "--endpoint", "http://127.0.0.1:9",
+               "--engine", "scripted"])
     assert rc == 2
     assert "bridge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--drop-threshold", "1.5"], "drop_threshold must be in (0, 1), got 1.5"),
+    (["--jobs", "0"], "jobs must be positive, got 0"),
+    (["--politeness-ms", "-1"], "politeness_ms and settle_ms must be >= 0"),
+    (["--settle-ms", "-1"], "politeness_ms and settle_ms must be >= 0"),
+], ids=["drop-threshold", "jobs", "politeness-ms", "settle-ms"])
+def test_out_of_range_setting_exits_2(capsys, flags, message):
+    rc = main(["audit", "http://s.example/", "--endpoint", "http://127.0.0.1:9", *flags])
+    assert rc == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def _parse_outcome(parse, argv, capsys) -> tuple:
+    """The exit status, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exited:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exited.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["-h"], [],
+    *([name, "--help"] for name in ("timemap", "sample", "capture", "audit", "report")),
+    ["report"], ["audit"], ["bogus"], ["--bogus", "audit", "http://s.example/"],
+    ["audit", "http://s.example/", "--bogus"], ["report", ".", "--jobs", "2"],
+    ["--", "report"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_for_one_subcommand_parses_as_the_full_one(capsys, argv):
+    """`main` builds only the named subcommand's arguments: the same help,
+    errors and exit status as the parser that builds them all."""
+    full = _parse_outcome(build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(main, argv, capsys) == full
+    assert full[0] in (0, 2)
 
 
 # --- subcommands against the fixture archive ---------------------------------
@@ -434,18 +475,20 @@ def _outputs(out: Path) -> tuple[bytes, bytes]:
 
 
 def _count_parses(monkeypatch) -> list:
+    """The bodies that `audit` samples from here on."""
     calls = []
-    real = cli.parse_link_format
-    monkeypatch.setattr(cli, "parse_link_format",
-                        lambda text: calls.append(text) or real(text))
+    real = cli.sample_timemap
+    monkeypatch.setattr(cli, "sample_timemap",
+                        lambda body, *args, **kwargs: calls.append(body)
+                        or real(body, *args, **kwargs))
     return calls
 
 
 def _refuse_parsing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an unchanged TimeMap was parsed again")
-    monkeypatch.setattr(cli, "parse_link_format", refuse)
-    monkeypatch.setattr(cli, "select_annual", refuse)
+    for name in ("sample_timemap", "parse_link_format", "select_annual"):
+        monkeypatch.setattr(cli, name, refuse)
 
 
 def _meta_path(tmp_path) -> Path:
@@ -682,6 +725,14 @@ def test_timemap_is_read_as_utf8(service, news_timemap, tmp_path, capsys):
     assert [r.uri for r in fetched.mementos] == [r.uri for r in mementos]
 
 
+def test_timemap_without_mementos_exits_2(service, news_timemap, tmp_path, capsys):
+    tm = parse_link_format(news_timemap["body"].decode("utf-8"))
+    news_timemap["body"] = serialize_link_format(
+        dataclasses.replace(tm, mementos=())).encode("utf-8")
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 2
+    assert "error: TimeMap has no mementos to sample\n" in capsys.readouterr().err
+
+
 def test_undecodable_timemap_exits_2(service, news_timemap, tmp_path, capsys):
     body = news_timemap["body"]
     offset = body.index(b"/memento/") + 1
@@ -750,6 +801,19 @@ def test_malformed_run_metadata_is_a_miss(service, news_timemap, tmp_path,
     assert len(parses) == 1
     assert str(meta_path) in caplog.text
     assert _outputs(tmp_path / "second") == _outputs(tmp_path / "first")
+
+
+def test_report_on_run_metadata_with_hosts_not_a_list_exits_2(service, capsys, tmp_path):
+    cache, _ = _run_audit(service, tmp_path, STATIC6_ORIGINAL, "hosts")
+    meta_path = cache / run_meta_filename(STATIC6_ORIGINAL)
+    meta = json.loads(meta_path.read_text())
+    meta["config"]["archive_hosts"] = "archive.example"
+    meta_path.write_text(json.dumps(meta))
+    capsys.readouterr()
+    rc = main(["report", str(cache), "--out-dir", str(tmp_path / "out-hosts-2")])
+    assert rc == 2
+    assert (f"error: malformed run metadata {meta_path} (TypeError: archive_hosts and "
+            f"chrome_prefixes must be lists of strings)") in capsys.readouterr().err
 
 
 def test_report_on_truncated_run_metadata_exits_2(service, capsys, tmp_path):

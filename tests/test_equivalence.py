@@ -38,14 +38,27 @@ def _outcome(fn, *args):
 _LINK_TEXT = st.text(alphabet='<>",;= a0123456789\n', max_size=80)
 
 
+def _cut(text: str, cuts: list[int]) -> list[str]:
+    """`text` in pieces, cut at the given offsets."""
+    bounds = [0, *sorted(c % (len(text) + 1) for c in cuts), len(text)]
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 @settings(max_examples=500, deadline=None)
-@given(_LINK_TEXT)
-@example('<a>; x="1,2", <b"c>,"<d>,e')
-@example('<a, "b')
-@example('"<a>, b')
-@example(",, ,")
-def test_split_entries_matches_scanner(body):
-    assert list(_split_entries(body)) == oracle_split_entries(body)
+@given(_LINK_TEXT | st.text(alphabet='<>",;= a\u00e9\u65e5\U0001f600', max_size=40),
+       st.lists(st.integers(0, 100), max_size=6))
+@example('<a>; x="1,2", <b"c>,"<d>,e', [])
+@example('<a, "b', [3])
+@example('"<a>, b', [])
+@example(",, ,", [1, 2])
+@example('<\u00e9>, "a,b", <c>', [2, 5, 6])
+def test_split_entries_matches_scanner(body, cuts):
+    """Whatever the pieces, the same entries at the same character offsets,
+    and byte offsets that count the UTF-8 bytes before each entry."""
+    entries = list(_split_entries(_cut(body, cuts)))
+    assert [(offset, text) for offset, _, text in entries] == oracle_split_entries(body)
+    assert [byte for _, byte, _ in entries] == [len(body[:offset].encode())
+                                                for offset, _, _ in entries]
 
 
 @settings(max_examples=500, deadline=None)

@@ -41,6 +41,14 @@ def test_markup_refs_deduplicate_keeping_first():
     assert refs == ["x.gif", "y.gif"]
 
 
+def test_self_closing_tags_are_read_like_start_tags():
+    """The XHTML form, `<img ... />`, names the same references.  A browser
+    ignores the slash on a `style` start tag, so the sheet after it is read."""
+    html = ('<link rel="stylesheet" href="s.css"/><img src="a.gif"/>'
+            '<style/>p { background: url(bg.png) }</style>')
+    assert extract_markup_refs(html) == ["s.css", "a.gif", "bg.png"]
+
+
 def test_non_stylesheet_links_ignored():
     refs = extract_markup_refs('<link rel="icon" href="favicon.ico">')
     assert refs == []

@@ -173,6 +173,12 @@ def test_parse_interval_rejects(bad):
         parse_interval(bad)
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"years": 1, "days": 1}, {"years": 2, "days": 0.5}])
+def test_interval_is_years_or_days(kwargs):
+    with pytest.raises(ValueError):
+        Interval(**kwargs)
+
+
 def test_interval_str_round_trips():
     for text in ("1y", "365d", "30d"):
         assert str(parse_interval(text)) == text
