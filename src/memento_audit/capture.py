@@ -135,21 +135,29 @@ def fetch_from_entry(entry: dict, request_uri: str, trigger: str,
                      phase: str) -> ResourceFetch:
     """The record of a fetch read from a document: a bridge reply's page or
     subresource, or a cached capture log's fetch.  `chain` is required, a
-    list of [int, str] hops; `content_type`, `bytes` and `error` are optional.
-    A stored `final_status` is not read: the chain decides it.  KeyError,
-    TypeError or ValueError when the entry does not fit."""
-    chain = tuple([(int(status), uri) for status, uri in entry["chain"]])
-    for _, uri in chain:
-        if not isinstance(uri, str):
-            raise TypeError(f"chain {chain!r} holds a URI that is not a string")
+    list of [status, URI] hops, each status an int in 100-599 and each URI a
+    string; `content_type`, `bytes` (an int, at least 0) and `error` (a
+    string or null) are optional.  A stored `final_status` is not read: the
+    chain decides it.  KeyError, TypeError or ValueError when the entry does
+    not fit; nothing is coerced."""
+    chain = []
+    for status, uri in entry["chain"]:
+        if type(status) is not int or not 100 <= status <= 599 or not isinstance(uri, str):
+            raise ValueError(f"hop {[status, uri]!r} is not [status 100-599, URI string]")
+        chain.append((status, uri))
+    nbytes, error = entry.get("bytes", 0), entry.get("error")
+    if type(nbytes) is not int or nbytes < 0:
+        raise ValueError(f"bytes {nbytes!r} is not an int of at least 0")
+    if error is not None and not isinstance(error, str):
+        raise TypeError(f"error {error!r} is not a string")
     return ResourceFetch(
         request_uri=request_uri,
-        chain=chain,
+        chain=tuple(chain),
         content_type=media_type(entry.get("content_type")),
-        bytes=int(entry.get("bytes") or 0),
+        bytes=nbytes,
         trigger=trigger,
         phase=phase,
-        error=entry.get("error"),
+        error=error,
     )
 
 

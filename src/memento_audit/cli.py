@@ -17,10 +17,13 @@ config file > default.
 import argparse
 import dataclasses
 import hashlib
+import http.client
+import io
 import json
 import logging
 import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -38,7 +41,7 @@ from .capture import (
 from .client import decode_timemap, decode_timemap_pieces, fetch_timemap
 from .config import CACHE_ENV, AuditConfig, endpoint_from_echo, parse_config_file
 from .errors import AuditError
-from .fetching import PoliteFetcher
+from .fetching import PoliteFetcher, Write
 from .linkformat import TimeMap, parse_link_format, serialize_link_format
 from .replay import ArchiveEndpoint, to_replay_uri, validate_original_uri
 from .report import (
@@ -255,11 +258,19 @@ def _capture_one(cfg: AuditConfig, m, engine: str, scripting: str,
 
 # --- subcommands -------------------------------------------------------------
 
+def _rewound(file) -> Write:
+    """The writer of a body into `file`, emptied first."""
+    file.seek(0)
+    file.truncate()
+    return file.write
+
+
 def _timemap(cfg: AuditConfig, uri: str) -> TimeMap:
     """GET `uri`'s TimeMap, decode it and parse it."""
+    body = io.BytesIO()
     with _fetcher(cfg) as fetcher:
-        body, _ = fetch_timemap(uri, cfg.endpoint, fetcher)
-    return parse_link_format(decode_timemap(body, uri, cfg.endpoint))
+        fetch_timemap(uri, cfg.endpoint, fetcher, lambda headers: _rewound(body))
+    return parse_link_format(decode_timemap(body.getvalue(), uri, cfg.endpoint))
 
 
 def cmd_timemap(args: argparse.Namespace) -> int:
@@ -344,32 +355,87 @@ def _stored_run(cfg: AuditConfig, site: str) -> dict | None:
     return meta
 
 
+def _content_length(headers: http.client.HTTPMessage) -> int | None:
+    try:
+        return int(headers["Content-Length"])
+    except (TypeError, ValueError):
+        return None
+
+
+class _TimeMapBody:
+    """A TimeMap body as `audit` takes it in: its SHA-256 and length, and the
+    body itself, spooled into an unnamed file in `cache_dir` that no crash
+    leaves behind, unless its Content-Length is `stored_bytes`."""
+
+    def __init__(self, cache_dir: Path, stored_bytes: int | None):
+        self.cache_dir = cache_dir
+        self.stored_bytes = stored_bytes
+        self.spool = None
+
+    def open(self, headers: http.client.HTTPMessage) -> Write:
+        """The writer of one attempt's body; each attempt starts afresh."""
+        self.sha256, self.size = hashlib.sha256(), 0
+        self.spooled = (self.stored_bytes is None
+                        or _content_length(headers) != self.stored_bytes)
+        if self.spooled:
+            if self.spool is None:
+                self.cache_dir.mkdir(parents=True, exist_ok=True)
+                self.spool = tempfile.TemporaryFile(dir=self.cache_dir)
+            _rewound(self.spool)
+        return self.write
+
+    def write(self, piece: bytes) -> None:
+        self.sha256.update(piece)
+        self.size += len(piece)
+        if self.spooled:
+            self.spool.write(piece)
+
+    def close(self) -> None:
+        if self.spool is not None:
+            self.spool.close()
+
+
 def _annual_sample(cfg: AuditConfig, site: str,
                    fetcher: PoliteFetcher) -> tuple[tuple[Selection, ...], dict]:
     """GET the site's TimeMap and return (its annual sample, the run metadata
-    keys that describe the TimeMap: its SHA-256 and its ETag).
+    keys that describe the TimeMap: its SHA-256, its ETag and its length).
 
     When the last audit stored a sample drawn under the same settings, the
     GET is conditional on that TimeMap's ETag, and a 304 reuses the sample
     without reading a body.  So does a 200 whose body has the stored digest,
     for an archive that sends no ETag.  The digest is taken over the body's
-    bytes, the parser's input once decoded as UTF-8.  Otherwise the body is
-    sampled in one pass, holding it plus a fixed-width index per memento."""
+    bytes, the parser's input once decoded as UTF-8.
+
+    The body is never held whole.  A body whose Content-Length is the stored
+    TimeMap's length is only hashed as it arrives; should its digest differ
+    after all, it is fetched again.  Any other body is hashed and spooled to
+    a file, then sampled in one pass over the file, in memory bounded by 16
+    bytes per memento plus one piece."""
     stored = _stored_run(cfg, site) or {}
-    fetched = fetch_timemap(site, cfg.endpoint, fetcher, etag=stored.get("timemap_etag"))
-    if fetched is None:
-        logger.info("TimeMap not modified; reusing the stored sample for %s", site)
-        return stored["sample"], {"timemap_sha256": stored["timemap_sha256"],
-                                  "timemap_etag": stored["timemap_etag"]}
-    body, etag = fetched
-    digest = hashlib.sha256(body).hexdigest()
-    if stored.get("timemap_sha256") == digest:
-        logger.info("TimeMap unchanged; reusing the stored sample for %s", site)
-        sample = stored["sample"]
-    else:
-        sample = sample_timemap(body, decode_timemap_pieces(body, site, cfg.endpoint),
-                                interval=cfg.interval, fixed_grid=cfg.fixed_grid).selections
-    return sample, {"timemap_sha256": digest, "timemap_etag": etag}
+    keys = ("timemap_sha256", "timemap_etag", "timemap_bytes")
+    body = _TimeMapBody(cfg.cache_dir, stored.get("timemap_bytes"))
+    try:
+        headers = fetch_timemap(site, cfg.endpoint, fetcher, body.open,
+                                etag=stored.get("timemap_etag"))
+        if headers is None:
+            logger.info("TimeMap not modified; reusing the stored sample for %s", site)
+            return stored["sample"], {key: stored[key] for key in keys if key in stored}
+        if not body.spooled and body.sha256.hexdigest() != stored["timemap_sha256"]:
+            logger.info("TimeMap of %s changed at the same length; fetching it again", site)
+            body.stored_bytes = None
+            headers = fetch_timemap(site, cfg.endpoint, fetcher, body.open)
+        digest = body.sha256.hexdigest()
+        if stored.get("timemap_sha256") == digest:
+            logger.info("TimeMap unchanged; reusing the stored sample for %s", site)
+            sample = stored["sample"]
+        else:
+            sample = sample_timemap(body.spool,
+                                    decode_timemap_pieces(body.spool, site, cfg.endpoint),
+                                    interval=cfg.interval, fixed_grid=cfg.fixed_grid).selections
+    finally:
+        body.close()
+    return sample, {"timemap_sha256": digest, "timemap_etag": headers.get("ETag"),
+                    "timemap_bytes": body.size}
 
 
 def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], dict]:
@@ -415,8 +481,9 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
         "schema_version": RUN_META_SCHEMA_VERSION,
         "site": site,
         "config": echo,
-        # timemap_etag is optional: readers that predate it ignore it, and
-        # without it the GET is unconditional.
+        # timemap_etag and timemap_bytes are optional: readers that predate
+        # them ignore them; without the ETag the GET is unconditional, and
+        # without the length every body is spooled.
         **timemap_keys,
         "sample": sample_to_docs(sample),
         "log_files": [log_filename(log) for log in logs],

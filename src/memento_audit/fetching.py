@@ -25,7 +25,7 @@ import threading
 import time
 import urllib.request
 import zlib
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from urllib.parse import SplitResult, quote, unquote, urljoin, urlsplit
 
@@ -43,6 +43,8 @@ REDIRECT_STATUSES = (301, 302, 303, 307, 308)
 USER_AGENT = f"memento-audit/{__version__}"
 #: Further attempts after a GET fails in transport.
 RETRIES = 1
+#: Most bytes of a body read from the socket at a time.
+PIECE_BYTES = 1 << 18
 #: The headers of every GET, as a `requests` session sends them.
 BASE_HEADERS = {
     "User-Agent": USER_AGENT,
@@ -65,6 +67,12 @@ _TARGET_SAFE = "!$&'()*+,;=:@/?"
 _ESCAPE_RE = re.compile(r"%[0-9A-Fa-f]{2}")
 _UNRESERVED = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-._~")
 
+#: Takes a response body, one decoded piece per call.
+Write = Callable[[bytes], object]
+#: Given a response's status and headers, the writer of its body, or None
+#: to read the body and drop it.  Called afresh for every attempt.
+OpenBody = Callable[[int, http.client.HTTPMessage], Write | None]
+
 
 def final_status_of(chain: Sequence[tuple[int, str]], error: str | None) -> int | None:
     """A fetch's final status: its chain's last status, or None when the
@@ -75,8 +83,8 @@ def final_status_of(chain: Sequence[tuple[int, str]], error: str | None) -> int 
 @dataclass
 class ChainResult:
     """Outcome of following one URI through its redirect chain: the final
-    response's headers and decoded body, empty when the chain ended in an
-    error."""
+    response's headers and decoded body.  The body is empty when the chain
+    ended in an error, or when it went to a writer `follow` was given."""
 
     hops: list[tuple[int, str]] = field(default_factory=list)
     headers: http.client.HTTPMessage = field(default_factory=http.client.HTTPMessage)
@@ -172,47 +180,91 @@ def _request_target(path: str, query: str) -> str:
     return _encoded(path or "/") + ("?" + _encoded(query) if query else "")
 
 
-def _gunzip(data: bytes) -> bytes:
-    """Member after member, as urllib3 decodes gzip: a member that fails
-    after the first ends the body, and a cut-short member gives what it
-    holds."""
-    out = bytearray()
-    later = False
-    while data:
-        decoder = zlib.decompressobj(16 + zlib.MAX_WBITS)
-        try:
-            out += decoder.decompress(data)
-        except zlib.error:
-            if later:
+class _Gunzip:
+    """gzip undone piece by piece, member after member, as urllib3 decodes a
+    whole body: a member that fails after the first ends the body, and a
+    cut-short member gives what it holds.  A later member's output is held
+    until the member ends, because one that fails gives nothing."""
+
+    def __init__(self):
+        self.member = zlib.decompressobj(16 + zlib.MAX_WBITS)
+        self.later = False  # past the first member
+        self.held = bytearray()
+        self.failed = False  # a later member failed: the rest is dropped
+
+    def decode(self, data: bytes, final: bool) -> bytes:
+        out = bytearray()
+        while data and not self.failed:
+            try:
+                self.held += self.member.decompress(data)
+            except zlib.error:
+                if not self.later:
+                    raise
+                self.failed = True
+                self.held.clear()
                 break
-            raise
-        if not decoder.eof:
-            break
-        data, later = decoder.unused_data, True
-    return bytes(out)
+            if not self.later or self.member.eof:
+                out += self.held
+                self.held.clear()
+            if not self.member.eof:
+                break
+            data = self.member.unused_data
+            self.member, self.later = zlib.decompressobj(16 + zlib.MAX_WBITS), True
+        if final:
+            out += self.held
+        return bytes(out)
 
 
-def _inflate(data: bytes) -> bytes:
-    """A zlib stream, or as urllib3 falls back to, a raw deflate stream."""
-    try:
-        return zlib.decompressobj().decompress(data)
-    except zlib.error:
-        return zlib.decompressobj(-zlib.MAX_WBITS).decompress(data)
+class _Inflate:
+    """A zlib stream or, as urllib3 falls back to, a raw deflate stream,
+    undone piece by piece.  The input is held until the zlib decoder gives
+    output or ends; when it fails before that, the input starts over as raw
+    deflate.  (A stream that passes for zlib until after its first output
+    and then fails is an error, where a whole-body decoder would retry it
+    as raw deflate; no standard raw deflate stream passes that far.)"""
+
+    def __init__(self):
+        self.stream = zlib.decompressobj()
+        self.held: bytearray | None = bytearray()  # None once the coding is settled
+
+    def decode(self, data: bytes, final: bool) -> bytes:
+        if self.stream.eof:
+            return b""  # what follows the stream is ignored
+        if self.held is None:
+            return self.stream.decompress(data)
+        self.held += data
+        try:
+            out = self.stream.decompress(data)
+        except zlib.error:
+            self.stream = zlib.decompressobj(-zlib.MAX_WBITS)
+            data, self.held = bytes(self.held), None
+            return self.stream.decompress(data)
+        if out or self.stream.eof:
+            self.held = None
+        return out
 
 
-def _decoded(body: bytes, headers: http.client.HTTPMessage) -> bytes:
-    """`body` with its gzip and deflate content codings undone, the last
-    listed first; any other coding is left as it is."""
-    codings = headers.get_all("Content-Encoding")
-    if not codings:
-        return body
-    for coding in reversed(", ".join(codings).lower().split(",")):
-        coding = coding.strip()
-        if coding in ("gzip", "x-gzip"):
-            body = _gunzip(body)
-        elif coding == "deflate":
-            body = _inflate(body)
-    return body
+def _read_body(resp: http.client.HTTPResponse, write: Write | None) -> None:
+    """Read `resp`'s body PIECE_BYTES at a time, undo its gzip and deflate
+    content codings as it comes, the last listed first (any other coding is
+    left as it is), and hand each decoded piece to `write`.  With no
+    `write`, the body is read, decoded and dropped."""
+    codings = ", ".join(resp.headers.get_all("Content-Encoding") or ()).lower().split(",")
+    decoders = [_Inflate() if coding == "deflate" else _Gunzip()
+                for coding in map(str.strip, reversed(codings))
+                if coding in ("gzip", "x-gzip", "deflate")]
+    while True:
+        piece = resp.read(PIECE_BYTES)
+        final = not piece
+        if final and resp.length:  # the connection closed short of Content-Length
+            raise http.client.IncompleteRead(b"", resp.length)
+        for decoder in decoders:
+            piece = decoder.decode(piece, final)
+        if piece and write is not None:
+            write(piece)
+        if final:
+            return
+        del piece  # so that two pieces are never held at once
 
 
 def _send(conn: http.client.HTTPConnection, target: str,
@@ -292,9 +344,10 @@ class _HostGate:
         return conn
 
     def exchange(self, scheme: str, host: str, port: int, target: str,
-                 headers: dict[str, str], timeout_s: float
-                 ) -> tuple[http.client.HTTPResponse, bytes]:
-        """One GET, read whole: (the response, its undecoded body).
+                 headers: dict[str, str], timeout_s: float,
+                 open_body: OpenBody) -> http.client.HTTPResponse:
+        """One GET: the response, its body read through into the writer
+        open_body(status, headers) gives.
 
         An idle connection is used when there is one.  If the server closed
         it while idle, the GET is sent once more on a new connection.  The
@@ -312,7 +365,7 @@ class _HostGate:
             conn = self._connection(scheme, host, port, timeout_s)
             resp = _send(conn, target, headers)
         try:
-            body = resp.read()
+            _read_body(resp, open_body(resp.status, resp.headers))
         except BaseException:
             resp.close()
             conn.close()
@@ -323,7 +376,7 @@ class _HostGate:
                 idle.append(conn)
         if not keep:
             conn.close()
-        return resp, body
+        return resp
 
     def close(self) -> None:
         with self.lock:
@@ -366,8 +419,8 @@ class PoliteFetcher:
                 self._gates[netloc] = gate
             return gate
 
-    def _get(self, gate: _HostGate, uri: str, parts: SplitResult,
-             headers: dict[str, str] | None) -> tuple[int, http.client.HTTPMessage, bytes]:
+    def _get(self, gate: _HostGate, uri: str, parts: SplitResult, headers: dict[str, str] | None,
+             open_body: OpenBody) -> tuple[int, http.client.HTTPMessage]:
         if parts.scheme not in _SCHEME_PORTS or not parts.hostname:
             raise http.client.InvalidURL(f"not an http(s) URI: {uri!r}")
         port = parts.port or _SCHEME_PORTS[parts.scheme]
@@ -389,32 +442,45 @@ class PoliteFetcher:
             sent["Cookie"] = cookie
         if gate.authorization:
             sent["Authorization"] = gate.authorization
-        resp, body = gate.exchange(parts.scheme, host, port, target, sent, self.timeout_s)
+        resp = gate.exchange(parts.scheme, host, port, target, sent, self.timeout_s, open_body)
         if "Set-Cookie" in resp.headers:
             self.cookies.extract_cookies(resp, request)
-        return resp.status, resp.headers, _decoded(body, resp.headers)
+        return resp.status, resp.headers
 
-    def get_once(self, uri: str, headers: dict[str, str] | None = None
-                 ) -> tuple[int, http.client.HTTPMessage, bytes]:
+    def get_once(self, uri: str, headers: dict[str, str] | None,
+                 open_body: OpenBody) -> tuple[int, http.client.HTTPMessage]:
         """One GET with `headers` added to BASE_HEADERS, no redirect
-        following: (status, response headers, decoded body).  Raises one of
-        TRANSPORT_ERRORS after RETRIES further attempts."""
+        following: (status, response headers).  The body goes, decoded, to
+        the writer open_body(status, headers) gives, a fresh one for each
+        attempt.  Raises one of TRANSPORT_ERRORS after RETRIES further
+        attempts."""
         last_exc: Exception | None = None
         parts = urlsplit(uri)
         gate = self._gate_for(parts.netloc.lower(), uri)
         for attempt in range(RETRIES + 1):
             with gate:
                 try:
-                    return self._get(gate, uri, parts, headers)
+                    return self._get(gate, uri, parts, headers, open_body)
                 except TRANSPORT_ERRORS as exc:
                     last_exc = exc
                     logger.debug("GET %s failed (attempt %d): %s", uri, attempt + 1, exc)
         assert last_exc is not None
         raise last_exc
 
-    def follow(self, uri: str, headers: dict[str, str] | None = None) -> ChainResult:
+    def _followed(self, status: int, headers: http.client.HTTPMessage, hops: int) -> bool:
+        """Whether a chain goes on past its `hops`-th response."""
+        return (status in REDIRECT_STATUSES and bool(headers.get("Location"))
+                and hops < self.max_redirects)
+
+    def follow(self, uri: str, headers: dict[str, str] | None = None,
+               open_body: OpenBody | None = None) -> ChainResult:
         """Follow `uri` through 3xx hops, recording (status, uri) per hop;
         every hop's GET carries `headers`.
+
+        The final response's body goes, decoded, piece by piece to the
+        writer open_body(status, headers) gives, a fresh one for each
+        attempt; without `open_body` it is kept as the result's `body`.  The
+        body of a 3xx that is followed is read and dropped.
 
         Transport failures, and a 3xx whose Location does not parse, end the
         chain with `error` set; hops observed so far are kept.  A 3xx with
@@ -422,22 +488,31 @@ class PoliteFetcher:
         max_redirects hops.
         """
         result = ChainResult()
+        kept: list[bytes] = []
+
+        def writer(status: int, headers_in: http.client.HTTPMessage) -> Write | None:
+            if self._followed(status, headers_in, len(result.hops) + 1):
+                return None
+            if open_body is not None:
+                return open_body(status, headers_in)
+            kept.clear()
+            return kept.append
+
         current = uri
         while True:
             try:
-                status, headers_in, body = self.get_once(current, headers)
+                status, headers_in = self.get_once(current, headers, writer)
             except TRANSPORT_ERRORS as exc:
                 result.error = f"{type(exc).__name__}: {exc}"
                 return result
             result.hops.append((status, current))
-            location = headers_in.get("Location")
-            if (status in REDIRECT_STATUSES and location
-                    and len(result.hops) < self.max_redirects):
+            if self._followed(status, headers_in, len(result.hops)):
+                location = headers_in["Location"]
                 try:
                     current = urljoin(current, location)
                 except ValueError as exc:  # e.g. "http://[bad/x"
                     result.error = f"unparsable Location {location!r}: {exc}"
                     return result
                 continue
-            result.headers, result.body = headers_in, body
+            result.headers, result.body = headers_in, b"".join(kept)
             return result

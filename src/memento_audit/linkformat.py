@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain
 from operator import attrgetter
+from typing import BinaryIO
 
 from .errors import BadDatetime, MalformedEntry, MissingRole
 from .timefmt import format_rfc1123, parse_rfc1123
@@ -185,16 +186,18 @@ def memento_entries(pieces: Iterable[str],
         raise MalformedEntry("more than one first-memento or last-memento entry")
 
 
-def memento_at(body: bytes, byte: int) -> MementoRecord:
+def memento_at(body: BinaryIO, byte: int) -> MementoRecord:
     """The record of the memento entry that memento_entries found at `byte`
-    of the UTF-8 `body`, read back from the body alone."""
+    of the UTF-8 `body`, a binary file, read back from the body alone."""
     size = 512
     while True:
+        body.seek(byte)
+        window = body.read(size)
         # A character cut by the window's end is dropped: the entry then runs
         # to the window's end, and the window grows.
-        text = body[byte:byte + size].decode("utf-8", "ignore")
+        text = window.decode("utf-8", "ignore")
         stop = _ENTRY_RE.match(text).end()
-        if stop < len(text) or byte + size >= len(body):
+        if stop < len(text) or len(window) < size:
             break
         size *= 2
     uri, params = _parse_entry(byte, text[:stop])

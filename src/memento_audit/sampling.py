@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
+from typing import BinaryIO
 
 from dateutil.relativedelta import relativedelta
 
@@ -133,15 +134,16 @@ def select_annual(tm: TimeMap, interval: Interval = ONE_YEAR,
     return _select(dts, None, tm.mementos.__getitem__, interval, fixed_grid)
 
 
-def sample_timemap(body: bytes, pieces: Iterator[str], interval: Interval = ONE_YEAR,
+def sample_timemap(body: BinaryIO, pieces: Iterator[str], interval: Interval = ONE_YEAR,
                    fixed_grid: bool = False) -> AnnualSample:
     """select_annual(parse_link_format(text)), where `pieces` yields the text
-    of the TimeMap `body`: the same sample, or the same error, in memory
-    bounded by the body plus 16 bytes per memento.
+    of the TimeMap `body`, a binary file: the same sample, or the same
+    error, in memory bounded by 16 bytes per memento plus one piece.
 
     Each memento entry leaves only its second since the epoch and its byte
     offset in `body`.  The records of the chosen mementos, and of the
-    mementos dated to the same second as one, are read back from the body.
+    mementos dated to the same second as one, are read back from the body
+    once `pieces` is spent.
     As from the whole text, an undecodable byte anywhere outranks a parse
     error, and a parse error outranks a URI timestamp that disagrees with
     its datetime.  A TimeMap out of datetime order also costs a sort, which

@@ -174,6 +174,14 @@ _MALFORMED = {
     "hop_not_a_pair": lambda url: _with_sub(url, chain=[[200]]),
     "hop_uri_not_a_string": lambda url: _with_page(url, chain=[[200, None]]),
     "bytes_not_an_integer": lambda url: _with_sub(url, bytes="four"),
+    "status_a_float": lambda url: _with_page(url, chain=[[200.7, url]]),
+    "status_a_bool": lambda url: _with_sub(url, chain=[[True, url + "a.png"]]),
+    "status_below_100": lambda url: _with_sub(url, chain=[[99, url + "a.png"]]),
+    "status_above_599": lambda url: _with_page(url, chain=[[600, url]]),
+    "error_not_a_string": lambda url: _with_sub(url, error=5),
+    "bytes_a_numeric_string": lambda url: _with_sub(url, bytes="12"),
+    "bytes_a_float": lambda url: _with_page(url, bytes=9.5),
+    "bytes_negative": lambda url: _with_sub(url, bytes=-1),
     "subresources_not_a_list": lambda url: {**_good_reply(url), "subresources": 3},
 }
 

@@ -1,20 +1,23 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import socket
+import tempfile
 import threading
-from datetime import datetime, timezone
+import tracemalloc
+from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 import requests
 
-from memento_audit import analysis, cli
+from memento_audit import analysis, cli, fetching
 from memento_audit.capture import load_log
 from memento_audit.cli import build_parser, main, resolve_config, run_meta_filename
 from memento_audit.config import CACHE_ENV, parse_config_file
-from memento_audit.client import decode_timemap, fetch_timemap
+from memento_audit.client import decode_timemap
 from memento_audit.errors import (
     NetworkError,
     NotArchived,
@@ -43,6 +46,10 @@ from memento_audit.linkformat import (
     parse_link_format,
     serialize_link_format,
 )
+from memento_audit.report import sample_to_docs
+from memento_audit.sampling import select_annual
+from memento_audit.timefmt import format_rfc1123
+from test_client import fetched_body
 
 
 def _resolve(argv):
@@ -423,10 +430,14 @@ def news_timemap(service):
     site's TimeMap (mementos on the fixture archive), counts its GETs and
     keeps each GET's request headers and answered status.  Given an `etag`
     or a `last_modified`, it sends them with its 200s and answers a GET that
-    sends one back unchanged (If-None-Match, If-Modified-Since) with 304."""
+    sends one back unchanged (If-None-Match, If-Modified-Since) with 304.
+    With `chunked` set, a body goes chunked, with no Content-Length; while
+    `cut` is above 0, a GET gets half its body, then the connection closes,
+    and `cut` falls by one."""
     state = {"status": 200, "body": requests.get(service.timemap_uri(NEWS_ORIGINAL),
                                                  timeout=10).content, "gets": 0,
-             "etag": None, "last_modified": None, "requests": [], "statuses": []}
+             "etag": None, "last_modified": None, "requests": [], "statuses": [],
+             "chunked": False, "cut": 0}
 
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self):
@@ -440,15 +451,30 @@ def news_timemap(service):
                                      == validators[name] for header, name in conditions):
                 status = 304
             state["statuses"].append(status)
+            body = state["body"] if status != 304 else b""
+            if state["chunked"]:
+                self.protocol_version = "HTTP/1.1"
             self.send_response(status)
             for name, value in validators.items():
                 self.send_header(name, value)
             if status != 304:
                 self.send_header("Content-Type", "application/link-format")
-                self.send_header("Content-Length", str(len(state["body"])))
+                if state["chunked"]:
+                    self.send_header("Transfer-Encoding", "chunked")
+                    self.send_header("Connection", "close")
+                else:
+                    self.send_header("Content-Length", str(len(body)))
             self.end_headers()
-            if status != 304:
-                self.wfile.write(state["body"])
+            if state["cut"]:
+                state["cut"] -= 1
+                body = body[:len(body) // 2]
+            if state["chunked"]:
+                for start in range(0, len(body), 1000):
+                    chunk = body[start:start + 1000]
+                    self.wfile.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
+                self.wfile.write(b"0\r\n\r\n")
+            else:
+                self.wfile.write(body)
 
         def log_message(self, *args):
             pass
@@ -570,7 +596,7 @@ def test_timemap_naming_robots_txt_is_not_an_exclusion(service, news_timemap, tm
     cfg = _resolve(_news_argv(service, news_timemap, tmp_path, "unused"))
     fetcher = cli._fetcher(cfg)
     try:
-        body, _ = fetch_timemap(original, cfg.endpoint, fetcher)
+        body = fetched_body(original, cfg.endpoint, fetcher)
     finally:
         fetcher.close()
     tm = parse_link_format(decode_timemap(body, original, cfg.endpoint))
@@ -649,6 +675,123 @@ def test_new_etag_is_sampled_afresh(service, news_timemap, tmp_path, monkeypatch
     assert meta["timemap_sha256"] not in (first_digest, None)
 
 
+def _reordered(body: bytes) -> bytes:
+    """`body` with its last two entries swapped: the same length, the same
+    TimeMap, other bytes."""
+    head, second, last = body.rsplit(b",\n", 2)
+    assert second != last
+    return b",\n".join([head, last, second])
+
+
+def _news_without_its_last_memento(body: bytes) -> bytes:
+    tm = parse_link_format(body.decode("utf-8"))
+    return serialize_link_format(dataclasses.replace(tm, mementos=tm.mementos[:-1])).encode()
+
+
+@pytest.mark.parametrize("case, first, second, gets, spools, parses", [
+    ("unchanged", None, None, 1, 0, 0),
+    ("changed-length", _news_without_its_last_memento, None, 1, 1, 1),
+    ("same-length-other-bytes", None, _reordered, 2, 1, 1),
+    ("chunked-unchanged", None, "chunked", 1, 1, 0),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_warm_timemap_gets(service, news_timemap, tmp_path, monkeypatch, capsys,
+                           case, first, second, gets, spools, parses):
+    """A warm audit makes one TimeMap GET, but two when a body of the stored
+    length turns out to be another TimeMap: it was only hashed, not kept.
+    A body of any other length is spooled."""
+    full = news_timemap["body"]
+    if first is not None:
+        news_timemap["body"] = first(full)
+    assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+    assert json.loads(_meta_path(tmp_path).read_text())["timemap_bytes"] \
+        == len(news_timemap["body"])
+    news_timemap["body"] = full
+    if second == "chunked":
+        news_timemap["chunked"] = True
+    elif second is not None:
+        news_timemap["body"] = second(full)
+    calls = _count_parses(monkeypatch)
+    opened = []
+    temporary_file = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda **kwargs: opened.append(kwargs) or temporary_file(**kwargs))
+    assert main(_news_argv(service, news_timemap, tmp_path, "second")) == 0
+    assert news_timemap["gets"] == 1 + gets
+    assert len(opened) == spools and len(calls) == parses
+    meta = json.loads(_meta_path(tmp_path).read_text())
+    assert meta["timemap_sha256"] == hashlib.sha256(news_timemap["body"]).hexdigest()
+    assert meta["timemap_bytes"] == len(news_timemap["body"])
+    if case != "changed-length":
+        assert _outputs(tmp_path / "second") == _outputs(tmp_path / "first")
+    assert list((tmp_path / "cache").glob("tmp*")) == []
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["spooled", "hashed-only"])
+def test_body_cut_short_then_retried_gives_the_whole_body_digest(
+        service, news_timemap, tmp_path, monkeypatch, capsys, warm):
+    body = news_timemap["body"]
+    if warm:
+        assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
+        _refuse_parsing(monkeypatch)
+    news_timemap["cut"] = 1
+    assert main(_news_argv(service, news_timemap, tmp_path, "second")) == 0
+    assert news_timemap["gets"] == 2 + warm and news_timemap["cut"] == 0
+    meta = json.loads(_meta_path(tmp_path).read_text())
+    assert meta["timemap_sha256"] == hashlib.sha256(body).hexdigest()
+    assert meta["timemap_bytes"] == len(body)
+    report = json.loads((tmp_path / "second" / "report.json").read_text())
+    tm = parse_link_format(body.decode("utf-8"))
+    assert [e["memento"] for e in report["sample"]] \
+        == [sel.chosen.uri for sel in select_annual(tm).selections]
+
+
+def _big_timemap(entries: int) -> bytes:
+    """A TimeMap of `entries` mementos, each some 500 bytes long, as archives
+    with long original URIs have: the body is many pieces long."""
+    start = datetime(1996, 1, 1, tzinfo=timezone.utc)
+    path = "story/" + "a-long-headline-slug-" * 18
+    lines = [f'<{NEWS_ORIGINAL}>; rel="original"',
+             f'<http://archive.example/tm/{NEWS_ORIGINAL}>; rel="timemap"',
+             f'<http://archive.example/tg/{NEWS_ORIGINAL}>; rel="timegate"']
+    for i in range(entries):
+        dt = start + timedelta(hours=9 * i)
+        lines.append(f'<http://archive.example/web/{dt:%Y%m%d%H%M%S}/{NEWS_ORIGINAL}{path}{i}>'
+                     f'; rel="memento"; datetime="{format_rfc1123(dt)}"')
+    return ",\n".join(lines).encode("utf-8")
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_annual_sample_never_holds_the_timemap_whole(service, news_timemap, tmp_path):
+    """Through a real server: sampling a new 2x10^4-entry TimeMap peaks under
+    a quarter of its body, and revalidating it by its digest alone under a
+    twentieth."""
+    body = news_timemap["body"] = _big_timemap(20_000)
+    assert len(body) > 30 * fetching.PIECE_BYTES
+    cfg = _resolve(_news_argv(service, news_timemap, tmp_path, "unused"))
+    with cli._fetcher(cfg) as fetcher:
+        (sample, keys), cold_peak = _traced_peak(
+            lambda: cli._annual_sample(cfg, NEWS_ORIGINAL, fetcher))
+        assert keys["timemap_bytes"] == len(body)
+        meta = {"schema_version": cli.RUN_META_SCHEMA_VERSION, "site": NEWS_ORIGINAL,
+                "config": cfg.echo(), **keys, "sample": sample_to_docs(sample),
+                "log_files": ["unused.json"], "failures": []}
+        _meta_path(tmp_path).write_text(json.dumps(meta))
+        (reused, _), warm_peak = _traced_peak(
+            lambda: cli._annual_sample(cfg, NEWS_ORIGINAL, fetcher))
+    assert news_timemap["gets"] == 2
+    assert reused == sample and len(sample) >= 15
+    assert cold_peak < 0.25 * len(body)
+    assert warm_peak < 0.05 * len(body)
+
+
 # Only an ETag is sent back: a Last-Modified alone leaves the GET
 # unconditional, and the digest decides.
 @pytest.mark.parametrize("last_modified", [None, "Wed, 21 Oct 2015 07:28:00 GMT"],
@@ -718,7 +861,7 @@ def test_timemap_is_read_as_utf8(service, news_timemap, tmp_path, capsys):
     cfg = _resolve(argv)
     fetcher = cli._fetcher(cfg)
     try:
-        body, _ = fetch_timemap(NEWS_ORIGINAL, cfg.endpoint, fetcher)
+        body = fetched_body(NEWS_ORIGINAL, cfg.endpoint, fetcher)
     finally:
         fetcher.close()
     fetched = parse_link_format(decode_timemap(body, NEWS_ORIGINAL, cfg.endpoint))
@@ -929,6 +1072,91 @@ def test_report_on_capture_log_with_a_hop_uri_not_a_string_exits_2(service, caps
     [log_path] = _edit_logs(cache, _hop_uri_not_a_string)
     capsys.readouterr()
     rc = main(["report", str(cache), "--out-dir", str(tmp_path / "out-hop-uri-2")])
+    assert rc == 2
+    assert f"unreadable capture log {log_path}" in capsys.readouterr().err
+
+
+def test_report_with_a_listed_capture_log_missing_exits_2(service, capsys, tmp_path):
+    cache, _ = _run_audit(service, tmp_path, STATIC6_ORIGINAL, "log-gone")
+    [name] = json.loads((cache / run_meta_filename(STATIC6_ORIGINAL)).read_text())["log_files"]
+    (cache / name).unlink()
+    capsys.readouterr()
+    assert main(["report", str(cache), "--out-dir", str(tmp_path / "out-log-gone-2")]) == 2
+    assert capsys.readouterr().err == f"error: cached log missing: {name}\n"
+
+
+def test_cached_log_of_another_memento_uri_is_captured_again(service, capsys, tmp_path):
+    cache, out = _run_audit(service, tmp_path, WHITEHOUSE_ORIGINAL, "other-uri")
+    path = sorted(cache.glob("*_static_off.json"))[0]
+    doc = json.loads(path.read_text())
+    uri = doc["memento"]["uri"]
+    doc["memento"]["uri"] = uri + "?elsewhere"
+    path.write_text(json.dumps(doc))
+    assert main(_quiet(["audit", WHITEHOUSE_ORIGINAL, "--endpoint", service.archive_base,
+                        "--cache-dir", str(cache),
+                        "--out-dir", str(tmp_path / "out-other-uri-2")])) == 0
+    assert load_log(path).memento.uri == uri
+    assert _outputs_but_generated(tmp_path / "out-other-uri-2") == _outputs_but_generated(out)
+
+
+@pytest.mark.parametrize("flag, first, second", [("--settle-ms", "0", "1"),
+                                                 ("--page-timeout-s", "5", "6")])
+def test_scripted_log_made_under_other_timing_is_captured_again(service, stub_bridge, capsys,
+                                                                tmp_path, flag, first, second):
+    def audit(value, out):
+        return main(_quiet(["audit", YT2006_ORIGINAL, "--endpoint", service.archive_base,
+                            "--engine", "scripted", "--scripting", "on",
+                            "--bridge", stub_bridge.url, "--cache-dir", str(tmp_path / "cache"),
+                            "--out-dir", str(tmp_path / out), flag, value]))
+
+    assert audit(first, "first") == 0
+    assert audit(second, "second") == 0
+    logs = [load_log(path) for path in (tmp_path / "cache").glob("*_scripted_on.json")]
+    key = flag[2:].replace("-", "_")
+    assert logs and {float(getattr(log, key)) for log in logs} == {float(second)}
+
+
+def _hop_status(value):
+    """An edit giving the first hop of each fetch the status value(status)."""
+    def edit(fetch: dict) -> None:
+        for hop in fetch["chain"][:1]:
+            hop[0] = value(hop[0])
+    return edit
+
+
+#: Fetch records that the reader once coerced and now rejects.
+_REJECTED_FETCHES = {
+    "status_a_float": _hop_status(lambda status: status + 0.7),
+    "status_a_bool": _hop_status(lambda status: True),
+    "status_out_of_range": _hop_status(lambda status: 600),
+    "error_not_a_string": lambda fetch: fetch.update(error=5),
+    "bytes_a_string": lambda fetch: fetch.update(bytes=str(fetch["bytes"])),
+    "bytes_negative": lambda fetch: fetch.update(bytes=-1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REJECTED_FETCHES))
+def test_capture_log_the_strict_reader_rejects_is_captured_again(service, capsys, caplog,
+                                                                 tmp_path, kind):
+    cache, out = _run_audit(service, tmp_path, WHITEHOUSE_ORIGINAL, kind)
+    [log_path] = _edit_logs(cache, _REJECTED_FETCHES[kind])
+    with caplog.at_level(logging.WARNING, logger="memento_audit.cli"):
+        rc = main(_quiet(["audit", WHITEHOUSE_ORIGINAL, "--endpoint", service.archive_base,
+                          "--cache-dir", str(cache),
+                          "--out-dir", str(tmp_path / f"out-{kind}-2")]))
+    assert rc == 0
+    assert f"unreadable capture log {log_path}" in caplog.text
+    load_log(log_path)
+    assert _outputs_but_generated(tmp_path / f"out-{kind}-2") == _outputs_but_generated(out)
+
+
+@pytest.mark.parametrize("kind", sorted(_REJECTED_FETCHES))
+def test_report_on_capture_log_the_strict_reader_rejects_exits_2(service, capsys, tmp_path,
+                                                                 kind):
+    cache, _ = _run_audit(service, tmp_path, STATIC6_ORIGINAL, f"{kind}-report")
+    [log_path] = _edit_logs(cache, _REJECTED_FETCHES[kind])
+    capsys.readouterr()
+    rc = main(["report", str(cache), "--out-dir", str(tmp_path / f"out-{kind}-2")])
     assert rc == 2
     assert f"unreadable capture log {log_path}" in capsys.readouterr().err
 

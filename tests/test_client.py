@@ -1,5 +1,6 @@
 import pytest
 
+from memento_audit import client
 from memento_audit.client import decode_timemap, fetch_timemap
 from memento_audit.errors import NotArchived, RobotsExcluded
 from memento_audit.fixture_archive.scenarios import (
@@ -12,8 +13,15 @@ from memento_audit.replay import to_replay_uri
 from memento_audit.timefmt import parse_ts14
 
 
+def fetched_body(original, endpoint, fetcher) -> bytes:
+    """The TimeMap body that fetch_timemap writes, from its last attempt."""
+    pieces: list[bytes] = []
+    fetch_timemap(original, endpoint, fetcher, lambda headers: pieces.clear() or pieces.append)
+    return b"".join(pieces)
+
+
 def _parsed_timemap(original, endpoint, fetcher):
-    body, _ = fetch_timemap(original, endpoint, fetcher)
+    body = fetched_body(original, endpoint, fetcher)
     return parse_link_format(decode_timemap(body, original, endpoint))
 
 
@@ -36,14 +44,45 @@ def test_timemap_memento_uris_are_rewritable(service, endpoint, fetcher):
 
 def test_robots_excluded_maps_to_error(service, endpoint, fetcher):
     with pytest.raises(RobotsExcluded):
-        fetch_timemap(ROBOTS_ORIGINAL, endpoint, fetcher)
+        fetched_body(ROBOTS_ORIGINAL, endpoint, fetcher)
 
 
 def test_unknown_site_not_archived(service, endpoint, fetcher):
     with pytest.raises(NotArchived):
-        fetch_timemap("http://never-crawled.example/", endpoint, fetcher)
+        fetched_body("http://never-crawled.example/", endpoint, fetcher)
 
 
 def test_invalid_original_rejected_before_network(endpoint, fetcher):
     with pytest.raises(ValueError):
-        fetch_timemap("not-a-uri", endpoint, fetcher)
+        fetched_body("not-a-uri", endpoint, fetcher)
+
+
+_ROBOTS_BODIES = [
+    b"Blocked by robots.txt",
+    b"robots.txt",
+    b"robots.tx",
+    b"",
+    b'<http://a.example/robots.txt>; rel="original"',
+    b' \n\t<http://a.example/robots.txt> \n; rel="original"',
+    b"<http://a.example/robots.txt> rel=original",
+    b"<http://a.example/robots.txt",
+    b"   <>;robots.txt",
+    b"x<a>; robots.txt",
+    b"\n\n<a>\n\n",
+    b"<a>\n\nrobots.txt",
+    b"Excluded: see robots.txt and robots.txt again",
+]
+
+
+@pytest.mark.parametrize("body", _ROBOTS_BODIES)
+def test_robots_verdict_is_the_whole_body_verdict_for_every_split(body):
+    whole = client._LINK_ENTRY_START_RE.match(body) is None and client.ROBOTS_MARKER in body
+    splits = [range(size, len(body), size) for size in range(1, len(body) + 1)]
+    splits += [[cut] for cut in range(len(body))] + [[]]
+    for cuts in splits:
+        written = []
+        scan = client._RobotsScan(written.append)
+        for start, end in zip([0, *cuts], [*cuts, len(body)]):
+            scan(body[start:end])
+        assert scan.excluded == whole, list(cuts)[:3]
+        assert b"".join(written) == body

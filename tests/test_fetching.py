@@ -1,9 +1,11 @@
 import gzip
+import http.client
 import select
 import socket
 import ssl
 import threading
 import time
+import zlib
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -468,6 +470,146 @@ def test_gzip_body_is_recorded_and_read_decoded(monkeypatch):
     fetch = _fetch_from_chain(f"{base}/page", result, TRIGGER_MARKUP, PHASE_PAGE)
     assert fetch.bytes == len(page)
     assert result.text == page.decode()
+
+
+def test_body_reaches_the_writer_in_pieces_and_a_followed_body_is_dropped(monkeypatch):
+    page = bytes(range(256)) * (3 * fetching.PIECE_BYTES // 256 + 7)
+
+    def answer(handler):
+        if handler.path == "/start":
+            return 302, {"Location": "/page"}, b"moved" * 1000
+        return 200, {"Content-Type": "application/octet-stream"}, page
+
+    opened, written = [], []
+
+    def open_body(status, headers):
+        opened.append(status)
+        return written.append
+
+    with _http11(monkeypatch, answer) as (base, state):
+        fetcher = PoliteFetcher(politeness_s=0.0)
+        try:
+            result = fetcher.follow(f"{base}/start", open_body=open_body)
+        finally:
+            fetcher.close()
+    assert result.hops == [(302, f"{base}/start"), (200, f"{base}/page")]
+    assert opened == [200] and result.body == b""
+    assert b"".join(written) == page
+    assert max(map(len, written)) <= fetching.PIECE_BYTES < len(page)
+
+
+# --- content decoding, piece by piece ------------------------------------------
+
+
+def _whole_body_decoded(body: bytes, coding: str) -> bytes:
+    """The whole-body decoder that piece-by-piece decoding replaced: gzip
+    member after member (a failing later member ends the body, a cut-short
+    member gives what it holds), deflate as zlib or else raw, the last
+    listed coding first."""
+    def gunzip(data):
+        out, later = bytearray(), False
+        while data:
+            decoder = zlib.decompressobj(16 + zlib.MAX_WBITS)
+            try:
+                out += decoder.decompress(data)
+            except zlib.error:
+                if later:
+                    break
+                raise
+            if not decoder.eof:
+                break
+            data, later = decoder.unused_data, True
+        return bytes(out)
+
+    def inflate(data):
+        try:
+            return zlib.decompressobj().decompress(data)
+        except zlib.error:
+            return zlib.decompressobj(-zlib.MAX_WBITS).decompress(data)
+
+    for name in reversed(coding.lower().split(",")):
+        name = name.strip()
+        if name in ("gzip", "x-gzip"):
+            body = gunzip(body)
+        elif name == "deflate":
+            body = inflate(body)
+    return body
+
+
+class _Pieces:
+    """A response whose body arrives in the given pieces."""
+
+    def __init__(self, coding: str, pieces):
+        self.headers = http.client.HTTPMessage()
+        self.headers["Content-Encoding"] = coding
+        self.pieces = iter(pieces)
+        self.length = None
+
+    def read(self, amt: int) -> bytes:
+        return next(self.pieces, b"")
+
+
+def _outcome(decode, *args):
+    try:
+        return decode(*args)
+    except zlib.error:
+        return zlib.error
+
+
+def _decoded_in_pieces(body: bytes, coding: str, cuts) -> bytes:
+    written = []
+    fetching._read_body(_Pieces(coding, [body[i:j] for i, j in zip([0, *cuts], [*cuts, None])
+                                         if body[i:j]]), written.append)
+    return b"".join(written)
+
+
+def _raw_deflate(data: bytes) -> bytes:
+    encoder = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+    return encoder.compress(data) + encoder.flush()
+
+
+_TEXT = b"".join(b"<p>%d: %s</p>" % (i, b"abc" * (i % 7)) for i in range(40))
+_OTHER = b"<div>second member</div>" * 9
+
+
+def _bad_crc(member: bytes) -> bytes:
+    return member[:-8] + bytes(b ^ 0xFF for b in member[-8:-4]) + member[-4:]
+
+
+_CODED = {
+    "gzip": ("gzip", gzip.compress(_TEXT)),
+    "x-gzip": ("x-gzip", gzip.compress(_TEXT)),
+    "multi-member": ("gzip", gzip.compress(_TEXT) + gzip.compress(_OTHER) + gzip.compress(b"")),
+    "trailing-junk": ("gzip", gzip.compress(_TEXT) + b"\x1f\x8bjunk, not a member"),
+    "later-member-fails-after-output": ("gzip", gzip.compress(_TEXT)
+                                        + _bad_crc(gzip.compress(_OTHER))),
+    "cut-short": ("gzip", gzip.compress(_TEXT)[:-30]),
+    "later-member-cut-short": ("gzip", gzip.compress(_TEXT) + gzip.compress(_OTHER)[:40]),
+    "invalid": ("gzip", b"<html>not gzip at all</html>"),
+    "first-member-bad-crc": ("gzip", _bad_crc(gzip.compress(_TEXT))),
+    "zlib": ("deflate", zlib.compress(_TEXT)),
+    "zlib-trailing-junk": ("deflate", zlib.compress(_TEXT) + b"junk"),
+    "zlib-bad-checksum": ("deflate", zlib.compress(_TEXT)[:-1] + b"\x00"),
+    "raw-deflate": ("deflate", _raw_deflate(_TEXT)),
+    "raw-deflate-cut-short": ("deflate", _raw_deflate(_TEXT)[:-20]),
+    "deflate-then-gzip": ("deflate, gzip", gzip.compress(zlib.compress(_TEXT))),
+    "gzip-then-raw-deflate": ("gzip,deflate", _raw_deflate(gzip.compress(_TEXT))),
+    "gzip-and-an-unknown-coding": ("gzip, br", gzip.compress(_TEXT)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CODED))
+def test_piecewise_decoding_equals_whole_body_decoding_for_every_split(name):
+    coding, body = _CODED[name]
+    want = _outcome(_whole_body_decoded, body, coding)
+    splits = [range(size, len(body), size) for size in range(1, len(body) + 1)]
+    splits += [[cut] for cut in range(1, len(body))]
+    for cuts in splits:
+        assert _outcome(_decoded_in_pieces, body, coding, cuts) == want, list(cuts)[:3]
+    if name in ("later-member-fails-after-output", "multi-member"):
+        assert want.startswith(_TEXT)
+    if name == "invalid":
+        assert want is zlib.error
 
 
 class _ShortBody(BaseHTTPRequestHandler):

@@ -5,6 +5,7 @@ chosen records, or the same error with the same message and offset, whatever
 the piece size; and memory bounded by the body plus a fixed-width index per
 memento."""
 
+import io
 import random
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -47,7 +48,8 @@ def _whole(body: bytes, interval=ONE_YEAR, fixed_grid=False):
 
 
 def _streamed(body: bytes, interval=ONE_YEAR, fixed_grid=False):
-    return sample_timemap(body, decode_timemap_pieces(body, ORIGINAL, EP), interval,
+    file = io.BytesIO(body)
+    return sample_timemap(file, decode_timemap_pieces(file, ORIGINAL, EP), interval,
                           fixed_grid)
 
 

@@ -156,6 +156,8 @@ def test_chrome_asset_reference_passes_through():
     "javascript:void(0)",
     "mailto:someone@example.com",
     "//[bad",
+    "ftp://files.example/a.gif",
+    "https://",
 ])
 def test_unresolvable_references_raise(ref):
     base = make_replay_uri("20110731003335", "http://site.example/", WAYBACK)

@@ -1,4 +1,5 @@
 import random
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -70,3 +71,15 @@ def test_to_utc_converts_offsets():
     offset = timezone(timedelta(hours=-5))
     dt = datetime(2010, 1, 1, 7, 0, 0, tzinfo=offset)
     assert to_utc(dt) == datetime(2010, 1, 1, 12, 0, 0, tzinfo=timezone.utc)
+
+
+def test_to_utc_takes_a_naive_datetime_as_utc(monkeypatch):
+    monkeypatch.setenv("TZ", "XYZ+05")  # local time five hours behind UTC
+    time.tzset()
+    try:
+        aware = to_utc(datetime(2001, 2, 3, 4, 5, 6))
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+    assert aware == datetime(2001, 2, 3, 4, 5, 6, tzinfo=timezone.utc)
+    assert aware.tzinfo is timezone.utc
