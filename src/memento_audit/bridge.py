@@ -115,8 +115,6 @@ class ScriptedEngine:
             subs: dict[str, ResourceFetch] = {}
             for entry in doc.get("subresources") or ():
                 request_uri = entry["request_uri"]
-                if not isinstance(request_uri, str):
-                    raise TypeError(f"request_uri {request_uri!r} is not a string")
                 if request_uri == m.uri or request_uri in subs:
                     continue
                 trigger = _INITIATOR_TRIGGERS.get(entry.get("initiator"), TRIGGER_MARKUP)

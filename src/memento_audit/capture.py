@@ -134,26 +134,36 @@ def _fetch_from_chain(request_uri: str, result: ChainResult, trigger: str,
 def fetch_from_entry(entry: dict, request_uri: str, trigger: str,
                      phase: str) -> ResourceFetch:
     """The record of a fetch read from a document: a bridge reply's page or
-    subresource, or a cached capture log's fetch.  `chain` is required, a
-    list of [status, URI] hops, each status an int in 100-599 and each URI a
-    string; `content_type`, `bytes` (an int, at least 0) and `error` (a
-    string or null) are optional.  A stored `final_status` is not read: the
-    chain decides it.  KeyError, TypeError or ValueError when the entry does
-    not fit; nothing is coerced."""
+    subresource, or a cached capture log's fetch.  `request_uri` must be a
+    string, and `trigger` and `phase` one of the TRIGGER_* and PHASE_*
+    strings.  `chain` is required, a list of [status, URI] hops, each status
+    an int in 100-599 and each URI a string; `content_type` (a string or
+    null), `bytes` (an int, at least 0) and `error` (a string or null) are
+    optional.  A stored `final_status` is not read: the chain decides it.
+    KeyError, TypeError or ValueError when the entry does not fit; nothing
+    is coerced."""
+    if not isinstance(request_uri, str):
+        raise TypeError(f"request_uri {request_uri!r} is not a string")
+    if trigger not in _TRIGGER_ORDER or phase not in (PHASE_PAGE, PHASE_SUBRESOURCE):
+        raise ValueError(f"trigger {trigger!r} or phase {phase!r} is not one of the "
+                         f"known triggers and phases")
     chain = []
     for status, uri in entry["chain"]:
         if type(status) is not int or not 100 <= status <= 599 or not isinstance(uri, str):
             raise ValueError(f"hop {[status, uri]!r} is not [status 100-599, URI string]")
         chain.append((status, uri))
     nbytes, error = entry.get("bytes", 0), entry.get("error")
+    content_type = entry.get("content_type")
     if type(nbytes) is not int or nbytes < 0:
         raise ValueError(f"bytes {nbytes!r} is not an int of at least 0")
     if error is not None and not isinstance(error, str):
         raise TypeError(f"error {error!r} is not a string")
+    if content_type is not None and not isinstance(content_type, str):
+        raise TypeError(f"content_type {content_type!r} is not a string")
     return ResourceFetch(
         request_uri=request_uri,
         chain=tuple(chain),
-        content_type=media_type(entry.get("content_type")),
+        content_type=media_type(content_type),
         bytes=nbytes,
         trigger=trigger,
         phase=phase,
@@ -169,7 +179,7 @@ def _skipped_fetch(raw_ref: str, trigger: str) -> ResourceFetch:
 
 
 def _order_fetches(page: ResourceFetch, subs: list[ResourceFetch]) -> tuple[ResourceFetch, ...]:
-    ordered = sorted(subs, key=lambda f: (_TRIGGER_ORDER.get(f.trigger, 9), f.request_uri))
+    ordered = sorted(subs, key=lambda f: (_TRIGGER_ORDER[f.trigger], f.request_uri))
     return (page, *ordered)
 
 

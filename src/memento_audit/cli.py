@@ -15,17 +15,19 @@ config file > default.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import http.client
-import io
 import json
 import logging
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import BinaryIO
 
 from .bridge import ScriptedEngine, bridge_available
 from .capture import (
@@ -38,11 +40,11 @@ from .capture import (
     site_digest,
     write_text_atomic,
 )
-from .client import decode_timemap, decode_timemap_pieces, fetch_timemap
+from .client import decode_timemap_pieces, fetch_timemap
 from .config import CACHE_ENV, AuditConfig, endpoint_from_echo, parse_config_file
 from .errors import AuditError
 from .fetching import PoliteFetcher, Write
-from .linkformat import TimeMap, parse_link_format, serialize_link_format
+from .linkformat import parse_link_format, serialize_link_format
 from .replay import ArchiveEndpoint, to_replay_uri, validate_original_uri
 from .report import (
     AuditReport,
@@ -51,7 +53,7 @@ from .report import (
     sample_to_docs,
     write_report,
 )
-from .sampling import Selection, parse_interval, sample_timemap, select_annual
+from .sampling import Selection, parse_interval, sample_timemap
 from .timefmt import format_iso
 
 logger = logging.getLogger(__name__)
@@ -258,31 +260,33 @@ def _capture_one(cfg: AuditConfig, m, engine: str, scripting: str,
 
 # --- subcommands -------------------------------------------------------------
 
-def _rewound(file) -> Write:
-    """The writer of a body into `file`, emptied first."""
-    file.seek(0)
-    file.truncate()
-    return file.write
-
-
-def _timemap(cfg: AuditConfig, uri: str) -> TimeMap:
-    """GET `uri`'s TimeMap, decode it and parse it."""
-    body = io.BytesIO()
-    with _fetcher(cfg) as fetcher:
-        fetch_timemap(uri, cfg.endpoint, fetcher, lambda headers: _rewound(body))
-    return parse_link_format(decode_timemap(body.getvalue(), uri, cfg.endpoint))
+@contextlib.contextmanager
+def _spooled_timemap(cfg: AuditConfig, uri: str) -> Iterator[BinaryIO]:
+    """GET `uri`'s TimeMap into an unnamed file in the system temporary
+    directory, and yield that file: `timemap` and `sample` leave nothing in
+    the cache directory."""
+    body = _TimeMapBody(None, None)
+    try:
+        with _fetcher(cfg) as fetcher:
+            fetch_timemap(uri, cfg.endpoint, fetcher, body.open)
+        yield body.spool
+    finally:
+        body.close()
 
 
 def cmd_timemap(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    print(serialize_link_format(_timemap(cfg, args.uri)))
+    with _spooled_timemap(cfg, args.uri) as spool:
+        text = "".join(decode_timemap_pieces(spool, args.uri, cfg.endpoint))
+    print(serialize_link_format(parse_link_format(text)))
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    tm = _timemap(cfg, args.uri)
-    sample = select_annual(tm, interval=cfg.interval, fixed_grid=cfg.fixed_grid)
+    with _spooled_timemap(cfg, args.uri) as spool:
+        sample = sample_timemap(spool, decode_timemap_pieces(spool, args.uri, cfg.endpoint),
+                                interval=cfg.interval, fixed_grid=cfg.fixed_grid)
     for sel in sample.selections:
         deviation = int(sel.deviation.total_seconds())
         print(f"{format_iso(sel.target)}\t{format_iso(sel.chosen.datetime)}"
@@ -313,13 +317,13 @@ def _read_run_meta(path: Path) -> dict:
     try:
         echo = meta["config"]
         endpoint_from_echo(echo)
-        if not (isinstance(meta["site"], str) and isinstance(meta["log_files"], list)
-                and meta["log_files"]
+        if not (isinstance(meta["site"], str) and meta["sample"]
+                and isinstance(meta["log_files"], list) and meta["log_files"]
                 and all(isinstance(name, str) for name in meta["log_files"])
                 and 0 < echo["drop_threshold"] < 1
                 and isinstance(echo["sustain_window"], int)
                 and echo["sustain_window"] > 0):
-            raise ValueError("site, log_files, drop_threshold or sustain_window "
+            raise ValueError("site, sample, log_files, drop_threshold or sustain_window "
                              "is missing, empty or out of range")
         meta["sample"] = sample_from_docs(meta["sample"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -363,11 +367,12 @@ def _content_length(headers: http.client.HTTPMessage) -> int | None:
 
 
 class _TimeMapBody:
-    """A TimeMap body as `audit` takes it in: its SHA-256 and length, and the
-    body itself, spooled into an unnamed file in `cache_dir` that no crash
-    leaves behind, unless its Content-Length is `stored_bytes`."""
+    """A TimeMap body as it is taken in: its SHA-256 and length, and the
+    body itself, spooled into an unnamed file that no crash leaves behind,
+    unless its Content-Length is `stored_bytes`.  The file is made in
+    `cache_dir`, or in the system temporary directory when that is None."""
 
-    def __init__(self, cache_dir: Path, stored_bytes: int | None):
+    def __init__(self, cache_dir: Path | None, stored_bytes: int | None):
         self.cache_dir = cache_dir
         self.stored_bytes = stored_bytes
         self.spool = None
@@ -379,9 +384,11 @@ class _TimeMapBody:
                         or _content_length(headers) != self.stored_bytes)
         if self.spooled:
             if self.spool is None:
-                self.cache_dir.mkdir(parents=True, exist_ok=True)
+                if self.cache_dir is not None:
+                    self.cache_dir.mkdir(parents=True, exist_ok=True)
                 self.spool = tempfile.TemporaryFile(dir=self.cache_dir)
-            _rewound(self.spool)
+            self.spool.seek(0)
+            self.spool.truncate()
         return self.write
 
     def write(self, piece: bytes) -> None:
@@ -443,8 +450,6 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
     run metadata for the cache)."""
     with _fetcher(cfg) as fetcher:
         sample, timemap_keys = _annual_sample(cfg, site, fetcher)
-        if not sample:
-            raise AuditError(f"no mementos to audit for {site}")
 
         # One memento per calendar year: keep the first selection of each year.
         chosen: list[Selection] = []

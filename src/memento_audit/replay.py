@@ -8,7 +8,7 @@ import re
 from dataclasses import dataclass, field
 from urllib.parse import urldefrag, urljoin, urlsplit
 
-from .errors import BadTimestamp, UnrecognizedShape, UnresolvableReference
+from .errors import UnrecognizedShape, UnresolvableReference
 from .timefmt import parse_ts14, split_netloc_path
 
 HOST_ARCHIVE = "archive"
@@ -116,14 +116,14 @@ def parse_replay_uri(uri: str, ep: ArchiveEndpoint) -> tuple[str, str]:
 
 
 def to_replay_uri(memento_uri: str, ep: ArchiveEndpoint) -> ReplayUri:
-    """Rewrite an API-style memento URI into replay form; replay input passes through."""
+    """Rewrite an API-style memento URI into replay form; replay input passes
+    through, and replay input whose timestamp names no instant raises
+    BadTimestamp."""
     try:
         ts, original = parse_replay_uri(memento_uri, ep)
         return ReplayUri(timestamp=ts, original=original, uri=memento_uri)
     except UnrecognizedShape:
         pass
-    except BadTimestamp:
-        raise
     m = _MEMENTO_SHAPE_RE.match(memento_uri)
     if m is None:
         raise UnrecognizedShape(f"no timestamped memento segment in {memento_uri!r}")

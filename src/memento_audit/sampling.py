@@ -7,7 +7,9 @@ closest to the target, ties going to the earlier one.
 
 `select_annual` samples a parsed TimeMap.  `sample_timemap` samples a TimeMap
 body in one pass over its text, keeping a fixed-width index per memento in
-place of its record.  Both run the one selection loop, `_select`.
+place of its record.  Both run the one selection loop, `_select`, over the
+mementos' datetimes as seconds since the epoch: a link-format datetime
+(RFC 1123) is always a whole UTC second.
 """
 
 import re
@@ -130,8 +132,8 @@ def select_annual(tm: TimeMap, interval: Interval = ONE_YEAR,
     """
     if not tm.mementos:
         raise ValueError("TimeMap has no mementos to sample")
-    dts = [extract_date(m) for m in tm.mementos]
-    return _select(dts, None, tm.mementos.__getitem__, interval, fixed_grid)
+    seconds = [(extract_date(m) - _EPOCH) // _SECOND for m in tm.mementos]
+    return _select(seconds, tm.mementos.__getitem__, interval, fixed_grid)
 
 
 def sample_timemap(body: BinaryIO, pieces: Iterator[str], interval: Interval = ONE_YEAR,
@@ -180,48 +182,29 @@ def sample_timemap(body: BinaryIO, pieces: Iterator[str], interval: Interval = O
         run = range(i, bisect_right(seconds, seconds[i], i))
         return min((memento_at(body, starts[j]) for j in run), key=attrgetter("uri"))
 
-    return _select(seconds, _from_epoch, record_at, interval, fixed_grid)
+    return _select(seconds, record_at, interval, fixed_grid)
 
 
-def _from_epoch(second: int) -> datetime:
-    return _EPOCH + timedelta(seconds=second)
-
-
-def _select(dts: Sequence, key: Callable[[int], datetime] | None,
-            record_at: Callable[[int], MementoRecord], interval: Interval,
-            fixed_grid: bool) -> AnnualSample:
-    """The selection loop of select_annual.  `dts` holds the mementos'
-    datetimes in ascending order, or values that `key` maps to them;
-    record_at(i) is the record of the first memento in URI order among
-    those dated like the i-th."""
-    dt_at = dts.__getitem__ if key is None else (lambda i: key(dts[i]))
-    pivot_dt = dt_at(0)
-    selections = [Selection(target=pivot_dt, chosen=record_at(0), deviation=timedelta(0))]
-    prev_dt = pivot_dt
+def _select(seconds: Sequence[int], record_at: Callable[[int], MementoRecord],
+            interval: Interval, fixed_grid: bool) -> AnnualSample:
+    """The selection loop of select_annual.  `seconds` holds the mementos'
+    datetimes as seconds since the epoch, in ascending order; record_at(i)
+    is the record of the first memento in URI order among those dated like
+    the i-th."""
+    pivot = record_at(0)
+    selections = [Selection(target=pivot.datetime, chosen=pivot, deviation=timedelta(0))]
+    prev, prev_dt = seconds[0], pivot.datetime
+    n = len(seconds)
     k = 1
-    n = len(dts)
-    while True:
-        lo = bisect_right(dts, prev_dt, key=key)
-        if lo >= n:
-            break
-        target = interval.advance(pivot_dt, k) if fixed_grid else interval.advance(prev_dt, 1)
-        pos = bisect_left(dts, target, lo, key=key)
-        best = None
-        for idx in (pos - 1, pos):
-            if lo <= idx < n:
-                dev = abs(dt_at(idx) - target)
-                if best is None or dev < best[0]:
-                    best = (dev, idx)
-        assert best is not None
-        chosen_dt = dt_at(best[1])
+    while (lo := bisect_right(seconds, prev)) < n:
+        target = interval.advance(pivot.datetime, k) if fixed_grid else interval.advance(prev_dt)
+        offset = target - _EPOCH
+        pos = bisect_left(seconds, -(-offset // _SECOND), lo)  # the first at or after target
+        prev = min((seconds[i] for i in (pos - 1, pos) if lo <= i < n),
+                   key=lambda second: abs(timedelta(seconds=second) - offset))
         # land on the first record among equal datetimes (URI tie order)
-        chosen_idx = bisect_left(dts, chosen_dt, lo, key=key)
-        selections.append(Selection(
-            target=target,
-            chosen=record_at(chosen_idx),
-            deviation=chosen_dt - target,
-        ))
-        prev_dt = chosen_dt
+        chosen = record_at(bisect_left(seconds, prev, lo))
+        prev_dt = chosen.datetime
+        selections.append(Selection(target=target, chosen=chosen, deviation=prev_dt - target))
         k += 1
-
     return AnnualSample(selections=tuple(selections))

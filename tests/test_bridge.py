@@ -1,10 +1,12 @@
 import json
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from memento_audit import bridge
 from memento_audit.bridge import ScriptedEngine, bridge_available
 from memento_audit.cli import main
 from memento_audit.capture import (
@@ -116,14 +118,14 @@ def test_bridge_gateway_timeout_raises(service, endpoint, gateway_timeout_server
 
 
 class _FakeBridge(BaseHTTPRequestHandler):
-    """Answers /status, and each /capture with the bytes `server.reply(url)`
-    gives for the page URL asked for."""
+    """Answers /status, and each /capture with `server.status` and the bytes
+    `server.reply(url)` gives for the page URL asked for."""
 
     def log_message(self, fmt, *args):
         pass
 
-    def _send(self, body: bytes) -> None:
-        self.send_response_only(200)
+    def _send(self, body: bytes, status: int = 200) -> None:
+        self.send_response_only(status)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -133,7 +135,7 @@ class _FakeBridge(BaseHTTPRequestHandler):
 
     def do_POST(self):
         job = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        self._send(self.server.reply(job["url"]))
+        self._send(self.server.reply(job["url"]), self.server.status)
 
 
 @pytest.fixture()
@@ -142,6 +144,7 @@ def fake_bridge():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     server.url = f"http://localhost:{server.server_address[1]}"
+    server.status = 200
     yield server
     server.shutdown()
     server.server_close()
@@ -182,6 +185,7 @@ _MALFORMED = {
     "bytes_a_numeric_string": lambda url: _with_sub(url, bytes="12"),
     "bytes_a_float": lambda url: _with_page(url, bytes=9.5),
     "bytes_negative": lambda url: _with_sub(url, bytes=-1),
+    "content_type_falsy": lambda url: _with_page(url, content_type=False),
     "subresources_not_a_list": lambda url: {**_good_reply(url), "subresources": 3},
 }
 
@@ -217,6 +221,65 @@ def test_malformed_bridge_reply_fails_that_memento_only(service, fake_bridge, ca
     years = [point["year"] for point in report["series"]]
     assert int(bad[:4]) not in years
     assert len(years) >= 2
+
+
+def _yt2006(endpoint):
+    return make_replay_uri(YT2006_TIMESTAMP, YT2006_ORIGINAL, endpoint)
+
+
+def test_bridge_error_status_raises_unavailable(service, endpoint, fake_bridge):
+    fake_bridge.status = 500
+    fake_bridge.reply = lambda url: _encode(_good_reply(url))
+    with pytest.raises(BridgeUnavailable, match="bridge returned 500"):
+        ScriptedEngine(fake_bridge.url).capture(_yt2006(endpoint), endpoint)
+
+
+def test_bridge_slower_than_its_allowance_raises_timeout(service, endpoint, fake_bridge,
+                                                        monkeypatch):
+    monkeypatch.setattr(bridge, "BRIDGE_GRACE_S", 0.1)
+    fake_bridge.reply = lambda url: time.sleep(0.6) or _encode(_good_reply(url))
+    engine = ScriptedEngine(fake_bridge.url, page_timeout_s=0.1)
+    with pytest.raises(BridgeTimeout, match="bridge did not answer within"):
+        engine.capture(_yt2006(endpoint), endpoint)
+
+
+def test_reply_listing_a_fetch_again_keeps_its_first_listing(service, endpoint, fake_bridge):
+    def reply(url):
+        image = _good_reply(url)["subresources"][0]
+        return _encode({**_good_reply(url), "subresources": [
+            {"request_uri": url, "chain": [[404, url]]},
+            image,
+            {**image, "chain": [[404, image["request_uri"]]]},
+        ]})
+
+    fake_bridge.reply = reply
+    m = _yt2006(endpoint)
+    log = ScriptedEngine(fake_bridge.url).capture(m, endpoint)
+    assert [(f.request_uri, f.chain) for f in log.fetches] == [
+        (m.uri, ((200, m.uri),)), (m.uri + "a.png", ((200, m.uri + "a.png"),))]
+
+
+def _scripted_news_audit(service, bridge_url: str, tmp_path) -> int:
+    return main(["audit", NEWS_ORIGINAL, "--endpoint", service.archive_base,
+                 "--engine", "scripted", "--scripting", "on", "--bridge", bridge_url,
+                 "--politeness-ms", "0", "--cache-dir", str(tmp_path / "cache"),
+                 "--out-dir", str(tmp_path / "out")])
+
+
+def test_scripted_audit_with_an_unreachable_bridge_exits_2(service, capsys, tmp_path):
+    bridge_url = f"http://localhost:{_closed_port()}"
+    assert _scripted_news_audit(service, bridge_url, tmp_path) == 2
+    assert capsys.readouterr().err == f"error: browser bridge unreachable at {bridge_url}\n"
+    assert list((tmp_path / "cache").glob("*.json")) == []
+
+
+def test_audit_whose_every_capture_fails_exits_2(service, fake_bridge, capsys, tmp_path):
+    fake_bridge.status = 500
+    fake_bridge.reply = lambda url: _encode(_good_reply(url))
+    assert _scripted_news_audit(service, fake_bridge.url, tmp_path) == 2
+    assert capsys.readouterr().err == "error: every capture failed; no report to emit\n"
+    assert not (tmp_path / "out").exists()
+    assert list((tmp_path / "cache").glob("*.json")) == []
 
 
 def test_screenshot_saved_next_to_logs(service, endpoint, stub_bridge, tmp_path):

@@ -513,7 +513,7 @@ def _count_parses(monkeypatch) -> list:
 def _refuse_parsing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an unchanged TimeMap was parsed again")
-    for name in ("sample_timemap", "parse_link_format", "select_annual"):
+    for name in ("sample_timemap", "parse_link_format"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -931,6 +931,7 @@ def test_truncated_run_metadata_is_a_miss(service, news_timemap, tmp_path,
     lambda meta: "[]",
     lambda meta: json.dumps({k: v for k, v in meta.items() if k != "sample"}),
     lambda meta: json.dumps({**meta, "sample": [{"target": "2000"}]}),
+    lambda meta: json.dumps({**meta, "sample": []}),
 ])
 def test_malformed_run_metadata_is_a_miss(service, news_timemap, tmp_path,
                                           monkeypatch, capsys, caplog, damage):
@@ -982,10 +983,11 @@ def test_report_reads_v1_run_metadata(service, capsys, tmp_path):
     lambda meta: meta.pop("log_files"),
     lambda meta: meta.pop("site"),
     lambda meta: meta.pop("sample"),
+    lambda meta: meta.update(sample=[]),
     lambda meta: meta["config"].pop("archive_hosts"),
     lambda meta: meta["config"].pop("drop_threshold"),
     lambda meta: meta["config"].update(sustain_window="2"),
-], ids=["log_files", "site", "sample", "archive_hosts", "drop_threshold",
+], ids=["log_files", "site", "sample", "sample_empty", "archive_hosts", "drop_threshold",
         "sustain_window"])
 def test_report_on_incomplete_run_metadata_exits_2(service, capsys, tmp_path, damage):
     cache, _ = _run_audit(service, tmp_path, STATIC6_ORIGINAL, "incomplete")
@@ -1132,6 +1134,10 @@ _REJECTED_FETCHES = {
     "error_not_a_string": lambda fetch: fetch.update(error=5),
     "bytes_a_string": lambda fetch: fetch.update(bytes=str(fetch["bytes"])),
     "bytes_negative": lambda fetch: fetch.update(bytes=-1),
+    "request_uri_not_a_string": lambda fetch: fetch.update(request_uri=7),
+    "trigger_unknown": lambda fetch: fetch.update(trigger="parser"),
+    "phase_unknown": lambda fetch: fetch.update(phase="main"),
+    "content_type_falsy": lambda fetch: fetch.update(content_type=False),
 }
 
 

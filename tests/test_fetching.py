@@ -665,6 +665,42 @@ def test_request_headers_on_the_wire(tmp_path, monkeypatch):
     })]
 
 
+@pytest.mark.parametrize("path", [
+    "/a/./b/../c", "/a/b/..", "/a/.", "/../x",  # dot segments
+    "/%7e%7E", "/a%2fb", "/100%", "/a%zz/%41", "/a b", "/caf\u00e9/\u20ac",
+    "/p?q=a b&r=%41",
+])
+def test_request_target_on_the_wire_as_requests_sends_it(monkeypatch, path):
+    with _http11(monkeypatch, _ok) as (base, state):
+        [result] = _follow_all(base + path)
+        with requests.Session() as session:
+            session.get(base + path).close()
+    assert result.final_status == 200
+    ours, theirs = [target for target, _ in state["requests"]]
+    assert ours == theirs
+
+
+def test_text_of_an_empty_body_is_empty_without_sniffing(monkeypatch):
+    def refuse(body):
+        raise AssertionError("an empty body was sniffed for its charset")
+
+    monkeypatch.setattr(fetching.chardet, "detect", refuse)
+    assert fetching.ChainResult().text == ""
+
+
+def test_text_in_an_unknown_charset_is_read_as_utf8():
+    headers = http.client.HTTPMessage()
+    headers["Content-Type"] = "text/html; charset=no-such-charset"
+    result = fetching.ChainResult(headers=headers, body="caf\u00e9 \xff".encode() + b"\xff")
+    assert result.text == "caf\u00e9 \xff\ufffd"
+
+
+def test_follow_records_a_uri_that_is_not_http_as_an_error():
+    [result] = _follow_all("ftp://archive.example/x")
+    assert (result.hops, result.error) == (
+        [], "InvalidURL: not an http(s) URI: 'ftp://archive.example/x'")
+
+
 def test_cookie_is_sent_back_to_its_host(monkeypatch):
     def set_cookie(handler):
         return 200, {"Set-Cookie": "sid=abc; Path=/"}, b"ok"

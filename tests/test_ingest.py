@@ -7,8 +7,10 @@ memento."""
 
 import io
 import random
+import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from http.server import BaseHTTPRequestHandler
 from unittest import mock
 
 import pytest
@@ -17,12 +19,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memento_audit import client
+from memento_audit.cli import main
 from memento_audit.client import decode_timemap, decode_timemap_pieces
 from memento_audit.errors import (
     MalformedEntry,
     TimestampMismatch,
     UndecodableTimeMap,
 )
+from memento_audit.fixture_archive.server import serve_in_thread, stop_serving
 from memento_audit.linkformat import parse_link_format, serialize_link_format
 from memento_audit.replay import ArchiveEndpoint
 from memento_audit.sampling import ONE_YEAR, Interval, sample_timemap, select_annual
@@ -196,14 +200,19 @@ def test_equal_seconds_choose_the_first_uri():
 # --- memory ------------------------------------------------------------------
 
 
-def test_ingest_holds_the_body_plus_a_fixed_width_index():
-    """The ingest's peak above the body it reads is under a quarter of the
-    body: no decoded copy of the body, no record per memento."""
+def _large_body(entries: int) -> bytes:
+    """A TimeMap of `entries` mementos at random seconds over twenty years."""
     rng = random.Random(7)
     start = datetime(1996, 1, 1, tzinfo=timezone.utc)
     stamps = sorted(start + timedelta(seconds=rng.randrange(20 * 365 * 86400))
-                    for _ in range(20_000))
-    body = ",\n".join([*ROLES, *map(_memento, stamps)]).encode("utf-8")
+                    for _ in range(entries))
+    return ",\n".join([*ROLES, *map(_memento, stamps)]).encode("utf-8")
+
+
+def test_ingest_holds_the_body_plus_a_fixed_width_index():
+    """The ingest's peak above the body it reads is under a quarter of the
+    body: no decoded copy of the body, no record per memento."""
+    body = _large_body(20_000)
     tracemalloc.start()
     try:
         sample = _streamed(body)
@@ -212,3 +221,49 @@ def test_ingest_holds_the_body_plus_a_fixed_width_index():
         tracemalloc.stop()
     assert len(sample) >= 15
     assert peak < 0.25 * len(body)
+
+
+class _TimeMapServer(BaseHTTPRequestHandler):
+    """Answers every GET with `body`, sent straight from the bytes object."""
+
+    body = b""
+
+    def do_GET(self):
+        self.send_response(200)
+        self.send_header("Content-Type", "application/link-format")
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.write(self.body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_sample_command_holds_a_fixed_width_index(monkeypatch, capsys, tmp_path):
+    """`sample` takes the TimeMap in as `audit` does: spooled to a file in
+    the system temporary directory and sampled in one pass, with a peak
+    under a quarter of the body and nothing left behind."""
+    for name in ("http_proxy", "no_proxy", "HTTP_PROXY", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    body = _large_body(20_000)
+    server = serve_in_thread("127.0.0.1", 0, type("Handler", (_TimeMapServer,),
+                                                  {"body": body}))
+    try:
+        tracemalloc.start()
+        try:
+            rc = main(["sample", ORIGINAL, "--politeness-ms", "0",
+                       "--endpoint", f"http://127.0.0.1:{server.server_port}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        stop_serving(server)
+    assert rc == 0
+    picks = [line.split("\t")[3] for line in capsys.readouterr().out.splitlines()]
+    file = io.BytesIO(body)
+    assert picks == [sel.chosen.uri for sel in sample_timemap(
+        file, decode_timemap_pieces(file, ORIGINAL, EP)).selections]
+    assert len(picks) >= 15
+    assert peak < 0.25 * len(body)
+    assert list(tmp_path.iterdir()) == []

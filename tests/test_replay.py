@@ -95,6 +95,12 @@ def test_bad_timestamp_rejected():
         )
 
 
+def test_replay_uri_with_impossible_timestamp_is_a_bad_timestamp():
+    # Replay-shaped, so it is not taken for an API-shaped URI to rewrite.
+    with pytest.raises(BadTimestamp):
+        to_replay_uri("http://web.archive.org/web/20111331003335/http://google.com", WAYBACK)
+
+
 @pytest.mark.parametrize("uri", [
     "http://google.com/",
     "http://web.archive.org/web/2011/http://google.com",
