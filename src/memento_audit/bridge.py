@@ -22,20 +22,26 @@ key.  A fetch's final status is its chain's last status unless `error` is
 set, for both engines and for cached capture logs: a cached log writes
 `final_status` but it is never read back.
 
-A bridge that cannot be reached raises BridgeUnavailable; one that accepts the
-job but never settles raises BridgeTimeout; a reply that does not fit the shape
-above raises ProtocolError, which fails that memento only.  The static engine
-and everything after capture run without a bridge; a scripted `audit` or
-`capture` whose bridge is unreachable at the start exits 2 before capturing
+Each call is one request on a new `http.client` connection, made straight to
+the bridge: no environment proxy, no `.netrc` credentials and no redirect.  A
+bridge that cannot be reached, or answers other than 200, raises
+BridgeUnavailable; one that accepts the job but never settles (a 504, or no
+answer within the timeout) raises BridgeTimeout; a reply that does not fit the
+shape above raises ProtocolError, which fails that memento only.  The static
+engine and everything after capture run without a bridge; a scripted `audit`
+or `capture` whose bridge is unreachable at the start exits 2 before capturing
 anything.
 """
 
 import base64
 import dataclasses
+import http.client
+import json
 import logging
 from pathlib import Path
+from urllib.parse import urlsplit
 
-import requests
+import certifi
 
 from .capture import (
     ENGINE_SCRIPTED,
@@ -52,6 +58,7 @@ from .capture import (
     log_filename,
 )
 from .errors import BridgeTimeout, BridgeUnavailable, ProtocolError
+from .fetching import USER_AGENT, _ca_bundle, _tls_context
 from .replay import ArchiveEndpoint, ReplayUri
 from .timefmt import utc_now_s
 
@@ -67,13 +74,40 @@ _INITIATOR_TRIGGERS = {
 BRIDGE_GRACE_S = 15.0
 
 
+def _call(bridge_url: str, method: str, path: str, payload: dict | None,
+          timeout_s: float) -> tuple[int, bytes]:
+    """One request to the bridge: (status, body).  `timeout_s` bounds the
+    connect and each read.  TimeoutError when it runs out; any other OSError
+    or an http.client.HTTPException when the bridge cannot be reached."""
+    parts = urlsplit(bridge_url)
+    if parts.scheme == "https":
+        conn = http.client.HTTPSConnection(
+            parts.netloc, timeout=timeout_s,
+            context=_tls_context(_ca_bundle() or certifi.where()))
+    elif parts.scheme == "http":
+        conn = http.client.HTTPConnection(parts.netloc, timeout=timeout_s)
+    else:
+        raise http.client.InvalidURL(f"not an http(s) bridge URL: {bridge_url!r}")
+    headers = {"User-Agent": USER_AGENT, "Accept": "application/json"}
+    body = None
+    if payload is not None:
+        body = json.dumps(payload).encode("utf-8")
+        headers["Content-Type"] = "application/json"
+    try:
+        conn.request(method, parts.path.rstrip("/") + path, body=body, headers=headers)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
 def bridge_available(bridge_url: str, timeout_s: float = 2.0) -> bool:
     """True when the bridge answers its status endpoint."""
     try:
-        resp = requests.get(bridge_url.rstrip("/") + "/status", timeout=timeout_s)
-    except requests.RequestException:
+        status, _ = _call(bridge_url, "GET", "/status", None, timeout_s)
+    except (OSError, http.client.HTTPException):
         return False
-    return resp.status_code == 200
+    return status == 200
 
 
 class ScriptedEngine:
@@ -97,20 +131,19 @@ class ScriptedEngine:
             "screenshot": self.screenshot_dir is not None,
         }
         try:
-            resp = requests.post(self.bridge_url + "/capture", json=payload,
-                                 timeout=self.page_timeout_s + BRIDGE_GRACE_S)
-        except requests.Timeout as exc:
+            status, body = _call(self.bridge_url, "POST", "/capture", payload,
+                                 self.page_timeout_s + BRIDGE_GRACE_S)
+        except TimeoutError as exc:
             raise BridgeTimeout(f"bridge did not answer within "
                                 f"{self.page_timeout_s + BRIDGE_GRACE_S:.0f}s: {exc}") from exc
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise BridgeUnavailable(f"cannot reach bridge at {self.bridge_url}: {exc}") from exc
-        if resp.status_code == 504:
+        if status == 504:
             raise BridgeTimeout(f"bridge timed out loading {m.uri}")
-        if resp.status_code != 200:
-            raise BridgeUnavailable(
-                f"bridge returned {resp.status_code} for {m.uri}")
+        if status != 200:
+            raise BridgeUnavailable(f"bridge returned {status} for {m.uri}")
         try:
-            doc = resp.json()
+            doc = json.loads(body)
             page = fetch_from_entry(doc["page"], m.uri, TRIGGER_MARKUP, PHASE_PAGE)
             subs: dict[str, ResourceFetch] = {}
             for entry in doc.get("subresources") or ():

@@ -201,14 +201,17 @@ class StaticEngine:
     def __init__(self, fetcher: PoliteFetcher):
         self.fetcher = fetcher
 
-    def _dereference(self, request_uri: str, trigger: str
-                     ) -> tuple[ResourceFetch, tuple[str, str] | None]:
-        """Fetch one subresource. Returns its record and, for a stylesheet,
-        (the URI its body came from, the body); the response is dropped."""
+    def _dereference(self, request_uri: str, queued: tuple[str, str]
+                     ) -> tuple[ResourceFetch, tuple[str, str, str] | None]:
+        """Fetch one subresource, queued as (its trigger, the encoding of the
+        document that referred to it).  Returns its record and, for a
+        stylesheet, (the URI its body came from, its text, its encoding);
+        the response is dropped."""
+        trigger, referrer_encoding = queued
         result = self.fetcher.follow(request_uri)
         fetch = _fetch_from_chain(request_uri, result, trigger, PHASE_SUBRESOURCE)
         if fetch.ok and _looks_like_css(fetch):
-            return fetch, (result.final_uri, result.text)
+            return fetch, (result.final_uri, *result.decoded(referrer_encoding))
         return fetch, None
 
     def capture(self, m: ReplayUri, ep: ArchiveEndpoint) -> CaptureLog:
@@ -217,9 +220,11 @@ class StaticEngine:
         page = _fetch_from_chain(m.uri, page_result, TRIGGER_MARKUP, PHASE_PAGE)
 
         subs: dict[str, ResourceFetch] = {}
-        wave: dict[str, str] = {}  # request uri -> trigger, for the next wave
+        # request uri -> (trigger, the referring document's encoding), for the next wave
+        wave: dict[str, tuple[str, str]] = {}
 
-        def discover(resolve: Callable[[str], str], refs: list[str], trigger: str) -> None:
+        def discover(resolve: Callable[[str], str], refs: list[str], trigger: str,
+                     encoding: str) -> None:
             for ref in refs:
                 try:
                     request_uri = resolve(ref)
@@ -228,11 +233,12 @@ class StaticEngine:
                         subs[ref] = _skipped_fetch(ref, trigger)
                     continue
                 if request_uri not in subs and request_uri not in wave and request_uri != m.uri:
-                    wave[request_uri] = trigger
+                    wave[request_uri] = (trigger, encoding)
 
         if page.ok and _looks_like_html(page):
+            page_text, page_encoding = page_result.decoded()
             discover(partial(rewrite_subresource, m, ep=ep),
-                     extract_markup_refs(page_result.text), TRIGGER_MARKUP)
+                     extract_markup_refs(page_text), TRIGGER_MARKUP, page_encoding)
             # Not the audit's memento pool: a memento task waits on these
             # fetches, so one bounded pool for both deadlocks when full.
             with ThreadPoolExecutor(max_workers=2 * self.fetcher.per_host) as pool:
@@ -243,7 +249,7 @@ class StaticEngine:
                     for _, stylesheet in results:
                         if stylesheet is None:
                             continue
-                        css_base_uri, css_body = stylesheet
+                        css_base_uri, css_text, css_encoding = stylesheet
                         # A browser resolves a redirected stylesheet's url()s
                         # against where the redirects ended, not where they began.
                         if classify_host(css_base_uri, ep) == HOST_LIVE:
@@ -257,7 +263,8 @@ class StaticEngine:
                             css_base = ReplayUri(timestamp=ts, original=css_original,
                                                  uri=css_base_uri)
                             resolve = partial(rewrite_subresource, css_base, ep=ep)
-                        discover(resolve, extract_css_refs(css_body), TRIGGER_STYLESHEET)
+                        discover(resolve, extract_css_refs(css_text), TRIGGER_STYLESHEET,
+                                 css_encoding)
 
         return CaptureLog(
             memento=m,

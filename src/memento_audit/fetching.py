@@ -9,31 +9,32 @@ Each GET is one request over the standard library's `http.client`, with the
 headers, content decoding and cookie handling a `requests` session would
 apply.  What such a session would take from the environment, proxies
 honouring `no_proxy`, a `REQUESTS_CA_BUNDLE`/`CURL_CA_BUNDLE` CA bundle and
-`.netrc` credentials, is resolved once per host instead, when the host is
-first seen.
+`.netrc` credentials, is read by the same rules with the standard library,
+once per host, when the host is first seen.  A page or stylesheet body is
+decoded as a browser decodes it (`ChainResult.decoded`).
 """
 
 import base64
+import codecs
 import functools
 import http.client
 import http.cookiejar
 import logging
+import netrc
 import os
 import re
+import socket
 import ssl
 import threading
 import time
 import urllib.request
 import zlib
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from urllib.parse import SplitResult, quote, unquote, urljoin, urlsplit
 
 import certifi
 import idna
-import requests
-from requests.compat import chardet
-from requests.utils import get_encoding_from_headers
 
 from . import __version__
 
@@ -99,30 +100,218 @@ class ChainResult:
     def final_uri(self) -> str | None:
         return self.hops[-1][1] if self.hops else None
 
-    @property
-    def text(self) -> str:
-        """The body decoded as `requests` decodes it: by the Content-Type
-        charset, ISO-8859-1 for any other text/* type, else by the charset
-        detected in the body."""
-        if not self.body:
-            return ""
-        encoding = (get_encoding_from_headers(self.headers)
-                    or chardet.detect(self.body)["encoding"])
-        try:
-            return str(self.body, encoding, errors="replace")
-        except (LookupError, TypeError):
-            return str(self.body, errors="replace")
+    def decoded(self, referrer_encoding: str | None = None) -> tuple[str, str]:
+        """The body as a browser decodes it, and the codec that decoded it.
+
+        A page, when no `referrer_encoding` is given, is decoded by its byte
+        order mark, else by its Content-Type charset, else by a <meta>
+        charset in its first 1 024 bytes, else as windows-1252 (WHATWG HTML,
+        "determining the character encoding").  A stylesheet is decoded by
+        its byte order mark, else by its Content-Type charset, else by its
+        @charset rule, else in `referrer_encoding`, the codec of the page or
+        stylesheet that linked it (CSS Syntax 3).  A label that names no
+        encoding is passed over; nothing is guessed from the bytes, and
+        bytes the codec cannot decode become U+FFFD."""
+        body = self.body
+        for bom, encoding in _BOMS:
+            if body.startswith(bom):
+                return str(body[len(bom):], encoding, errors="replace"), encoding
+        encoding = _charset(self.headers.get_content_charset())
+        if encoding is None and referrer_encoding is None:
+            encoding = _meta_charset(body[:_PRESCAN_BYTES]) or _WINDOWS_1252
+        elif encoding is None:
+            rule = _CSS_CHARSET_RE.match(body)
+            encoding = (rule and _declared_charset(rule[1])) or referrer_encoding
+        return str(body, encoding, errors="replace"), encoding
+
+
+#: Byte order marks, which outrank every declared charset.
+_BOMS = ((codecs.BOM_UTF8, "utf-8"), (codecs.BOM_UTF16_BE, "utf-16-be"),
+         (codecs.BOM_UTF16_LE, "utf-16-le"))
+_WINDOWS_1252 = "cp1252"
+#: How far into a page a <meta> charset is looked for.
+_PRESCAN_BYTES = 1024
+#: Python codecs that no browser decodes a document with.
+_NOT_CHARSETS = frozenset({"idna", "punycode", "raw-unicode-escape", "unicode-escape",
+                           "utf-7", "utf-32", "utf-32-be", "utf-32-le"})
+#: A comment, or a <meta> tag's attributes, in a page's first bytes.
+_META_RE = re.compile(rb"""<!--.*?-->|<meta[\s/]((?:[^>"']|"[^"]*"|'[^']*')*)>""",
+                      re.IGNORECASE | re.DOTALL)
+_ATTRIBUTE_RE = re.compile(rb"""([^\s/>=]+)\s*(?:=\s*("[^"]*"|'[^']*'|[^\s>]*))?""")
+#: The charset in a <meta http-equiv="Content-Type"> tag's content.
+_CONTENT_CHARSET_RE = re.compile(rb"""charset\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s;"']+))""",
+                                 re.IGNORECASE)
+#: A stylesheet's @charset rule, which counts only as its very first bytes.
+_CSS_CHARSET_RE = re.compile(rb'@charset "([^";]*)";')
+
+
+def _charset(label: str | None) -> str | None:
+    """The codec a charset label names, read as a browser reads it, where
+    ISO-8859-1 and ASCII mean windows-1252; None when it names none."""
+    if not label:
+        return None
+    try:
+        name = codecs.lookup(label.strip()).name
+        "".encode(name)  # LookupError for a codec that is not a text encoding
+    except (LookupError, ValueError, UnicodeError):
+        return None
+    if name in _NOT_CHARSETS:
+        return None
+    return _WINDOWS_1252 if name in ("ascii", "iso8859-1") else name
+
+
+def _declared_charset(label: bytes) -> str | None:
+    """The codec a label in a document's own bytes names.  UTF-16 means
+    UTF-8 there: a document whose label could be read as ASCII is not
+    UTF-16, and no byte order mark said it was."""
+    encoding = _charset(label.decode("latin-1"))
+    return "utf-8" if encoding and encoding.startswith("utf-16") else encoding
+
+
+def _meta_charset(head: bytes) -> str | None:
+    """The codec the first <meta> in `head` that declares a known charset
+    names: by its charset attribute, else by the content of an http-equiv
+    Content-Type."""
+    for tag in _META_RE.finditer(head):
+        if tag[1] is None:
+            continue  # a comment
+        attributes: dict[bytes, bytes] = {}
+        for name, value in _ATTRIBUTE_RE.findall(tag[1]):
+            if value[:1] in (b'"', b"'"):
+                value = value[1:-1]
+            attributes.setdefault(name.lower(), value)
+        label = attributes.get(b"charset")
+        if label is None and attributes.get(b"http-equiv", b"").lower() == b"content-type":
+            match = _CONTENT_CHARSET_RE.search(attributes.get(b"content", b""))
+            label = match and match[match.lastindex]
+        encoding = label is not None and _declared_charset(label)
+        if encoding:
+            return encoding
+    return None
+
+
+# --- the environment, as a `requests` session reads it ------------------------
+
+
+def _environ_proxies(uri: str) -> dict[str, str]:
+    """The environment's proxies for `uri` (`requests.utils.get_environ_proxies`):
+    none when `no_proxy` or `NO_PROXY`, a comma list, names the host.  An
+    IPv4 host is named by itself or by a CIDR block that holds it; any other
+    host by itself, by host:port, or by a suffix of either at a dot."""
+    parts = urlsplit(uri)
+    host = parts.hostname
+    if host is None:
+        return {}
+    no_proxy = os.environ.get("no_proxy") or os.environ.get("NO_PROXY")
+    entries = [entry for entry in (no_proxy or "").replace(" ", "").split(",") if entry]
+    address = _ipv4(host)
+    if address is not None:
+        if any(_in_block(address, entry) if entry.count("/") == 1 else host == entry
+               for entry in entries):
+            return {}
+    else:
+        named = (host, f"{host}:{parts.port}" if parts.port else host)
+        for entry in entries:
+            entry = entry.lstrip(".")
+            if entry in named or any(name.endswith("." + entry) for name in named):
+                return {}
+    try:
+        if urllib.request.proxy_bypass(host):  # "*", and the platform's own list
+            return {}
+    except (TypeError, socket.gaierror):
+        pass
+    return urllib.request.getproxies()
+
+
+def _ipv4(text: str) -> int | None:
+    """`text` as an IPv4 address in any form inet_aton reads, else None."""
+    try:
+        return int.from_bytes(socket.inet_aton(text), "big")
+    except OSError:
+        return None
+
+
+def _in_block(address: int, block: str) -> bool:
+    """Whether `address` is in `block`, an address/bits CIDR block with 1 to
+    32 bits; False when `block` is not one."""
+    network, _, bits = block.partition("/")
+    try:
+        width = int(bits)
+    except ValueError:
+        return False
+    base = _ipv4(network)
+    if base is None or not 1 <= width <= 32:
+        return False
+    mask = (0xFFFFFFFF << (32 - width)) & 0xFFFFFFFF
+    return address & mask == base & mask
+
+
+def _select_proxy(uri: str, proxies: dict[str, str]) -> str | None:
+    """The proxy for `uri` (`requests.utils.select_proxy`): the first of
+    scheme://host, scheme, all://host and all that `proxies` holds."""
+    parts = urlsplit(uri)
+    if parts.hostname is None:
+        return proxies.get(parts.scheme, proxies.get("all"))
+    for key in (f"{parts.scheme}://{parts.hostname}", parts.scheme,
+                f"all://{parts.hostname}", "all"):
+        if key in proxies:
+            return proxies[key]
+    return None
+
+
+def _with_scheme(url: str) -> SplitResult:
+    """A proxy URL's parts, as `requests.utils.prepend_scheme_if_needed(url,
+    "http")` gives them: http:// is assumed when no scheme is given."""
+    if not re.match(r"[a-zA-Z][a-zA-Z0-9+-]*:|/", url):
+        url = "//" + url
+    parts = urlsplit(url)
+    return parts._replace(scheme=parts.scheme or "http")
+
+
+def _url_auth(parts: SplitResult) -> tuple[str, str]:
+    """The user and password in a URL (`requests.utils.get_auth_from_url`):
+    both empty unless the URL gives both."""
+    if parts.username is None or parts.password is None:
+        return "", ""
+    return unquote(parts.username), unquote(parts.password)
+
+
+def _netrc_auth(uri: str) -> tuple[str, str] | None:
+    """`.netrc` credentials for `uri`'s host (`requests.utils.get_netrc_auth`):
+    from the file NETRC names, else the first of ~/.netrc and ~/_netrc that
+    exists; the entry's login, else its account, and its password.  None
+    when there is no such entry, or the file cannot be read or parsed."""
+    named = os.environ.get("NETRC")
+    paths = [os.path.expanduser(path)
+             for path in ((named,) if named is not None else ("~/.netrc", "~/_netrc"))]
+    path = next((path for path in paths if os.path.exists(path)), None)
+    host = urlsplit(uri).hostname
+    if path is None or host is None:
+        return None
+    try:
+        entry = netrc.netrc(path).authenticators(host)
+    except (netrc.NetrcParseError, OSError):
+        return None
+    if not entry or not any(entry):
+        return None
+    login, account, password = entry
+    return login or account or "", password or ""
+
+
+def _ca_bundle() -> str | None:
+    """The CA bundle the environment names, if any."""
+    return os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
 
 
 def _environment_settings(uri: str) -> dict:
     """The request settings a `trust_env` session reads from the environment
     for `uri`'s host: proxies (empty when `no_proxy` bypasses the host), the
     CA bundle and `.netrc` credentials."""
-    settings: dict = {"proxies": requests.utils.get_environ_proxies(uri)}
-    ca_bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    settings: dict = {"proxies": _environ_proxies(uri)}
+    ca_bundle = _ca_bundle()
     if ca_bundle:
         settings["verify"] = ca_bundle
-    auth = requests.utils.get_netrc_auth(uri)
+    auth = _netrc_auth(uri)
     if auth:
         settings["auth"] = auth
     return settings
@@ -180,11 +369,32 @@ def _request_target(path: str, query: str) -> str:
     return _encoded(path or "/") + ("?" + _encoded(query) if query else "")
 
 
+def _inflated(stream, data: bytes) -> Iterator[bytes]:
+    """What `stream`, a zlib decompressor, gives for `data`, in pieces of at
+    most PIECE_BYTES however far the data expands."""
+    while True:
+        out = stream.decompress(data, PIECE_BYTES)
+        if out:
+            yield out
+        data = stream.unconsumed_tail
+        if stream.eof or (not data and len(out) < PIECE_BYTES):
+            return
+
+
+def _slices(held: bytearray) -> Iterator[bytes]:
+    """`held` in pieces of at most PIECE_BYTES, emptied once they are given."""
+    for start in range(0, len(held), PIECE_BYTES):
+        yield bytes(held[start:start + PIECE_BYTES])
+    held.clear()
+
+
 class _Gunzip:
     """gzip undone piece by piece, member after member, as urllib3 decodes a
     whole body: a member that fails after the first ends the body, and a
-    cut-short member gives what it holds.  A later member's output is held
-    until the member ends, because one that fails gives nothing."""
+    cut-short member gives what it holds.  The output comes in pieces of at
+    most PIECE_BYTES, but a later member's output is held whole until the
+    member ends, because one that fails gives nothing; bounding that hold
+    as well is left to ROADMAP item 2."""
 
     def __init__(self):
         self.member = zlib.decompressobj(16 + zlib.MAX_WBITS)
@@ -192,63 +402,80 @@ class _Gunzip:
         self.held = bytearray()
         self.failed = False  # a later member failed: the rest is dropped
 
-    def decode(self, data: bytes, final: bool) -> bytes:
-        out = bytearray()
+    def decode(self, data: bytes) -> Iterator[bytes]:
         while data and not self.failed:
             try:
-                self.held += self.member.decompress(data)
+                for out in _inflated(self.member, data):
+                    if self.later:
+                        self.held += out
+                    else:
+                        yield out
             except zlib.error:
                 if not self.later:
                     raise
                 self.failed = True
                 self.held.clear()
-                break
-            if not self.later or self.member.eof:
-                out += self.held
-                self.held.clear()
+                return
             if not self.member.eof:
-                break
+                return
+            yield from _slices(self.held)
             data = self.member.unused_data
             self.member, self.later = zlib.decompressobj(16 + zlib.MAX_WBITS), True
-        if final:
-            out += self.held
-        return bytes(out)
+
+    def end(self) -> Iterator[bytes]:
+        return _slices(self.held)
 
 
 class _Inflate:
     """A zlib stream or, as urllib3 falls back to, a raw deflate stream,
-    undone piece by piece.  The input is held until the zlib decoder gives
-    output or ends; when it fails before that, the input starts over as raw
-    deflate.  (A stream that passes for zlib until after its first output
-    and then fails is an error, where a whole-body decoder would retry it
-    as raw deflate; no standard raw deflate stream passes that far.)"""
+    undone piece by piece, in pieces of at most PIECE_BYTES.  The input is
+    held until the zlib decoder gives output or ends; when it fails before
+    that, the input starts over as raw deflate.  (A stream that passes for
+    zlib until after its first output and then fails is an error, where a
+    whole-body decoder would retry it as raw deflate; no standard raw
+    deflate stream passes that far.)"""
 
     def __init__(self):
         self.stream = zlib.decompressobj()
         self.held: bytearray | None = bytearray()  # None once the coding is settled
 
-    def decode(self, data: bytes, final: bool) -> bytes:
+    def decode(self, data: bytes) -> Iterator[bytes]:
         if self.stream.eof:
-            return b""  # what follows the stream is ignored
-        if self.held is None:
-            return self.stream.decompress(data)
-        self.held += data
-        try:
-            out = self.stream.decompress(data)
-        except zlib.error:
-            self.stream = zlib.decompressobj(-zlib.MAX_WBITS)
-            data, self.held = bytes(self.held), None
-            return self.stream.decompress(data)
-        if out or self.stream.eof:
+            return  # what follows the stream is ignored
+        if self.held is not None:
+            self.held += data
+            try:
+                out = self.stream.decompress(data, PIECE_BYTES)
+            except zlib.error:
+                self.stream = zlib.decompressobj(-zlib.MAX_WBITS)
+                data, self.held = bytes(self.held), None
+                yield from _inflated(self.stream, data)
+                return
+            if not out and not self.stream.eof:
+                return
             self.held = None
-        return out
+            yield out
+            data = self.stream.unconsumed_tail
+        yield from _inflated(self.stream, data)
+
+    def end(self) -> Iterable[bytes]:
+        return ()
+
+
+def _through(decoder: _Gunzip | _Inflate, pieces: Iterable[bytes],
+             final: bool) -> Iterator[bytes]:
+    """`pieces` decoded by `decoder`, and what it holds when they are the last."""
+    for data in pieces:
+        yield from decoder.decode(data)
+    if final:
+        yield from decoder.end()
 
 
 def _read_body(resp: http.client.HTTPResponse, write: Write | None) -> None:
     """Read `resp`'s body PIECE_BYTES at a time, undo its gzip and deflate
     content codings as it comes, the last listed first (any other coding is
-    left as it is), and hand each decoded piece to `write`.  With no
-    `write`, the body is read, decoded and dropped."""
+    left as it is), and hand each decoded piece, of at most PIECE_BYTES, to
+    `write`.  With no `write`, the body is read, decoded and dropped."""
     codings = ", ".join(resp.headers.get_all("Content-Encoding") or ()).lower().split(",")
     decoders = [_Inflate() if coding == "deflate" else _Gunzip()
                 for coding in map(str.strip, reversed(codings))
@@ -258,13 +485,15 @@ def _read_body(resp: http.client.HTTPResponse, write: Write | None) -> None:
         final = not piece
         if final and resp.length:  # the connection closed short of Content-Length
             raise http.client.IncompleteRead(b"", resp.length)
+        pieces: Iterable[bytes] = (piece,)
         for decoder in decoders:
-            piece = decoder.decode(piece, final)
-        if piece and write is not None:
-            write(piece)
+            pieces = _through(decoder, pieces, final)
+        for out in pieces:
+            if out and write is not None:
+                write(out)
         if final:
             return
-        del piece  # so that two pieces are never held at once
+        piece = pieces = out = None  # so that two pieces are never held at once
 
 
 def _send(conn: http.client.HTTPConnection, target: str,
@@ -295,18 +524,15 @@ class _HostGate:
         self.ca_bundle = settings.get("verify") or certifi.where()
         # netrc credentials, else those in the URI, as requests picks them.
         parts = urlsplit(uri)
-        auth = settings.get("auth") or (
-            (unquote(parts.username), unquote(parts.password or ""))
-            if parts.username is not None else None)
-        self.authorization = _basic_auth(*auth) if auth else None
+        auth = settings.get("auth") or _url_auth(parts)
+        self.authorization = _basic_auth(*auth) if any(auth) else None
         #: scheme -> (proxy scheme, host and port, its Proxy-Authorization header)
         self.proxies: dict[str, tuple[str, str, int, dict[str, str]]] = {}
         for scheme in _SCHEME_PORTS:
-            proxy = requests.utils.select_proxy(f"{scheme}://{parts.netloc}",
-                                                settings["proxies"])
+            proxy = _select_proxy(f"{scheme}://{parts.netloc}", settings["proxies"])
             if proxy:
-                proxy_parts = urlsplit(requests.utils.prepend_scheme_if_needed(proxy, "http"))
-                proxy_user, proxy_password = requests.utils.get_auth_from_url(proxy)
+                proxy_parts = _with_scheme(proxy)
+                proxy_user, proxy_password = _url_auth(proxy_parts)
                 self.proxies[scheme] = (
                     proxy_parts.scheme, proxy_parts.hostname, proxy_parts.port or 80,
                     {"Proxy-Authorization": _basic_auth(proxy_user, proxy_password)}

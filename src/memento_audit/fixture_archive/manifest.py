@@ -40,11 +40,15 @@ class ResourceSpec:
 
 @dataclass(frozen=True)
 class MementoBundle:
+    """One memento: its page, served as `html` in `encoding`, and the
+    resources replay gives under it."""
+
     timestamp: str
     html: str
     resources: tuple[ResourceSpec, ...] = ()
     script_loaded: tuple[str, ...] = ()
     leaks: tuple[str, ...] = ()
+    encoding: str = "utf-8"
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,7 @@ def save_manifest(m: FixtureManifest, root: str | Path) -> Path:
         mementos = []
         for bundle in site.mementos:
             page_name = f"page-{bundle.timestamp}.html"
-            (site_dir / page_name).write_text(bundle.html, encoding="utf-8")
+            (site_dir / page_name).write_text(bundle.html, encoding=bundle.encoding)
             resources = []
             for i, spec in enumerate(bundle.resources):
                 body_name = f"{bundle.timestamp}-{i:03d}.bin"
@@ -221,6 +225,7 @@ def save_manifest(m: FixtureManifest, root: str | Path) -> Path:
                 "resources": resources,
                 "script_loaded": list(bundle.script_loaded),
                 "leaks": list(bundle.leaks),
+                "encoding": bundle.encoding,
             })
         doc = {
             "original": site.original,
@@ -257,6 +262,7 @@ def load_manifest(root: str | Path) -> FixtureManifest:
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))
         bundles = []
         for entry in doc["mementos"]:
+            encoding = entry.get("encoding", "utf-8")
             resources = tuple(
                 ResourceSpec(
                     uri=r["uri"],
@@ -268,10 +274,11 @@ def load_manifest(root: str | Path) -> FixtureManifest:
             )
             bundles.append(MementoBundle(
                 timestamp=entry["timestamp"],
-                html=(site_dir / entry["html_file"]).read_text(encoding="utf-8"),
+                html=(site_dir / entry["html_file"]).read_text(encoding=encoding),
                 resources=resources,
                 script_loaded=tuple(entry.get("script_loaded", ())),
                 leaks=tuple(entry.get("leaks", ())),
+                encoding=encoding,
             ))
         sites.append(SiteFixture(
             original=doc["original"],

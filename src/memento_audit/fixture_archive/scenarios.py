@@ -2,14 +2,17 @@
 classifies: clean annual growth with a sustained collapse, a one-year dip,
 script-only resources that were never archived, a redirect chain ending 404,
 redirects escaping to the live web, a robots-excluded site, replay chrome,
-stylesheets redirected to another directory and to the live web, and a
-reference that does not parse.
+stylesheets redirected to another directory and to the live web, a
+reference that does not parse, and pages that name their encoding only in
+markup or not at all.
 
 All references in fixture bodies are relative (never root-relative) so that
 resolution against the original URI and against the replay URL agree — the
 same trick real replay services achieve by rewriting markup server-side.
 Every numeric expectation in tests traces back to the tables and tuples here.
 """
+
+from urllib.parse import quote
 
 from .manifest import (
     FixtureManifest,
@@ -345,6 +348,46 @@ def badref_site() -> SiteFixture:
     return SiteFixture(original=BADREF_ORIGINAL, mementos=(bundle,))
 
 
+# --- charsets: pages that name their encoding only in markup, or not at all ---
+
+CHARSETS_ORIGINAL = "http://charsets.example/"
+#: A UTF-8 page that names its charset only in <meta>; its stylesheet names
+#: none, so it is read in the page's encoding.
+CHARSETS_UTF8_TIMESTAMP = "20030101000000"
+#: A windows-1252 page that names no charset at all.
+CHARSETS_CP1252_TIMESTAMP = "19990101000000"
+#: The non-ASCII file names each page references, as a browser decodes them.
+CHARSETS_NAMES = {
+    CHARSETS_UTF8_TIMESTAMP: ("caf\u00e9.css", "na\u00efve.gif", "fond-\u00e9t\u00e9.gif"),
+    CHARSETS_CP1252_TIMESTAMP: ("menu-\u20ac.gif", "cr\u00e8me.gif"),
+}
+
+
+def charsets_site() -> SiteFixture:
+    """Both pages are served as text/html with no charset.  Every name is
+    archived under its UTF-8 percent-encoding, the form a browser requests."""
+    stylesheet, image, background = (f"{CHARSETS_ORIGINAL}{quote(name)}"
+                                     for name in CHARSETS_NAMES[CHARSETS_UTF8_TIMESTAMP])
+    utf8_page = MementoBundle(
+        timestamp=CHARSETS_UTF8_TIMESTAMP,
+        html=('<html><head><meta charset="utf-8">\n'
+              '<link rel="stylesheet" href="caf\u00e9.css">\n'
+              "</head><body>\n"
+              '<img src="na\u00efve.gif">\n'
+              "</body></html>\n"),
+        resources=(_css(stylesheet, "body { background: url(fond-\u00e9t\u00e9.gif); }\n"),
+                   _img(image), _img(background)))
+    cp1252_page = MementoBundle(
+        timestamp=CHARSETS_CP1252_TIMESTAMP,
+        html=("<html><head><title>Caf\u00e9 menu</title></head><body>\n"
+              '<img src="menu-\u20ac.gif"><img src="cr\u00e8me.gif">\n'
+              "</body></html>\n"),
+        resources=tuple(_img(f"{CHARSETS_ORIGINAL}{quote(name)}")
+                        for name in CHARSETS_NAMES[CHARSETS_CP1252_TIMESTAMP]),
+        encoding="cp1252")
+    return SiteFixture(original=CHARSETS_ORIGINAL, mementos=(cp1252_page, utf8_page))
+
+
 def build_all() -> FixtureManifest:
     """Every authored scenario plus the live targets they escape to."""
     return FixtureManifest(
@@ -360,6 +403,7 @@ def build_all() -> FixtureManifest:
             chrome_site(),
             movedcss_site(),
             badref_site(),
+            charsets_site(),
         ),
         live=(*gmaps_live_resources(), *movedcss_live_resources()),
     )

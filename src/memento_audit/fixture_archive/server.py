@@ -244,7 +244,7 @@ class FixtureService:
         memento_dt = format_rfc1123(parse_ts14(timestamp))
 
         if uri == site.original:
-            body = self.substitute(bundle.html).encode("utf-8")
+            body = self.substitute(bundle.html).encode(bundle.encoding)
             handler.respond(200, body, "text/html",
                             headers={"Memento-Datetime": memento_dt})
             return

@@ -108,20 +108,22 @@ class StubBridge:
             return doc
 
         page_url = page_result.final_uri or url
-        planned: list[tuple[str, str, str]] = []  # (ref, base, initiator)
-        markup, script_srcs, script_loads = extract_page_refs(page_result.text)
+        page_text, page_encoding = page_result.decoded()
+        # (ref, base, initiator, the referring document's encoding)
+        planned: list[tuple[str, str, str, str]] = []
+        markup, script_srcs, script_loads = extract_page_refs(page_text)
         for ref in markup:
             if scripting != "on" and ref in script_srcs:
                 continue  # script disabled: its source is never fetched
-            planned.append((ref, page_url, "parser"))
+            planned.append((ref, page_url, "parser", page_encoding))
         if scripting == "on":
-            planned.extend((ref, page_url, "script") for ref in script_loads)
+            planned.extend((ref, page_url, "script", page_encoding) for ref in script_loads)
 
         seen: set[str] = set()
         entries: list[dict] = []
         queue = list(planned)
         while queue:
-            ref, base, initiator = queue.pop(0)
+            ref, base, initiator, referrer_encoding = queue.pop(0)
             absolute = _browser_join(base, ref)
             if not _resolvable(absolute) or absolute == page_url or absolute in seen:
                 continue
@@ -133,8 +135,9 @@ class StubBridge:
                             "initiator": initiator})
             if fetch.ok and _looks_like_css(fetch):
                 css_base = result.final_uri or absolute
-                queue.extend((css_ref, css_base, "stylesheet")
-                             for css_ref in extract_css_refs(result.text))
+                css_text, css_encoding = result.decoded(referrer_encoding)
+                queue.extend((css_ref, css_base, "stylesheet", css_encoding)
+                             for css_ref in extract_css_refs(css_text))
         doc["subresources"] = entries
         return doc
 

@@ -366,7 +366,7 @@ def test_criterion_10_live_smoke(capsys):
             result = fetcher.follow(ep.expand_timemap("http://example.com/"))
             assert result.error is None, result.error
             assert result.final_status == 200
-            body = result.text
+            body = result.body.decode("utf-8")
             try:
                 tm = parse_link_format(body)
             except MissingRole:

@@ -1,8 +1,11 @@
 import json
 import socket
+import socketserver
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +138,7 @@ class _FakeBridge(BaseHTTPRequestHandler):
 
     def do_POST(self):
         job = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.jobs.append((self.path, self.headers["Content-Type"], job))
         self._send(self.server.reply(job["url"]), self.server.status)
 
 
@@ -145,6 +149,7 @@ def fake_bridge():
     thread.start()
     server.url = f"http://localhost:{server.server_address[1]}"
     server.status = 200
+    server.jobs = []
     yield server
     server.shutdown()
     server.server_close()
@@ -257,6 +262,77 @@ def test_reply_listing_a_fetch_again_keeps_its_first_listing(service, endpoint, 
     log = ScriptedEngine(fake_bridge.url).capture(m, endpoint)
     assert [(f.request_uri, f.chain) for f in log.fetches] == [
         (m.uri, ((200, m.uri),)), (m.uri + "a.png", ((200, m.uri + "a.png"),))]
+
+
+def test_capture_job_is_posted_as_json(service, endpoint, fake_bridge):
+    fake_bridge.reply = lambda url: _encode(_good_reply(url))
+    m = _yt2006(endpoint)
+    ScriptedEngine(fake_bridge.url + "/", settle_ms=5, page_timeout_s=7.5).capture(
+        m, endpoint, scripting=SCRIPTING_OFF)
+    assert fake_bridge.jobs == [("/capture", "application/json", {
+        "url": m.uri, "scripting": "off", "settle_ms": 5, "page_timeout_s": 7.5,
+        "screenshot": False})]
+
+
+def test_bridge_is_reached_directly_not_through_an_environment_proxy(
+        service, endpoint, fake_bridge, monkeypatch):
+    # Every proxy variable names a closed port, so a call through one fails.
+    proxy = f"http://localhost:{_closed_port()}"
+    for name in ("http_proxy", "HTTP_PROXY", "https_proxy", "HTTPS_PROXY", "all_proxy",
+                 "ALL_PROXY"):
+        monkeypatch.setenv(name, proxy)
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    fake_bridge.reply = lambda url: _encode(_good_reply(url))
+    assert bridge_available(fake_bridge.url)
+    log = ScriptedEngine(fake_bridge.url).capture(_yt2006(endpoint), endpoint)
+    assert not log.page_failed
+    assert len(fake_bridge.jobs) == 1
+
+
+#: A self-signed certificate for the name "localhost" only, and its key.
+_LOCALHOST_PEM = str(Path(__file__).with_name("localhost.pem"))
+
+
+def test_https_bridge_is_checked_against_the_ca_bundle(service, endpoint, fake_bridge,
+                                                       monkeypatch):
+    tls = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+    tls.load_cert_chain(_LOCALHOST_PEM)
+    fake_bridge.socket = tls.wrap_socket(fake_bridge.socket, server_side=True)
+    fake_bridge.reply = lambda url: _encode(_good_reply(url))
+    url = fake_bridge.url.replace("http://", "https://")
+    monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+    monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)
+    assert not bridge_available(url)
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", _LOCALHOST_PEM)
+    assert bridge_available(url)
+    assert not ScriptedEngine(url).capture(_yt2006(endpoint), endpoint).page_failed
+
+
+class _NotHttp(socketserver.BaseRequestHandler):
+    def handle(self):
+        self.request.recv(65536)
+        self.request.sendall(b"SSH-2.0-not a bridge\r\n")
+
+
+def test_bridge_answering_other_than_http_is_unavailable(service, endpoint):
+    server = socketserver.ThreadingTCPServer(("localhost", 0), _NotHttp)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    url = f"http://localhost:{server.server_address[1]}"
+    try:
+        assert not bridge_available(url)
+        with pytest.raises(BridgeUnavailable, match="cannot reach bridge"):
+            ScriptedEngine(url).capture(_yt2006(endpoint), endpoint)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_bridge_url_that_is_not_http_is_unavailable(service, endpoint):
+    assert not bridge_available("ftp://localhost:9")
+    with pytest.raises(BridgeUnavailable, match="not an http"):
+        ScriptedEngine("localhost:9").capture(_yt2006(endpoint), endpoint)
 
 
 def _scripted_news_audit(service, bridge_url: str, tmp_path) -> int:

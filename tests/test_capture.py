@@ -21,6 +21,10 @@ from memento_audit.capture import (
 )
 from memento_audit.errors import MementoMismatch
 from memento_audit.fixture_archive.scenarios import (
+    CHARSETS_CP1252_TIMESTAMP,
+    CHARSETS_NAMES,
+    CHARSETS_ORIGINAL,
+    CHARSETS_UTF8_TIMESTAMP,
     CHROME_ORIGINAL,
     CHROME_TIMESTAMP,
     MOVEDCSS_BACKGROUND,
@@ -129,6 +133,25 @@ def test_redirected_stylesheet_resolves_against_final_uri(engine, service, endpo
         assert by_uri[uri].final_status == 200
     assert {leak.request_uri for _, leak in collect_leaks([log], endpoint)} \
         == {leak_css.uri, live_gif}
+
+
+@pytest.mark.parametrize("timestamp", [CHARSETS_UTF8_TIMESTAMP, CHARSETS_CP1252_TIMESTAMP])
+def test_page_encoding_named_in_markup_or_not_at_all_is_decoded(engine, service, endpoint,
+                                                                 stub_bridge, timestamp):
+    # Served as text/html with no charset: the UTF-8 page names its encoding
+    # in <meta> and its stylesheet is read in it; the other is windows-1252.
+    m = make_replay_uri(timestamp, CHARSETS_ORIGINAL, endpoint)
+    want = {make_replay_uri(timestamp, CHARSETS_ORIGINAL + name, endpoint).uri
+            for name in CHARSETS_NAMES[timestamp]}
+    background = make_replay_uri(timestamp, CHARSETS_ORIGINAL + CHARSETS_NAMES[timestamp][-1],
+                                 endpoint).uri
+    for log in (engine.capture(m, endpoint),
+                ScriptedEngine(stub_bridge.url, settle_ms=0).capture(m, endpoint)):
+        by_uri = {f.request_uri: f for f in log.subresources()}
+        assert set(by_uri) == want
+        assert all(f.final_status == 200 for f in log.fetches)
+        assert (by_uri[background].trigger == TRIGGER_STYLESHEET) \
+            == (timestamp == CHARSETS_UTF8_TIMESTAMP)
 
 
 _REPLAYABLE = [(site.original, bundle.timestamp) for site in build_all().sites
