@@ -120,7 +120,7 @@ def compute_metrics(logs: list[CaptureLog], ep: ArchiveEndpoint,
 
     return MementoMetrics(
         memento=primary.memento,
-        year=int(primary.memento.timestamp[:4]),
+        year=primary.memento.year,
         counts=counts,
         total_requested=total,
         completeness=completeness,

@@ -41,8 +41,6 @@ import logging
 from pathlib import Path
 from urllib.parse import urlsplit
 
-import certifi
-
 from .capture import (
     ENGINE_SCRIPTED,
     PHASE_PAGE,
@@ -58,7 +56,7 @@ from .capture import (
     log_filename,
 )
 from .errors import BridgeTimeout, BridgeUnavailable, ProtocolError
-from .fetching import USER_AGENT, _ca_bundle, _tls_context
+from .fetching import USER_AGENT, ca_bundle, new_connection
 from .replay import ArchiveEndpoint, ReplayUri
 from .timefmt import utc_now_s
 
@@ -80,14 +78,7 @@ def _call(bridge_url: str, method: str, path: str, payload: dict | None,
     connect and each read.  TimeoutError when it runs out; any other OSError
     or an http.client.HTTPException when the bridge cannot be reached."""
     parts = urlsplit(bridge_url)
-    if parts.scheme == "https":
-        conn = http.client.HTTPSConnection(
-            parts.netloc, timeout=timeout_s,
-            context=_tls_context(_ca_bundle() or certifi.where()))
-    elif parts.scheme == "http":
-        conn = http.client.HTTPConnection(parts.netloc, timeout=timeout_s)
-    else:
-        raise http.client.InvalidURL(f"not an http(s) bridge URL: {bridge_url!r}")
+    conn = new_connection(parts.scheme, parts.netloc, None, timeout_s, ca_bundle())
     headers = {"User-Agent": USER_AGENT, "Accept": "application/json"}
     body = None
     if payload is not None:

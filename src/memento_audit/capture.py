@@ -39,6 +39,7 @@ ENGINE_STATIC = "static"
 ENGINE_SCRIPTED = "scripted"
 SCRIPTING_ON = "on"
 SCRIPTING_OFF = "off"
+SCRIPTING_BOTH = "both"  # a setting, not a mode: each memento on, then off
 
 PHASE_PAGE = "page"
 PHASE_SUBRESOURCE = "subresource"
@@ -49,6 +50,8 @@ TRIGGER_SCRIPT = "script-runtime"
 _TRIGGER_ORDER = {TRIGGER_MARKUP: 0, TRIGGER_STYLESHEET: 1, TRIGGER_SCRIPT: 2}
 
 LOG_SCHEMA_VERSION = "1"
+#: A site's run metadata file name, given its digest; "*" makes it a glob.
+RUN_META_NAME = "run_{}.json"
 
 
 @dataclass(frozen=True)
@@ -297,6 +300,10 @@ def site_digest(original: str) -> str:
 
 def capture_filename(m: ReplayUri, engine: str, scripting: str) -> str:
     return f"{m.timestamp}_{site_digest(m.original)}_{engine}_{scripting}.json"
+
+
+def run_meta_filename(site: str) -> str:
+    return RUN_META_NAME.format(site_digest(site))
 
 
 def log_filename(log: CaptureLog) -> str:

@@ -30,22 +30,16 @@ from pathlib import Path
 from typing import BinaryIO
 
 from .bridge import ScriptedEngine, bridge_available
-from .capture import (
-    CaptureLog,
-    StaticEngine,
-    capture_filename,
-    load_log,
-    log_filename,
-    save_log,
-    site_digest,
-    write_text_atomic,
-)
+from .capture import (ENGINE_SCRIPTED, ENGINE_STATIC, RUN_META_NAME, SCRIPTING_BOTH,
+                      SCRIPTING_OFF, SCRIPTING_ON, CaptureLog, StaticEngine, capture_filename,
+                      load_log, log_filename, run_meta_filename, save_log, write_text_atomic)
 from .client import decode_timemap_pieces, fetch_timemap
 from .config import CACHE_ENV, AuditConfig, endpoint_from_echo, parse_config_file
 from .errors import AuditError
 from .fetching import PoliteFetcher, Write
 from .linkformat import parse_link_format, serialize_link_format
-from .replay import ArchiveEndpoint, to_replay_uri, validate_original_uri
+from .replay import (CHROME_PREFIXES, ArchiveEndpoint, ReplayUri, to_replay_uri,
+                     validate_original_uri)
 from .report import (
     AuditReport,
     assemble_report,
@@ -64,10 +58,6 @@ RUN_META_SCHEMA_VERSION = "2"
 SAMPLE_CONFIG_KEYS = ("interval", "fixed_grid", "timemap_template")
 
 DEFAULT_ENDPOINT_BASE = "http://web.archive.org"
-
-
-def run_meta_filename(site: str) -> str:
-    return f"run_{site_digest(site)}.json"
 
 
 # --- argument handling -------------------------------------------------------
@@ -89,8 +79,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fixed-grid", action="store_true", default=None,
                         help="targets advance from the first memento, not the "
                              "previously chosen one")
-    parser.add_argument("--engine", choices=("static", "scripted"))
-    parser.add_argument("--scripting", choices=("on", "off", "both"))
+    parser.add_argument("--engine", choices=(ENGINE_STATIC, ENGINE_SCRIPTED))
+    parser.add_argument("--scripting", choices=(SCRIPTING_ON, SCRIPTING_OFF, SCRIPTING_BOTH))
     parser.add_argument("--bridge", help="browser bridge URL for the scripted engine")
     parser.add_argument("--drop-threshold", type=float)
     parser.add_argument("--sustain-window", type=int)
@@ -190,7 +180,7 @@ def resolve_config(args: argparse.Namespace) -> AuditConfig:
 
     endpoint = ArchiveEndpoint.from_base(
         settings.pop("endpoint", DEFAULT_ENDPOINT_BASE),
-        chrome_prefixes=tuple(settings.pop("chrome_prefix", ("/static/",))),
+        chrome_prefixes=tuple(settings.pop("chrome_prefix", CHROME_PREFIXES)),
         extra_hosts=tuple(settings.pop("archive_host", ())))
     templates = {name: settings.pop(name) for name in ("timemap_template",
                                                        "replay_template")
@@ -214,13 +204,13 @@ def _fetcher(cfg: AuditConfig) -> PoliteFetcher:
 def _modes(cfg: AuditConfig) -> list[tuple[str, str]]:
     """The (engine, scripting) captures of each memento.  AuditError when
     they need a browser bridge that does not answer."""
-    if cfg.engine == "static":
-        return [("static", "off")]
+    if cfg.engine == ENGINE_STATIC:
+        return [(ENGINE_STATIC, SCRIPTING_OFF)]
     if not bridge_available(cfg.bridge):
         raise AuditError(f"browser bridge unreachable at {cfg.bridge}")
-    if cfg.scripting == "both":
-        return [("scripted", "on"), ("scripted", "off")]
-    return [("scripted", cfg.scripting)]
+    if cfg.scripting == SCRIPTING_BOTH:
+        return [(ENGINE_SCRIPTED, SCRIPTING_ON), (ENGINE_SCRIPTED, SCRIPTING_OFF)]
+    return [(ENGINE_SCRIPTED, cfg.scripting)]
 
 
 def _cached_log(cfg: AuditConfig, m, engine: str, scripting: str) -> CaptureLog | None:
@@ -234,8 +224,8 @@ def _cached_log(cfg: AuditConfig, m, engine: str, scripting: str) -> CaptureLog 
         return None
     if log.memento.uri != m.uri:
         return None
-    if engine == "scripted" and (log.settle_ms != cfg.settle_ms
-                                 or log.page_timeout_s != cfg.page_timeout_s):
+    if engine == ENGINE_SCRIPTED and (log.settle_ms != cfg.settle_ms
+                                      or log.page_timeout_s != cfg.page_timeout_s):
         return None
     return log
 
@@ -246,7 +236,7 @@ def _capture_one(cfg: AuditConfig, m, engine: str, scripting: str,
     if cached is not None:
         logger.info("cache hit: %s %s/%s", m.uri, engine, scripting)
         return cached
-    if engine == "static":
+    if engine == ENGINE_STATIC:
         log = StaticEngine(fetcher).capture(m, cfg.endpoint)
     else:
         shots = cfg.out_dir / "screenshots" if cfg.screenshot else None
@@ -450,34 +440,31 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
     run metadata for the cache)."""
     with _fetcher(cfg) as fetcher:
         sample, timemap_keys = _annual_sample(cfg, site, fetcher)
-
-        # One memento per calendar year: keep the first selection of each year.
-        chosen: list[Selection] = []
-        seen_years: set[int] = set()
-        for sel in sample:
-            year = sel.chosen.datetime.year
-            if year not in seen_years:
-                seen_years.add(year)
-                chosen.append(sel)
-
         modes = _modes(cfg)
         failures: list[str] = []
 
-        def work(sel: Selection):
-            m = to_replay_uri(sel.chosen.uri, cfg.endpoint)
-            logs = []
-            for engine, scripting in modes:
-                logs.append(_capture_one(cfg, m, engine, scripting, fetcher))
-            return logs
+        # One memento per calendar year, ReplayUri.year: the first pick of each.
+        chosen: dict[int, tuple[str, ReplayUri]] = {}
+        for sel in sample:
+            try:
+                m = to_replay_uri(sel.chosen.uri, cfg.endpoint)
+            except AuditError as exc:
+                failures.append(f"{sel.chosen.uri}: {exc}")
+                continue
+            chosen.setdefault(m.year, (sel.chosen.uri, m))
+
+        def work(m: ReplayUri) -> list[CaptureLog]:
+            return [_capture_one(cfg, m, engine, scripting, fetcher)
+                    for engine, scripting in modes]
 
         logs: list[CaptureLog] = []
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(work, sel) for sel in chosen]
-            for sel, future in zip(chosen, futures):
+            futures = [(uri, pool.submit(work, m)) for uri, m in chosen.values()]
+            for uri, future in futures:
                 try:
                     logs.extend(future.result())
                 except (AuditError, OSError) as exc:
-                    failures.append(f"{sel.chosen.uri}: {exc}")
+                    failures.append(f"{uri}: {exc}")
 
     if not logs:
         raise AuditError("every capture failed; no report to emit")
@@ -517,7 +504,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cache = Path(args.cache)
-    metas = sorted(cache.glob("run_*.json"))
+    metas = sorted(cache.glob(RUN_META_NAME.format("*")))
     if args.site:
         metas = [m for m in metas if m.name == run_meta_filename(args.site)]
     if not metas:

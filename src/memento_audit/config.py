@@ -13,6 +13,7 @@ action, then the default here.
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .capture import ENGINE_SCRIPTED, ENGINE_STATIC, SCRIPTING_OFF
 from .replay import ArchiveEndpoint
 from .sampling import ONE_YEAR, Interval
 
@@ -28,8 +29,8 @@ class AuditConfig:
     endpoint: ArchiveEndpoint
     interval: Interval = ONE_YEAR
     fixed_grid: bool = False
-    engine: str = "static"
-    scripting: str = "off"
+    engine: str = ENGINE_STATIC
+    scripting: str = SCRIPTING_OFF
     bridge: str | None = None
     drop_threshold: float = 0.5
     sustain_window: int = 2
@@ -45,10 +46,10 @@ class AuditConfig:
     out_dir: Path = Path(".")
 
     def validate(self) -> None:
-        if self.engine == "static" and self.scripting != "off":
+        if self.engine == ENGINE_STATIC and self.scripting != SCRIPTING_OFF:
             raise ValueError("scripting can only run under the scripted engine; "
                              "use --engine scripted")
-        if self.engine == "scripted" and not self.bridge:
+        if self.engine == ENGINE_SCRIPTED and not self.bridge:
             raise ValueError("the scripted engine needs --bridge <url>")
         if not 0 < self.drop_threshold < 1:
             raise ValueError(f"drop_threshold must be in (0, 1), got {self.drop_threshold}")

@@ -122,6 +122,8 @@ class ChainResult:
         elif encoding is None:
             rule = _CSS_CHARSET_RE.match(body)
             encoding = (rule and _declared_charset(rule[1])) or referrer_encoding
+        if encoding == _WINDOWS_1252:
+            return codecs.charmap_decode(body, "strict", _WINDOWS_1252_TABLE)[0], encoding
         return str(body, encoding, errors="replace"), encoding
 
 
@@ -129,6 +131,11 @@ class ChainResult:
 _BOMS = ((codecs.BOM_UTF8, "utf-8"), (codecs.BOM_UTF16_BE, "utf-16-be"),
          (codecs.BOM_UTF16_LE, "utf-16-le"))
 _WINDOWS_1252 = "cp1252"
+#: windows-1252 as a browser decodes it (WHATWG Encoding): Python's cp1252,
+#: but the five bytes it leaves undefined, 0x81, 0x8D, 0x8F, 0x90 and 0x9D,
+#: become the C1 controls U+0081 and so on, not U+FFFD.
+_WINDOWS_1252_TABLE = "".join(bytes([byte]).decode(_WINDOWS_1252, "ignore") or chr(byte)
+                              for byte in range(256))
 #: How far into a page a <meta> charset is looked for.
 _PRESCAN_BYTES = 1024
 #: Python codecs that no browser decodes a document with.
@@ -298,19 +305,17 @@ def _netrc_auth(uri: str) -> tuple[str, str] | None:
     return login or account or "", password or ""
 
 
-def _ca_bundle() -> str | None:
-    """The CA bundle the environment names, if any."""
-    return os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+def ca_bundle() -> str:
+    """The CA bundle to check certificates against: the environment's, else certifi's."""
+    return (os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            or certifi.where())
 
 
 def _environment_settings(uri: str) -> dict:
     """The request settings a `trust_env` session reads from the environment
     for `uri`'s host: proxies (empty when `no_proxy` bypasses the host), the
     CA bundle and `.netrc` credentials."""
-    settings: dict = {"proxies": _environ_proxies(uri)}
-    ca_bundle = _ca_bundle()
-    if ca_bundle:
-        settings["verify"] = ca_bundle
+    settings: dict = {"proxies": _environ_proxies(uri), "verify": ca_bundle()}
     auth = _netrc_auth(uri)
     if auth:
         settings["auth"] = auth
@@ -328,6 +333,17 @@ def _tls_context(ca_bundle: str) -> ssl.SSLContext:
     if os.path.isdir(ca_bundle):
         return ssl.create_default_context(capath=ca_bundle)
     return ssl.create_default_context(cafile=ca_bundle)
+
+
+def new_connection(scheme: str, host: str, port: int | None, timeout_s: float,
+                   bundle: str) -> http.client.HTTPConnection:
+    """A new http or https connection to host:port, checked against `bundle`."""
+    if scheme == "http":
+        return http.client.HTTPConnection(host, port, timeout=timeout_s)
+    if scheme == "https":
+        return http.client.HTTPSConnection(host, port, timeout=timeout_s,
+                                           context=_tls_context(bundle))
+    raise http.client.InvalidURL(f"not an http(s) scheme: {scheme!r}")
 
 
 def _normal_escape(match: re.Match) -> str:
@@ -521,7 +537,7 @@ class _HostGate:
         self.per_host = per_host
         self.idle: dict[str, list[http.client.HTTPConnection]] = {s: [] for s in _SCHEME_PORTS}
         settings = _environment_settings(uri)
-        self.ca_bundle = settings.get("verify") or certifi.where()
+        self.ca_bundle = settings["verify"]
         # netrc credentials, else those in the URI, as requests picks them.
         parts = urlsplit(uri)
         auth = settings.get("auth") or _url_auth(parts)
@@ -561,11 +577,8 @@ class _HostGate:
         if proxy and proxy[0] != "http":
             raise http.client.InvalidURL(f"{proxy[0]}:// proxies are not supported")
         address = proxy[1:3] if proxy else (host, port)
-        if scheme == "http":
-            return http.client.HTTPConnection(*address, timeout=timeout_s)
-        conn = http.client.HTTPSConnection(*address, timeout=timeout_s,
-                                           context=_tls_context(self.ca_bundle))
-        if proxy:
+        conn = new_connection(scheme, *address, timeout_s, self.ca_bundle)
+        if proxy and scheme == "https":
             conn.set_tunnel(host, port, headers=proxy[3])
         return conn
 

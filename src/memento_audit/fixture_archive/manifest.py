@@ -41,7 +41,8 @@ class ResourceSpec:
 @dataclass(frozen=True)
 class MementoBundle:
     """One memento: its page, served as `html` in `encoding`, and the
-    resources replay gives under it."""
+    resources replay gives under it.  A surrogate escape in `html` (U+DC80 to
+    U+DCFF) stands for one byte of the page, which `encoding` may not define."""
 
     timestamp: str
     html: str
@@ -208,7 +209,8 @@ def save_manifest(m: FixtureManifest, root: str | Path) -> Path:
         mementos = []
         for bundle in site.mementos:
             page_name = f"page-{bundle.timestamp}.html"
-            (site_dir / page_name).write_text(bundle.html, encoding=bundle.encoding)
+            (site_dir / page_name).write_text(bundle.html, encoding=bundle.encoding,
+                                              errors="surrogateescape")
             resources = []
             for i, spec in enumerate(bundle.resources):
                 body_name = f"{bundle.timestamp}-{i:03d}.bin"
@@ -274,7 +276,8 @@ def load_manifest(root: str | Path) -> FixtureManifest:
             )
             bundles.append(MementoBundle(
                 timestamp=entry["timestamp"],
-                html=(site_dir / entry["html_file"]).read_text(encoding=encoding),
+                html=(site_dir / entry["html_file"]).read_text(encoding=encoding,
+                                                               errors="surrogateescape"),
                 resources=resources,
                 script_loaded=tuple(entry.get("script_loaded", ())),
                 leaks=tuple(entry.get("leaks", ())),

@@ -354,12 +354,14 @@ CHARSETS_ORIGINAL = "http://charsets.example/"
 #: A UTF-8 page that names its charset only in <meta>; its stylesheet names
 #: none, so it is read in the page's encoding.
 CHARSETS_UTF8_TIMESTAMP = "20030101000000"
-#: A windows-1252 page that names no charset at all.
+#: A windows-1252 page that names no charset at all.  One name holds the
+#: byte 0x81, which Python's cp1252 leaves undefined and a browser decodes
+#: as U+0081.
 CHARSETS_CP1252_TIMESTAMP = "19990101000000"
 #: The non-ASCII file names each page references, as a browser decodes them.
 CHARSETS_NAMES = {
     CHARSETS_UTF8_TIMESTAMP: ("caf\u00e9.css", "na\u00efve.gif", "fond-\u00e9t\u00e9.gif"),
-    CHARSETS_CP1252_TIMESTAMP: ("menu-\u20ac.gif", "cr\u00e8me.gif"),
+    CHARSETS_CP1252_TIMESTAMP: ("menu-\u20ac.gif", "cr\u00e8me.gif", "c1-\x81.gif"),
 }
 
 
@@ -381,6 +383,7 @@ def charsets_site() -> SiteFixture:
         timestamp=CHARSETS_CP1252_TIMESTAMP,
         html=("<html><head><title>Caf\u00e9 menu</title></head><body>\n"
               '<img src="menu-\u20ac.gif"><img src="cr\u00e8me.gif">\n'
+              '<img src="c1-\udc81.gif">\n'  # the byte 0x81, as a surrogate escape
               "</body></html>\n"),
         resources=tuple(_img(f"{CHARSETS_ORIGINAL}{quote(name)}")
                         for name in CHARSETS_NAMES[CHARSETS_CP1252_TIMESTAMP]),

@@ -14,6 +14,7 @@ fixed by the manifest, so identical manifests serve identical bytes.
 
 import logging
 import re
+import socketserver
 import threading
 from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -72,22 +73,31 @@ def _handler(serve: Callable[[_QuietHandler], None]) -> type[_QuietHandler]:
     return Handler
 
 
+#: How often a serving loop looks for stop_serving's request, in seconds.
+POLL_S = 0.05
+
+
 def serve_in_thread(host: str, port: int,
-                    handler: type[BaseHTTPRequestHandler]) -> ThreadingHTTPServer:
+                    handler: type[socketserver.BaseRequestHandler]) -> ThreadingHTTPServer:
     """Bind host:port, PortInUse when it cannot, and serve it from a daemon
-    thread until stop_serving."""
+    thread, its `serving_thread`, until stop_serving."""
     try:
         server = ThreadingHTTPServer((host, port), handler)
     except OSError as exc:
         raise PortInUse(f"cannot bind {host}:{port}: {exc}") from exc
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    server.daemon_threads = False  # so that server_close waits for every handler
+    server.serving_thread = threading.Thread(target=server.serve_forever, args=(POLL_S,),
+                                             daemon=True)
+    server.serving_thread.start()
     return server
 
 
 def stop_serving(server: ThreadingHTTPServer | None) -> None:
-    """Stop serve_in_thread's loop and close its socket; None is a no-op."""
+    """End serve_in_thread's loop, its thread and the handlers still at work,
+    and close its socket; None is a no-op."""
     if server is not None:
         server.shutdown()
+        server.serving_thread.join()
         server.server_close()
 
 
@@ -244,7 +254,7 @@ class FixtureService:
         memento_dt = format_rfc1123(parse_ts14(timestamp))
 
         if uri == site.original:
-            body = self.substitute(bundle.html).encode(bundle.encoding)
+            body = self.substitute(bundle.html).encode(bundle.encoding, "surrogateescape")
             handler.respond(200, body, "text/html",
                             headers={"Memento-Datetime": memento_dt})
             return

@@ -10,15 +10,14 @@ like a browser with JavaScript disabled.
 
 import json
 import logging
-import re
 from urllib.parse import urldefrag, urljoin
 
 from ..bridge import _INITIATOR_TRIGGERS
-from ..capture import (PHASE_PAGE, PHASE_SUBRESOURCE, TRIGGER_MARKUP, ResourceFetch,
-                       _fetch_from_chain, _looks_like_css, _looks_like_html)
+from ..capture import (PHASE_PAGE, PHASE_SUBRESOURCE, SCRIPTING_ON, TRIGGER_MARKUP,
+                       ResourceFetch, _fetch_from_chain, _looks_like_css, _looks_like_html)
 from ..extract import extract_css_refs, extract_page_refs
 from ..fetching import PoliteFetcher
-from ..replay import SKIP_SCHEMES
+from ..replay import MEMENTO_SHAPE_RE, SKIP_SCHEMES
 from .server import _QuietHandler, serve_in_thread, stop_serving
 
 logger = logging.getLogger(__name__)
@@ -39,27 +38,24 @@ def _resolvable(absolute: str) -> bool:
         ("http://", "https://"))
 
 
-_REPLAY_SPLIT_RE = re.compile(r"^(https?://[^/]+.*/\d{14}/)(https?://.+)$")
-
-
 def _browser_join(base: str, ref: str) -> str:
     """Resolve a reference the way a browser under replay does.
 
     Python's urljoin collapses the empty path segment inside an embedded
     original ('http://' becomes 'http:/'), which a browser does not do — so
-    when the base is a replay URL, resolve against the embedded original and
-    put the replay prefix back.  A reference that does not parse, such as
-    "//[bad", resolves to "", which is never fetched.
+    when the base is a memento URI, resolve against its original, as the
+    auditor splits it, and put the replay prefix back.  A reference that does
+    not parse, such as "//[bad", resolves to "", which is never fetched.
     """
     try:
         ref = urldefrag(ref.strip())[0]
         if not ref or ref.startswith(SKIP_SCHEMES) or ref.startswith(("http://", "https://")):
             return ref
-        m = _REPLAY_SPLIT_RE.match(base)
+        m = MEMENTO_SHAPE_RE.match(base)
         if m is None:
             return urljoin(base, ref)
-        prefix, original = m.group(1), m.group(2)
-        return prefix + urljoin(original, ref)
+        prefix, timestamp, original = m.groups()
+        return f"{prefix}/{timestamp}/{urljoin(original, ref)}"
     except ValueError:
         return ""
 
@@ -96,7 +92,7 @@ class StubBridge:
 
     def browse(self, payload: dict) -> dict:
         url = payload["url"]
-        scripting = payload.get("scripting", "on")
+        scripting = payload.get("scripting", SCRIPTING_ON)
         page_result = self.fetcher.follow(url)
         page = _fetch_from_chain(url, page_result, TRIGGER_MARKUP, PHASE_PAGE)
         doc = {
@@ -113,10 +109,10 @@ class StubBridge:
         planned: list[tuple[str, str, str, str]] = []
         markup, script_srcs, script_loads = extract_page_refs(page_text)
         for ref in markup:
-            if scripting != "on" and ref in script_srcs:
+            if scripting != SCRIPTING_ON and ref in script_srcs:
                 continue  # script disabled: its source is never fetched
             planned.append((ref, page_url, "parser", page_encoding))
-        if scripting == "on":
+        if scripting == SCRIPTING_ON:
             planned.extend((ref, page_url, "script", page_encoding) for ref in script_loads)
 
         seen: set[str] = set()

@@ -18,8 +18,11 @@ HOST_CHROME = "replay-chrome"
 # References that carry no archive request and are counted, not fetched.
 SKIP_SCHEMES = ("data:", "blob:", "javascript:", "mailto:")
 
-# Any host + any path prefix, then /14-digit-timestamp/absolute-original.
-_MEMENTO_SHAPE_RE = re.compile(r"^(https?://[^/]+.*?)/(\d{14})/(https?://.+)$")
+#: The path prefixes of replay chrome on an archive host, unless configured.
+CHROME_PREFIXES = ("/static/",)
+
+#: (replay prefix, timestamp, original) of a memento URI, at its first timestamp.
+MEMENTO_SHAPE_RE = re.compile(r"^(https?://[^/]+.*?)/(\d{14})/(https?://.+)$")
 
 
 def validate_original_uri(uri: str) -> str:
@@ -43,7 +46,7 @@ class ArchiveEndpoint:
     timemap_template: str
     replay_template: str
     archive_hosts: frozenset[str]
-    replay_chrome_prefixes: tuple[str, ...] = ("/static/",)
+    replay_chrome_prefixes: tuple[str, ...] = CHROME_PREFIXES
 
     def __post_init__(self):
         if "{original}" not in self.timemap_template:
@@ -57,7 +60,7 @@ class ArchiveEndpoint:
         )
 
     @classmethod
-    def from_base(cls, base_url: str, chrome_prefixes: tuple[str, ...] = ("/static/",),
+    def from_base(cls, base_url: str, chrome_prefixes: tuple[str, ...] = CHROME_PREFIXES,
                   extra_hosts: tuple[str, ...] = ()) -> "ArchiveEndpoint":
         """Derive the conventional endpoint layout from one base URL."""
         base = base_url.rstrip("/")
@@ -85,6 +88,11 @@ class ReplayUri:
     timestamp: str
     original: str
     uri: str
+
+    @property
+    def year(self) -> int:
+        """The calendar year the memento counts for: its timestamp's."""
+        return int(self.timestamp[:4])
 
 
 def make_replay_uri(timestamp: str, original: str, ep: ArchiveEndpoint) -> ReplayUri:
@@ -124,7 +132,7 @@ def to_replay_uri(memento_uri: str, ep: ArchiveEndpoint) -> ReplayUri:
         return ReplayUri(timestamp=ts, original=original, uri=memento_uri)
     except UnrecognizedShape:
         pass
-    m = _MEMENTO_SHAPE_RE.match(memento_uri)
+    m = MEMENTO_SHAPE_RE.match(memento_uri)
     if m is None:
         raise UnrecognizedShape(f"no timestamped memento segment in {memento_uri!r}")
     timestamp, original = m.group(2), m.group(3)

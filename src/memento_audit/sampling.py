@@ -12,6 +12,7 @@ mementos' datetimes as seconds since the epoch: a link-format datetime
 (RFC 1123) is always a whole UTC second.
 """
 
+import calendar
 import re
 from array import array
 from bisect import bisect_left, bisect_right
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 from typing import BinaryIO
-
-from dateutil.relativedelta import relativedelta
 
 from .errors import AuditError, BadTimestamp, TimestampMismatch
 from .linkformat import MementoRecord, TimeMap, memento_at, memento_entries
@@ -47,8 +46,13 @@ class Interval:
             raise ValueError("interval must be a non-zero number of years or of days")
 
     def advance(self, dt: datetime, k: int = 1) -> datetime:
+        """`dt` k intervals on; a year step keeps the month and day, and 29
+        February becomes 28 February in a common year.  ValueError past the
+        year 9999."""
         if self.years:
-            return dt + relativedelta(years=self.years * k)
+            year = dt.year + self.years * k
+            leap_day = (dt.month, dt.day) == (2, 29) and not calendar.isleap(year)
+            return dt.replace(year=year, day=28 if leap_day else dt.day)
         return dt + timedelta(days=self.days * k)
 
     def __str__(self) -> str:

@@ -2,9 +2,8 @@ import json
 import socket
 import socketserver
 import ssl
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -28,6 +27,7 @@ from memento_audit.fixture_archive.scenarios import (
     YT2006_SCRIPT_LOADED,
     YT2006_TIMESTAMP,
 )
+from memento_audit.fixture_archive.server import serve_in_thread, stop_serving
 from memento_audit.replay import make_replay_uri, parse_replay_uri
 
 
@@ -105,12 +105,9 @@ class _Always504(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def gateway_timeout_server():
-    server = ThreadingHTTPServer(("localhost", 0), _Always504)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = serve_in_thread("localhost", 0, _Always504)
     yield f"http://localhost:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+    stop_serving(server)
 
 
 def test_bridge_gateway_timeout_raises(service, endpoint, gateway_timeout_server):
@@ -144,15 +141,12 @@ class _FakeBridge(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def fake_bridge():
-    server = ThreadingHTTPServer(("localhost", 0), _FakeBridge)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = serve_in_thread("localhost", 0, _FakeBridge)
     server.url = f"http://localhost:{server.server_address[1]}"
     server.status = 200
     server.jobs = []
     yield server
-    server.shutdown()
-    server.server_close()
+    stop_serving(server)
 
 
 def _good_reply(url: str) -> dict:
@@ -316,17 +310,14 @@ class _NotHttp(socketserver.BaseRequestHandler):
 
 
 def test_bridge_answering_other_than_http_is_unavailable(service, endpoint):
-    server = socketserver.ThreadingTCPServer(("localhost", 0), _NotHttp)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = serve_in_thread("localhost", 0, _NotHttp)
     url = f"http://localhost:{server.server_address[1]}"
     try:
         assert not bridge_available(url)
         with pytest.raises(BridgeUnavailable, match="cannot reach bridge"):
             ScriptedEngine(url).capture(_yt2006(endpoint), endpoint)
     finally:
-        server.shutdown()
-        server.server_close()
+        stop_serving(server)
 
 
 def test_bridge_url_that_is_not_http_is_unavailable(service, endpoint):

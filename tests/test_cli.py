@@ -4,10 +4,9 @@ import json
 import logging
 import socket
 import tempfile
-import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -27,6 +26,9 @@ from memento_audit.errors import (
 from memento_audit.fixture_archive.scenarios import (
     BADREF_ORIGINAL,
     BADREF_REFERENCE,
+    CHARSETS_CP1252_TIMESTAMP,
+    CHARSETS_ORIGINAL,
+    CHARSETS_UTF8_TIMESTAMP,
     GMAPS_LEAKS,
     GMAPS_ORIGINAL,
     NASA_ORIGINAL,
@@ -40,6 +42,7 @@ from memento_audit.fixture_archive.scenarios import (
     YT2006_ORIGINAL,
     YT2006_SCRIPT_LOADED,
 )
+from memento_audit.fixture_archive.server import serve_in_thread, stop_serving
 from memento_audit.linkformat import (
     TimeMap,
     memento_record,
@@ -48,7 +51,7 @@ from memento_audit.linkformat import (
 )
 from memento_audit.report import sample_to_docs
 from memento_audit.sampling import select_annual
-from memento_audit.timefmt import format_rfc1123
+from memento_audit.timefmt import format_rfc1123, parse_ts14
 from test_client import fetched_body
 
 
@@ -479,14 +482,10 @@ def news_timemap(service):
         def log_message(self, *args):
             pass
 
-    server = ThreadingHTTPServer(("localhost", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = serve_in_thread("localhost", 0, Handler)
     state["template"] = f"http://localhost:{server.server_address[1]}/tm/{{original}}"
     yield state
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    stop_serving(server)
 
 
 def _news_argv(service, news_timemap, tmp_path, out, *extra):
@@ -1253,3 +1252,59 @@ def test_malformed_reference_fails_no_memento(service, stub_bridge, capsys, tmp_
     logs = [load_log(path) for path in cache.glob("*_off.json")]
     assert [f.request_uri for log in logs for f in log.subresources()
             if f.request_uri == BADREF_REFERENCE] == [BADREF_REFERENCE] * skipped
+
+
+def _charsets_audit(service, news_timemap, tmp_path, *mementos) -> int:
+    """Audit charsets.example from a TimeMap of `mementos`, (memento URI,
+    datetime) pairs; its report goes to tmp_path/out."""
+    records = tuple(memento_record(uri, dt, first=i == 0, last=i == len(mementos) - 1)
+                    for i, (uri, dt) in enumerate(mementos))
+    news_timemap["body"] = serialize_link_format(TimeMap(
+        original=CHARSETS_ORIGINAL, timegate_uri=service.timegate_uri(CHARSETS_ORIGINAL),
+        timemap_uri=service.timemap_uri(CHARSETS_ORIGINAL), mementos=records)).encode()
+    return main(_quiet(["audit", CHARSETS_ORIGINAL, "--endpoint", service.archive_base,
+                        "--timemap-template", news_timemap["template"],
+                        "--cache-dir", str(tmp_path / "cache"),
+                        "--out-dir", str(tmp_path / "out")]))
+
+
+def _charsets_memento(service, timestamp: str,
+                      dt: datetime | None = None) -> tuple[str, datetime]:
+    return service.memento_uri(timestamp, CHARSETS_ORIGINAL), dt or parse_ts14(timestamp)
+
+
+def test_a_memento_counts_for_the_year_of_its_uri_timestamp(service, news_timemap,
+                                                            tmp_path, capsys):
+    # The 2003 memento is dated 30 minutes before its URI's timestamp, in
+    # 2002, and the sampler picks a later 2003 memento after it.  Both count
+    # for 2003, so only the first is captured; sorting picks by their
+    # datetimes' years captured both, and the series then held 2003 twice.
+    late = "20030601000000"
+    mementos = [_charsets_memento(service, CHARSETS_CP1252_TIMESTAMP),
+                _charsets_memento(service, CHARSETS_UTF8_TIMESTAMP,
+                                  datetime(2002, 12, 31, 23, 30, tzinfo=timezone.utc)),
+                _charsets_memento(service, late)]
+    assert _charsets_audit(service, news_timemap, tmp_path, *mementos) == 0
+    assert "failed:" not in capsys.readouterr().err
+    out = tmp_path / "out"
+    doc = json.loads((out / "report.json").read_text())
+    assert [entry["memento"] for entry in doc["sample"]] == [uri for uri, _ in mementos]
+    assert [(m["year"], m["timestamp"]) for m in doc["mementos"]] == [
+        (1999, CHARSETS_CP1252_TIMESTAMP), (2003, CHARSETS_UTF8_TIMESTAMP)]
+    assert [point["year"] for point in doc["series"]] == [1999, 2003]
+    assert not list((tmp_path / "cache").glob(f"{late}_*.json"))
+    assert main(["report", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "again")]) == 0
+    assert _outputs(tmp_path / "again") == _outputs(out)
+
+
+def test_a_pick_whose_uri_does_not_convert_fails_only_itself(service, news_timemap,
+                                                             tmp_path, capsys):
+    bad = f"{service.archive_base}/memento/latest/{CHARSETS_ORIGINAL}"
+    mementos = [_charsets_memento(service, CHARSETS_CP1252_TIMESTAMP),
+                (bad, datetime(2001, 1, 1, tzinfo=timezone.utc)),
+                _charsets_memento(service, CHARSETS_UTF8_TIMESTAMP)]
+    assert _charsets_audit(service, news_timemap, tmp_path, *mementos) == 1
+    err = capsys.readouterr().err
+    assert f"failed:  {bad}: no timestamped memento segment" in err
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [point["year"] for point in doc["series"]] == [1999, 2003]

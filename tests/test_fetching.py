@@ -2,14 +2,16 @@ import codecs
 import gzip
 import http.client
 import select
+import shutil
 import socket
 import ssl
 import threading
 import time
+import urllib.request
 import zlib
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -96,9 +98,7 @@ class _BadLocation(BaseHTTPRequestHandler):
 
 
 def test_follow_ends_chain_at_unparsable_location(monkeypatch):
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _BadLocation)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = serve_in_thread("127.0.0.1", 0, _BadLocation)
     uri = f"http://127.0.0.1:{server.server_port}/moved"
     _clear_proxy_environment(monkeypatch)
     fetcher = PoliteFetcher(politeness_s=0.0)
@@ -106,9 +106,7 @@ def test_follow_ends_chain_at_unparsable_location(monkeypatch):
         result = fetcher.follow(uri)
     finally:
         fetcher.close()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        stop_serving(server)
     assert result.hops == [(302, uri)]
     assert "http://[bad/x" in result.error
     assert result.final_status is None
@@ -171,9 +169,7 @@ class _SlowImages(BaseHTTPRequestHandler):
 @pytest.mark.parametrize("per_host", [1, 2])
 def test_static_capture_fills_but_never_exceeds_the_host_cap(monkeypatch, per_host):
     handler = type("Handler", (_SlowImages,), {"lock": threading.Lock()})
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = serve_in_thread("127.0.0.1", 0, handler)
     ep = ArchiveEndpoint.from_base(f"http://127.0.0.1:{server.server_port}")
     m = make_replay_uri("20100101000000", "http://slow.example/", ep)
     _clear_proxy_environment(monkeypatch)
@@ -188,9 +184,7 @@ def test_static_capture_fills_but_never_exceeds_the_host_cap(monkeypatch, per_ho
         left_running = pool_threads() - before
     finally:
         fetcher.close()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        stop_serving(server)
     assert [f.final_status for f in log.fetches] == [200] * (1 + _SLOW_IMAGES)
     assert handler.peak == per_host
     assert not left_running
@@ -293,9 +287,7 @@ def test_proxy_environment_resolved_per_host(service, monkeypatch):
     with socket.socket() as s:
         s.bind(("localhost", 0))
         closed_port = s.getsockname()[1]
-    proxy = ThreadingHTTPServer(("127.0.0.1", 0), _RecordingProxy)
-    thread = threading.Thread(target=proxy.serve_forever, daemon=True)
-    thread.start()
+    proxy = serve_in_thread("127.0.0.1", 0, _RecordingProxy)
     _RecordingProxy.seen = []
     try:
         _clear_proxy_environment(monkeypatch)
@@ -310,10 +302,8 @@ def test_proxy_environment_resolved_per_host(service, monkeypatch):
         finally:
             fetcher.close()
     finally:
-        proxy.shutdown()
-        proxy.server_close()
-        thread.join(timeout=5)
-    assert not thread.is_alive()
+        stop_serving(proxy)
+    assert not proxy.serving_thread.is_alive()
     assert proxied.final_status == 200
     assert proxied.body == b"via proxy"
     assert bypassed.final_status == 200
@@ -891,6 +881,16 @@ def test_bytes_the_codec_cannot_decode_become_replacement_characters():
     assert (text, codec) == (_UTF8_META.decode() + "caf\ufffd \ufffd", "utf-8")
 
 
+@pytest.mark.parametrize("content_type, referrer", [("text/html", None),
+                                                    ("text/css", "cp1252")],
+                         ids=["page", "stylesheet-inheriting-the-page-codec"])
+def test_windows_1252_keeps_the_bytes_cp1252_leaves_undefined(content_type, referrer):
+    # WHATWG windows-1252: 0x81, 0x8D, 0x8F, 0x90 and 0x9D are C1 controls.
+    body = b"<img src=\"a\x80\x81\x8d\x8f\x90\x9d\x9f\xff.gif\">"
+    assert _result(body, content_type).decoded(referrer) == (
+        '<img src="a\u20ac\x81\x8d\x8f\x90\x9d\u0178\xff.gif">', "cp1252")
+
+
 def test_follow_records_a_uri_that_is_not_http_as_an_error():
     [result] = _follow_all("ftp://archive.example/x")
     assert (result.hops, result.error) == (
@@ -972,6 +972,16 @@ def test_https_checks_the_certificate_and_tunnels_through_a_proxy(monkeypatch):
     assert _Tunnel.seen == [(f"localhost:{port}", "Basic Ym9iOnB3")]
 
 
+def test_ca_bundle_may_name_a_directory_of_certificates(monkeypatch, tmp_path):
+    # A directory holds each certificate under its subject hash, as c_rehash
+    # names it: ce275665 is `openssl x509 -subject_hash` of localhost.pem.
+    shutil.copy(_LOCALHOST_PEM, tmp_path / "ce275665.0")
+    with _http11(monkeypatch, _ok, _TLSRecorder) as (base, state):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path))
+        [result] = _follow_all(f"https://localhost:{base.rsplit(':', 1)[1]}/x")
+    assert (result.final_status, result.body, result.error) == (200, b"ok", None)
+
+
 def test_proxy_other_than_http_is_refused_without_contact(monkeypatch):
     _clear_proxy_environment(monkeypatch)
     monkeypatch.setenv("HTTPS_PROXY", "https://127.0.0.1:9")
@@ -991,6 +1001,32 @@ def test_internationalised_host_is_sent_in_idna_form(monkeypatch):
         stop_serving(proxy)
     assert result.final_status == 200
     assert _RecordingProxy.seen == ["http://xn--bcher-kva.example/page"]
+
+
+def test_redirect_to_a_uri_without_a_host_ends_the_chain_in_an_error(monkeypatch):
+    # urljoin keeps "https:///x" without a host, and the fetcher looks up
+    # the environment's proxies for it before refusing it.
+    with _http11(monkeypatch, lambda handler: (302, {"Location": "https:///x"}, b"")) \
+            as (base, state):
+        [result] = _follow_all(f"{base}/moved")
+    assert result.hops == [(302, f"{base}/moved")]
+    assert result.error == "InvalidURL: not an http(s) URI: 'https:///x'"
+
+
+@pytest.mark.parametrize("error", [TypeError("no host"), socket.gaierror("no such name")],
+                         ids=["TypeError", "gaierror"])
+def test_proxy_bypass_that_raises_bypasses_nothing(monkeypatch, error):
+    # As in requests: the platform's bypass list may look the host up, and
+    # when that fails the environment's proxies apply.
+    def proxy_bypass(host):
+        raise error
+
+    _clear_proxy_environment(monkeypatch)
+    monkeypatch.setenv("HTTP_PROXY", "http://proxy.example:3128")
+    monkeypatch.setattr(urllib.request, "proxy_bypass", proxy_bypass)
+    proxies = fetching._environ_proxies("http://a.example/")
+    assert proxies["http"] == "http://proxy.example:3128"
+    assert proxies == urllib.request.getproxies()
 
 
 def test_redirect_without_location_ends_the_chain(monkeypatch):

@@ -1,4 +1,4 @@
-"""The auditor needs no HTTP library beyond the standard library's."""
+"""The auditor needs no HTTP or date library beyond the standard library's."""
 
 import os
 import subprocess
@@ -6,8 +6,9 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-#: Packages the auditor once loaded through `requests`, and its detectors.
-_NOT_LOADED = ("requests", "urllib3", "charset_normalizer", "chardet")
+#: Packages the auditor once loaded: `requests` and what it loads, and
+#: `python-dateutil` and the `six` it loads.
+_NOT_LOADED = ("requests", "urllib3", "charset_normalizer", "chardet", "dateutil", "six")
 
 
 def test_auditor_loads_no_requests_urllib3_or_charset_detector():

@@ -4,8 +4,10 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from memento_audit.errors import BadTimestamp, UnrecognizedShape, UnresolvableReference
+from memento_audit.fixture_archive.stub_bridge import _browser_join
 from memento_audit.replay import (
     HOST_ARCHIVE,
+    MEMENTO_SHAPE_RE,
     HOST_CHROME,
     HOST_LIVE,
     ArchiveEndpoint,
@@ -62,6 +64,20 @@ def test_to_replay_is_idempotent():
     )
     second = to_replay_uri(first.uri, WAYBACK)
     assert second == first
+
+
+def test_memento_uri_splits_at_its_first_timestamp_for_the_auditor_and_the_stub():
+    # An original whose own path holds a memento URI stays whole, and the
+    # stub browser resolves a reference against it as the static engine does.
+    original = "http://a.example/web/20060101000000/http://b.example/x"
+    uri = f"http://web.archive.org/web/20050101000000/{original}"
+    api = f"http://api.wayback.archive.org/memento/20050101000000/{original}"
+    assert MEMENTO_SHAPE_RE.match(api).groups() == ("http://api.wayback.archive.org/memento",
+                                                    "20050101000000", original)
+    replay = to_replay_uri(api, WAYBACK)
+    assert replay == to_replay_uri(uri, WAYBACK) == make_replay_uri("20050101000000", original,
+                                                                    WAYBACK)
+    assert _browser_join(uri, "y.gif") == rewrite_subresource(replay, "y.gif", WAYBACK)
 
 
 def _random_original(rng: random.Random) -> str:

@@ -14,7 +14,7 @@ from memento_audit.sampling import (
     parse_interval,
     select_annual,
 )
-from oracles import oracle_select, random_datetimes
+from oracles import oracle_advance, oracle_select, random_datetimes
 
 
 def _timemap(dts) -> TimeMap:
@@ -204,3 +204,22 @@ def test_extract_date_without_uri_timestamp():
     dt = _dt(2005, 6, 1)
     record = memento_record("http://archive.example/snapshots/latest", dt)
     assert extract_date(record) == dt
+
+
+@pytest.mark.parametrize("base_year", [2000, 2001])
+def test_year_step_matches_the_oracle_for_every_day(base_year):
+    # From each day of a leap and of a common year, 29 February included, to
+    # leap and common target years; the oracle steps with relativedelta.
+    day = datetime(base_year, 1, 1, 12, 30, 15, tzinfo=timezone.utc)
+    while day.year == base_year:
+        for k in range(1, 31):
+            assert ONE_YEAR.advance(day, k) == oracle_advance(day, 1, 0.0, k), (day, k)
+        day += timedelta(days=1)
+
+
+def test_year_step_past_9999_raises_as_the_oracle_does():
+    leap_day = datetime(9996, 2, 29, tzinfo=timezone.utc)
+    for step in (lambda: ONE_YEAR.advance(leap_day, 4),
+                 lambda: oracle_advance(leap_day, 1, 0.0, 4)):
+        with pytest.raises(ValueError, match="year 10000 is out of range"):
+            step()
