@@ -12,8 +12,10 @@ include the page itself and exclude replay chrome.
 """
 
 import statistics
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .capture import SCRIPTING_ON, CaptureLog, ResourceFetch, diff_captures
 from .errors import DuplicateYear, InsufficientData, MementoMismatch, NoPageFetch
@@ -69,17 +71,28 @@ def classify_fetch(f: ResourceFetch, ep: ArchiveEndpoint) -> FetchClass:
 
 @dataclass(frozen=True)
 class MementoMetrics:
-    """Per-memento tallies and the completeness ratio."""
+    """One memento's tallies, and the figures computed from them."""
 
     memento: ReplayUri
-    year: int
     counts: dict[FetchClass, int]
-    total_requested: int
-    completeness: float
     script_delta: int | None = None
 
     def count(self, cls: FetchClass) -> int:
         return self.counts.get(cls, 0)
+
+    @property
+    def year(self) -> int:
+        return self.memento.year
+
+    @property
+    def total_requested(self) -> int:
+        """The resource count: the fetches in the completeness denominator."""
+        return sum(self.count(cls) for cls in COUNTED_CLASSES)
+
+    @property
+    def completeness(self) -> float:
+        total = self.total_requested
+        return self.count(FetchClass.ARCHIVED_OK) / total if total else 1.0
 
 
 def classify_log(log: CaptureLog, ep: ArchiveEndpoint) -> tuple[FetchClass, ...]:
@@ -87,15 +100,14 @@ def classify_log(log: CaptureLog, ep: ArchiveEndpoint) -> tuple[FetchClass, ...]
     return tuple(classify_fetch(f, ep) for f in log.fetches)
 
 
-def compute_metrics(logs: list[CaptureLog], ep: ArchiveEndpoint,
-                    classes: list[tuple[FetchClass, ...]] | None = None) -> MementoMetrics:
-    """Tally one memento's capture logs.
+def compute_metrics(logs: list[CaptureLog],
+                    classes: list[tuple[FetchClass, ...]]) -> MementoMetrics:
+    """Tally one memento's capture logs, where classes[i] is classify_log's
+    result for logs[i].
 
     When both scripting modes are present, counts come from the scripting-on
     log (the browser's view of the page) and script_delta from the mode diff;
     otherwise the single log supplies the counts and script_delta is absent.
-    `classes`, when given, holds classify_log's result for each of `logs`, so
-    a caller that has classified them is not made to classify them again.
     """
     if not logs:
         raise NoPageFetch("no capture logs supplied")
@@ -103,69 +115,26 @@ def compute_metrics(logs: list[CaptureLog], ep: ArchiveEndpoint,
         raise MementoMismatch("capture logs refer to different mementos")
     at = next((i for i, log in enumerate(logs) if log.scripting == SCRIPTING_ON), 0)
     primary = logs[at]
-    on = primary if primary.scripting == SCRIPTING_ON else None
     off = next((log for log in logs if log.scripting != SCRIPTING_ON), None)
     if primary.page_fetch is None:
         raise NoPageFetch(f"capture of {primary.memento.uri} has no page fetch")
 
     counts = {cls: 0 for cls in FetchClass}
-    for cls in classes[at] if classes is not None else classify_log(primary, ep):
+    for cls in classes[at]:
         counts[cls] += 1
-    total = sum(counts[cls] for cls in COUNTED_CLASSES)
-    completeness = counts[FetchClass.ARCHIVED_OK] / total if total else 1.0
-
     script_delta = None
-    if on is not None and off is not None:
-        script_delta = diff_captures(on, off).script_delta
-
-    return MementoMetrics(
-        memento=primary.memento,
-        year=primary.memento.year,
-        counts=counts,
-        total_requested=total,
-        completeness=completeness,
-        script_delta=script_delta,
-    )
+    if primary.scripting == SCRIPTING_ON and off is not None:
+        script_delta = len(diff_captures(primary, off))
+    return MementoMetrics(memento=primary.memento, counts=counts, script_delta=script_delta)
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
-    year: int
-    resource_count: int
-    metrics: MementoMetrics
-
-
-@dataclass(frozen=True)
-class AnnualSeries:
-    """Year-indexed resource counts for one site, ascending."""
-
-    site: str | None
-    points: tuple[SeriesPoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def years(self) -> list[int]:
-        return [p.year for p in self.points]
-
-    def counts(self) -> list[int]:
-        return [p.resource_count for p in self.points]
-
-
-def build_series(ms: list[MementoMetrics]) -> AnnualSeries:
-    """Arrange per-memento metrics into a one-point-per-year series."""
-    seen: dict[int, MementoMetrics] = {}
-    for m in ms:
-        if m.year in seen:
+def build_series(ms: Iterable[MementoMetrics]) -> tuple[MementoMetrics, ...]:
+    """The annual series: the metrics in ascending year order, one per year."""
+    series = tuple(sorted(ms, key=attrgetter("year")))
+    for m, after in zip(series, series[1:]):
+        if m.year == after.year:
             raise DuplicateYear(f"two metrics for year {m.year}")
-        seen[m.year] = m
-    points = tuple(
-        SeriesPoint(year=year, resource_count=seen[year].total_requested,
-                    metrics=seen[year])
-        for year in sorted(seen)
-    )
-    site = ms[0].memento.original if ms else None
-    return AnnualSeries(site=site, points=points)
+    return series
 
 
 @dataclass(frozen=True)
@@ -179,10 +148,10 @@ class DropFlag:
     ratio: float
 
 
-def detect_drops(s: AnnualSeries, drop_threshold: float = 0.5,
+def detect_drops(s: tuple[MementoMetrics, ...], drop_threshold: float = 0.5,
                  sustain_window: int = 2) -> list[DropFlag]:
-    """Find maximal runs of years whose counts sit below a fraction of the
-    median of all earlier years.
+    """Find maximal runs of years whose resource counts sit below a fraction
+    of the median of all earlier years, in the annual series `s`.
 
     Scanning left to right: when a year falls below drop_threshold times the
     median of every year before it, the run extends through consecutive years
@@ -194,8 +163,8 @@ def detect_drops(s: AnnualSeries, drop_threshold: float = 0.5,
         raise ValueError(f"drop_threshold must be in (0, 1), got {drop_threshold}")
     if sustain_window < 1:
         raise ValueError(f"sustain_window must be >= 1, got {sustain_window}")
-    counts = s.counts()
-    years = s.years()
+    counts = [m.total_requested for m in s]
+    years = [m.year for m in s]
     if len(counts) < sustain_window + 1:
         raise InsufficientData(
             f"need at least {sustain_window + 1} points, have {len(counts)}")

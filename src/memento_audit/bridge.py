@@ -19,8 +19,8 @@ every network request it made.  Protocol:
 
 `page`, and `chain` in every fetch, are required; a `?` marks an optional
 key.  A fetch's final status is its chain's last status unless `error` is
-set, for both engines and for cached capture logs: a cached log writes
-`final_status` but it is never read back.
+set, for both engines and for cached capture logs: a cached log stores no
+`final_status`, and one that an older version stored is not read.
 
 Each call is one request on a new `http.client` connection, made straight to
 the bridge: no environment proxy, no `.netrc` credentials and no redirect.  A

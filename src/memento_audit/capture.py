@@ -106,14 +106,6 @@ class CaptureLog:
         return [f for f in self.fetches if f.phase == PHASE_SUBRESOURCE]
 
 
-@dataclass(frozen=True)
-class DifferentialReport:
-    """Set difference of subresource request URIs between script modes."""
-
-    script_only: frozenset[str]
-    script_delta: int
-
-
 def media_type(content_type: str | None) -> str | None:
     """The lowercased media type of a Content-Type value; None when it names
     none, such as "; charset=utf-8"."""
@@ -279,16 +271,15 @@ class StaticEngine:
         )
 
 
-def diff_captures(on: CaptureLog, off: CaptureLog) -> DifferentialReport:
-    """Compare the subresource URI sets of a scripting-on and a scripting-off
-    capture of the same memento."""
+def diff_captures(on: CaptureLog, off: CaptureLog) -> frozenset[str]:
+    """The subresource request URIs that a scripting-on capture fetched and
+    a scripting-off capture of the same memento did not."""
     if on.memento.uri != off.memento.uri:
         raise MementoMismatch(
             f"cannot diff captures of {on.memento.uri} and {off.memento.uri}")
     on_set = {f.request_uri for f in on.subresources()}
     off_set = {f.request_uri for f in off.subresources()}
-    script_only = frozenset(on_set - off_set)
-    return DifferentialReport(script_only=script_only, script_delta=len(script_only))
+    return frozenset(on_set - off_set)
 
 
 # --- persistence -------------------------------------------------------------
@@ -329,7 +320,6 @@ def log_to_document(log: CaptureLog) -> dict:
             {
                 "request_uri": f.request_uri,
                 "chain": [[status, uri] for status, uri in f.chain],
-                "final_status": f.final_status,
                 "content_type": f.content_type,
                 "bytes": f.bytes,
                 "trigger": f.trigger,

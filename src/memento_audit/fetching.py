@@ -19,6 +19,7 @@ import codecs
 import functools
 import http.client
 import http.cookiejar
+import itertools
 import logging
 import netrc
 import os
@@ -385,11 +386,25 @@ def _request_target(path: str, query: str) -> str:
     return _encoded(path or "/") + ("?" + _encoded(query) if query else "")
 
 
-def _inflated(stream, data: bytes) -> Iterator[bytes]:
+def _inflated(stream, data: bytes, replay_failure: bool = False) -> Iterator[bytes]:
     """What `stream`, a zlib decompressor, gives for `data`, in pieces of at
-    most PIECE_BYTES however far the data expands."""
+    most PIECE_BYTES however far the data expands.  With `replay_failure`, a
+    stream that fails first gives what its input up to the failing byte
+    decodes to, however that input was cut into pieces."""
     while True:
-        out = stream.decompress(data, PIECE_BYTES)
+        before = stream.copy() if replay_failure else None
+        try:
+            out = stream.decompress(data, PIECE_BYTES)
+        except zlib.error:
+            if before is None:
+                raise
+            # The call's output is lost with it: decode its input again from
+            # where the call began, a byte at a time, up to the failing byte,
+            # which raises again.
+            stream, out = before, b""
+            for at in range(len(data)):
+                if piece := stream.decompress(data[at:at + 1]):  # a few KiB at most
+                    yield piece
         if out:
             yield out
         data = stream.unconsumed_tail
@@ -397,49 +412,30 @@ def _inflated(stream, data: bytes) -> Iterator[bytes]:
             return
 
 
-def _slices(held: bytearray) -> Iterator[bytes]:
-    """`held` in pieces of at most PIECE_BYTES, emptied once they are given."""
-    for start in range(0, len(held), PIECE_BYTES):
-        yield bytes(held[start:start + PIECE_BYTES])
-    held.clear()
-
-
 class _Gunzip:
     """gzip undone piece by piece, member after member, as urllib3 decodes a
-    whole body: a member that fails after the first ends the body, and a
-    cut-short member gives what it holds.  The output comes in pieces of at
-    most PIECE_BYTES, but a later member's output is held whole until the
-    member ends, because one that fails gives nothing; bounding that hold
-    as well is left to ROADMAP item 2."""
+    whole body: a member that fails after the first ends the body, keeping
+    what its input up to the failing byte decoded to, and a cut-short member
+    gives what it holds.  The output comes in pieces of at most PIECE_BYTES."""
 
     def __init__(self):
         self.member = zlib.decompressobj(16 + zlib.MAX_WBITS)
         self.later = False  # past the first member
-        self.held = bytearray()
         self.failed = False  # a later member failed: the rest is dropped
 
     def decode(self, data: bytes) -> Iterator[bytes]:
         while data and not self.failed:
             try:
-                for out in _inflated(self.member, data):
-                    if self.later:
-                        self.held += out
-                    else:
-                        yield out
+                yield from _inflated(self.member, data, self.later)
             except zlib.error:
                 if not self.later:
                     raise
                 self.failed = True
-                self.held.clear()
                 return
             if not self.member.eof:
                 return
-            yield from _slices(self.held)
             data = self.member.unused_data
             self.member, self.later = zlib.decompressobj(16 + zlib.MAX_WBITS), True
-
-    def end(self) -> Iterator[bytes]:
-        return _slices(self.held)
 
 
 class _Inflate:
@@ -474,18 +470,6 @@ class _Inflate:
             data = self.stream.unconsumed_tail
         yield from _inflated(self.stream, data)
 
-    def end(self) -> Iterable[bytes]:
-        return ()
-
-
-def _through(decoder: _Gunzip | _Inflate, pieces: Iterable[bytes],
-             final: bool) -> Iterator[bytes]:
-    """`pieces` decoded by `decoder`, and what it holds when they are the last."""
-    for data in pieces:
-        yield from decoder.decode(data)
-    if final:
-        yield from decoder.end()
-
 
 def _read_body(resp: http.client.HTTPResponse, write: Write | None) -> None:
     """Read `resp`'s body PIECE_BYTES at a time, undo its gzip and deflate
@@ -496,20 +480,16 @@ def _read_body(resp: http.client.HTTPResponse, write: Write | None) -> None:
     decoders = [_Inflate() if coding == "deflate" else _Gunzip()
                 for coding in map(str.strip, reversed(codings))
                 if coding in ("gzip", "x-gzip", "deflate")]
-    while True:
-        piece = resp.read(PIECE_BYTES)
-        final = not piece
-        if final and resp.length:  # the connection closed short of Content-Length
-            raise http.client.IncompleteRead(b"", resp.length)
+    while piece := resp.read(PIECE_BYTES):
         pieces: Iterable[bytes] = (piece,)
         for decoder in decoders:
-            pieces = _through(decoder, pieces, final)
+            pieces = itertools.chain.from_iterable(map(decoder.decode, pieces))
         for out in pieces:
             if out and write is not None:
                 write(out)
-        if final:
-            return
         piece = pieces = out = None  # so that two pieces are never held at once
+    if resp.length:  # the connection closed short of Content-Length
+        raise http.client.IncompleteRead(b"", resp.length)
 
 
 def _send(conn: http.client.HTTPConnection, target: str,

@@ -86,15 +86,15 @@ _ENTRY_RE = re.compile(r'(?:[^,"<]+|"[^"]*"?|<[^>]*>?)*')
 _PARAM_RE = re.compile(r'((?:[^;"]+|"[^"]*"?)*)(?:;|\Z)')
 
 
-def _split_entries(pieces: Iterable[str]) -> Iterator[tuple[int, int, str]]:
-    """Yield (offset, byte offset, text) for each non-blank entry of the text
-    that `pieces` make up, splitting on commas that sit outside <...> and
-    outside quoted strings.  Offsets count from the start of the whole text,
-    in characters and in UTF-8 bytes.  The text after a piece's last comma is
-    carried into the next piece, so an entry may straddle pieces."""
+def _split_entries(pieces: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Yield (byte offset, text) for each non-blank entry of the text that
+    `pieces` make up, splitting on commas that sit outside <...> and outside
+    quoted strings.  The offset counts the UTF-8 bytes before the entry in
+    the whole text.  The text after a piece's last comma is carried into the
+    next piece, so an entry may straddle pieces."""
     match = _ENTRY_RE.match
     carry = ""
-    offset = byte = 0  # where carry starts
+    byte = 0  # where the next entry starts
     scanned = 0  # length of the carry, scanned to its end without meeting a comma
     for piece in chain(pieces, [None]):
         final = piece is None  # the text's end ends its last entry
@@ -107,23 +107,22 @@ def _split_entries(pieces: Iterable[str]) -> Iterator[tuple[int, int, str]]:
         while (stop := match(text, pos).end()) < end or final:
             entry = text[pos:stop]
             if entry.strip():
-                yield offset + pos, byte, entry
+                yield byte, entry
             if stop >= end:
                 return
             byte += 1 + (len(entry) if entry.isascii() else len(entry.encode()))
             pos = stop + 1  # past the comma
         carry = text[pos:]
-        offset += pos
         scanned = len(carry)
 
 
-def _parse_entry(offset: int, text: str) -> tuple[str, dict[str, str]]:
+def _parse_entry(byte: int, text: str) -> tuple[str, dict[str, str]]:
     stripped = text.strip()
     if not stripped.startswith("<"):
-        raise MalformedEntry(f"entry does not start with '<': {stripped[:40]!r}", offset)
+        raise MalformedEntry(f"entry does not start with '<': {stripped[:40]!r}", byte)
     end = stripped.find(">")
     if end < 0:
-        raise MalformedEntry(f"unterminated URI in entry: {stripped[:40]!r}", offset)
+        raise MalformedEntry(f"unterminated URI in entry: {stripped[:40]!r}", byte)
     uri = stripped[1:end]
     params: dict[str, str] = {}
     for raw in _PARAM_RE.findall(stripped, end + 1):
@@ -132,7 +131,7 @@ def _parse_entry(offset: int, text: str) -> tuple[str, dict[str, str]]:
             continue
         key, eq, value = raw.partition("=")
         if not eq:
-            raise MalformedEntry(f"parameter without '=': {raw!r}", offset)
+            raise MalformedEntry(f"parameter without '=': {raw!r}", byte)
         value = value.strip()
         if value.startswith('"') and value.endswith('"') and len(value) >= 2:
             value = value[1:-1]
@@ -155,18 +154,18 @@ def memento_entries(pieces: Iterable[str],
     """
     roles = {} if roles is None else roles
     firsts = lasts = 0
-    for offset, byte, text in _split_entries(pieces):
-        uri, params = _parse_entry(offset, text)
+    for byte, text in _split_entries(pieces):
+        uri, params = _parse_entry(byte, text)
         rel = params.get("rel")
         if rel is None:
             continue
         tokens = rel.split()
         if any(t in _ROLE_RELS for t in tokens):
             if len(tokens) != 1:
-                raise MalformedEntry(f"role entry with extra rel tokens: {rel!r}", offset)
+                raise MalformedEntry(f"role entry with extra rel tokens: {rel!r}", byte)
             role = tokens[0]
             if role in roles:
-                raise MalformedEntry(f"duplicate {role!r} entry", offset)
+                raise MalformedEntry(f"duplicate {role!r} entry", byte)
             roles[role] = uri
             continue
         if "memento" not in tokens or not set(tokens) <= _MEMENTO_TOKENS:

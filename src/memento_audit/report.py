@@ -13,7 +13,6 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 from .analysis import (
-    AnnualSeries,
     DropFlag,
     FetchClass,
     MementoMetrics,
@@ -26,7 +25,6 @@ from .capture import CaptureLog, ResourceFetch, write_text_atomic
 from .config import endpoint_from_echo
 from .errors import InsufficientData
 from .linkformat import memento_record
-from .replay import ArchiveEndpoint
 from .sampling import Selection
 from .timefmt import format_iso, parse_iso
 
@@ -50,8 +48,8 @@ class AuditReport:
     generated: datetime
     config_echo: dict
     sample: tuple[Selection, ...]
-    metrics: tuple[MementoMetrics, ...]
-    series: AnnualSeries
+    #: One metrics record per memento, in ascending year order.
+    series: tuple[MementoMetrics, ...]
     flags: tuple[DropFlag, ...]
     #: (memento URI, fetch) for each fetch that escaped to the live web.
     leaks: tuple[tuple[str, ResourceFetch], ...]
@@ -82,14 +80,11 @@ def sample_from_docs(docs: list[dict]) -> tuple[Selection, ...]:
     )
 
 
-def collect_leaks(logs: list[CaptureLog], ep: ArchiveEndpoint,
-                  classes: list[tuple[FetchClass, ...]] | None = None
+def collect_leaks(logs: list[CaptureLog], classes: list[tuple[FetchClass, ...]]
                   ) -> tuple[tuple[str, ResourceFetch], ...]:
     """(memento URI, fetch) for every Leaked fetch across the given logs,
-    deduplicated per memento and request URI, in stable order.  `classes`,
-    when given, holds classify_log's result for each of `logs`."""
-    if classes is None:
-        classes = [classify_log(log, ep) for log in logs]
+    deduplicated per memento and request URI, in stable order, where
+    classes[i] is classify_log's result for logs[i]."""
     leaks: dict[tuple[str, str], ResourceFetch] = {}
     for log, log_classes in zip(logs, classes):
         for f, cls in zip(log.fetches, log_classes):
@@ -109,9 +104,8 @@ def assemble_report(site: str, echo: dict, sample: tuple[Selection, ...],
     by_memento: dict[str, list[int]] = {}
     for i, log in enumerate(logs):
         by_memento.setdefault(log.memento.uri, []).append(i)
-    metrics = tuple(compute_metrics([logs[i] for i in group], ep, [classes[i] for i in group])
-                    for group in by_memento.values())
-    series = build_series(list(metrics))
+    series = build_series(compute_metrics([logs[i] for i in group], [classes[i] for i in group])
+                          for group in by_memento.values())
     try:
         flags = tuple(detect_drops(series, echo["drop_threshold"],
                                    echo["sustain_window"]))
@@ -122,10 +116,9 @@ def assemble_report(site: str, echo: dict, sample: tuple[Selection, ...],
         generated=max(log.finished for log in logs),
         config_echo=echo,
         sample=sample,
-        metrics=metrics,
         series=series,
         flags=flags,
-        leaks=collect_leaks(logs, ep, classes),
+        leaks=collect_leaks(logs, classes),
     )
 
 
@@ -137,7 +130,7 @@ def _metrics_doc(m: MementoMetrics) -> dict:
         "timestamp": m.memento.timestamp,
         "original": m.memento.original,
         "year": m.year,
-        "counts": {cls.value: m.counts.get(cls, 0) for cls in FetchClass},
+        "counts": {cls.value: m.count(cls) for cls in FetchClass},
         "total_requested": m.total_requested,
         "completeness": m.completeness,
         "script_delta": m.script_delta,
@@ -153,11 +146,8 @@ def emit_json(r: AuditReport) -> str:
         "config": dict(sorted(r.config_echo.items())),
         "notes": dict(sorted(REPORT_NOTES.items())),
         "sample": sample_to_docs(r.sample),
-        "mementos": [_metrics_doc(m) for m in sorted(r.metrics, key=lambda m: m.year)],
-        "series": [
-            {"year": p.year, "resource_count": p.resource_count}
-            for p in r.series.points
-        ],
+        "mementos": [_metrics_doc(m) for m in r.series],
+        "series": [{"year": m.year, "resource_count": m.total_requested} for m in r.series],
         "drop_flags": [
             {
                 "start_year": f.start_year,
@@ -184,17 +174,17 @@ def emit_json(r: AuditReport) -> str:
 
 # --- CSV ---------------------------------------------------------------------
 
-def emit_csv_series(s: AnnualSeries) -> str:
-    """One row per year, ascending; completeness to 4 decimal places; the
-    script_delta cell is empty when no scripted capture ran."""
+def emit_csv_series(s: tuple[MementoMetrics, ...]) -> str:
+    """One row per year of the annual series `s`, ascending; completeness to
+    4 decimal places; the script_delta cell is empty when no scripted capture
+    ran."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for p in s.points:
-        m = p.metrics
+    for m in s:
         writer.writerow([
-            p.year,
-            p.resource_count,
+            m.year,
+            m.total_requested,
             m.count(FetchClass.ARCHIVED_OK),
             m.count(FetchClass.ARCHIVED_MISSING),
             m.count(FetchClass.LEAKED),

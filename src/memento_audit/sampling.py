@@ -24,7 +24,8 @@ from typing import BinaryIO
 
 from .errors import AuditError, BadTimestamp, TimestampMismatch
 from .linkformat import MementoRecord, TimeMap, memento_at, memento_entries
-from .timefmt import parse_ts14, uri_ts14
+from .replay import MEMENTO_SHAPE_RE
+from .timefmt import parse_ts14
 
 _INTERVAL_RE = re.compile(r"^(\d+)\s*([yd])$")
 
@@ -75,11 +76,14 @@ def parse_interval(text: str) -> Interval:
 
 
 def _uri_date_error(uri: str, dt: datetime) -> TimestampMismatch | None:
-    """The error to raise when a 14-digit timestamp in `uri`'s path lies more
-    than 24 hours from `dt`, else None."""
-    ts = uri_ts14(uri)
-    if ts is None or (dt.tzinfo is timezone.utc and int(ts) == _ts14_value(dt)):
-        return None  # no URI timestamp, or one naming the record's own second
+    """The error to raise when `uri`'s memento timestamp, the one that
+    replay.to_replay_uri reads, lies more than 24 hours from `dt`, else None."""
+    shape = MEMENTO_SHAPE_RE.match(uri)
+    if shape is None:
+        return None  # no memento timestamp: the pick fails on its own in audit
+    ts = shape.group(2)
+    if dt.tzinfo is timezone.utc and int(ts) == _ts14_value(dt):
+        return None  # one naming the record's own second
     try:
         uri_dt = parse_ts14(ts)
     except BadTimestamp:
@@ -91,8 +95,8 @@ def _uri_date_error(uri: str, dt: datetime) -> TimestampMismatch | None:
 
 
 def extract_date(m: MementoRecord) -> datetime:
-    """Return the record's datetime, cross-checked against any 14-digit
-    timestamp embedded in its URI path.
+    """Return the record's datetime, cross-checked against the memento
+    timestamp in its URI, if it has one.
 
     The two sources must agree to within 24 hours; archives stamp the URI at
     capture time, so a larger gap means corrupt input.

@@ -19,7 +19,6 @@ _RFC1123_RE = re.compile(
 )
 
 _TS14_RE = re.compile(r"^\d{14}$")
-_TS14_SEGMENT_RE = re.compile(r"/(\d{14})(?=/|$)")
 # `scheme://authority` then the path, up to any query or fragment. Where this
 # matches, the authority and the path are the netloc and the path urlsplit
 # gives: the URI starts with a letter (no leading space to strip), holds no
@@ -78,13 +77,6 @@ def split_netloc_path(uri: str) -> tuple[str, str]:
         return m.groups()
     parts = urlsplit(uri)
     return parts.netloc, parts.path
-
-
-def uri_ts14(uri: str) -> str | None:
-    """The 14-digit archive timestamp that forms a whole segment of the URI's
-    path, as in `/web/20000620180259/http://a.example/`, or None."""
-    seg = _TS14_SEGMENT_RE.search(split_netloc_path(uri)[1])
-    return seg.group(1) if seg is not None else None
 
 
 def to_utc(dt: datetime) -> datetime:

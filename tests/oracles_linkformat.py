@@ -1,15 +1,12 @@
 """Reference implementations of TimeMap parsing and of the URI-timestamp
 check, for the equivalence tests in test_equivalence.py.
 
-They are the character scanner and the urlsplit-based check that the program
-replaced with compiled regexes and a cheaper path extraction.  They live apart
-from oracles.py so that perfbench, which imports oracles.py into the process it
-measures, does not load them.
+They are the character scanners that the program replaced with compiled
+regexes.  They live apart from oracles.py so that perfbench, which imports
+oracles.py into the process it measures, does not load them.
 """
 
-import re
 from datetime import datetime, timedelta
-from urllib.parse import urlsplit
 
 from memento_audit.errors import BadDatetime, MalformedEntry, MissingRole, TimestampMismatch
 from memento_audit.linkformat import MementoRecord, TimeMap
@@ -17,13 +14,16 @@ from memento_audit.timefmt import parse_rfc1123, parse_ts14
 
 
 def oracle_split_entries(body: str) -> list[tuple[int, str]]:
-    """(offset, text) of each non-blank entry, by a character scanner that
-    splits on commas outside <...> and outside quoted strings."""
+    """(byte offset, text) of each non-blank entry, by a character scanner
+    that splits on commas outside <...> and outside quoted strings and counts
+    each character's UTF-8 bytes."""
     entries = []
     start = 0
+    start_byte = byte = 0
     in_quote = False
     in_angle = False
     for i, ch in enumerate(body):
+        byte += len(ch.encode("utf-8"))
         if in_quote:
             if ch == '"':
                 in_quote = False
@@ -35,9 +35,9 @@ def oracle_split_entries(body: str) -> list[tuple[int, str]]:
         elif ch == "<":
             in_angle = True
         elif ch == ",":
-            entries.append((start, body[start:i]))
-            start = i + 1
-    entries.append((start, body[start:]))
+            entries.append((start_byte, body[start:i]))
+            start, start_byte = i + 1, byte
+    entries.append((start_byte, body[start:]))
     return [(off, text) for off, text in entries if text.strip()]
 
 
@@ -109,16 +109,44 @@ def oracle_parse_link_format(body: str) -> TimeMap:
                    mementos=tuple(sorted(mementos, key=lambda m: (m.datetime, m.uri))))
 
 
+def _oracle_memento_timestamp(uri: str) -> str | None:
+    """The timestamp that a memento URI splits at, by a scanner: after an
+    http(s) scheme and a non-empty first segment, the first `/`, 14 decimal
+    digits and `/` followed by an absolute http(s) original.  As `.` in a
+    regex, the text after the first segment holds no newline, but for one
+    that ends the URI."""
+    scheme = next((s for s in ("http://", "https://") if uri.startswith(s)), None)
+    if scheme is None:
+        return None
+    rest = uri[len(scheme):]
+    if rest.endswith("\n"):
+        rest = rest[:-1]
+    segment_end = rest.find("/")
+    if segment_end < 1:
+        return None
+    for at in range(segment_end, len(rest)):
+        if rest[at] == "\n":
+            return None
+        ts, original = rest[at + 1:at + 15], rest[at + 16:]
+        if (rest[at] == "/" and len(ts) == 14 and ts.isdecimal() and rest[at + 15:at + 16] == "/"
+                and any(original.startswith(s) and len(original) > len(s)
+                        for s in ("http://", "https://"))
+                and "\n" not in original):
+            return ts
+    return None
+
+
 def oracle_extract_date(m: MementoRecord) -> datetime:
-    """extract_date's contract, on the path exactly as urlsplit gives it."""
-    seg = re.search(r"/(\d{14})(?=/|$)", urlsplit(m.uri).path)
-    if seg is not None:
+    """extract_date's contract: the record's datetime, unless the timestamp
+    that the memento URI splits at names an instant more than 24 hours away."""
+    ts = _oracle_memento_timestamp(m.uri)
+    if ts is not None:
         try:
-            uri_dt = parse_ts14(seg.group(1))
+            uri_dt = parse_ts14(ts)
         except Exception:
             uri_dt = None
         if uri_dt is not None and abs(uri_dt - m.datetime) > timedelta(hours=24):
             raise TimestampMismatch(
                 f"datetime attribute {m.datetime.isoformat()} vs URI timestamp "
-                f"{seg.group(1)} in {m.uri}")
+                f"{ts} in {m.uri}")
     return m.datetime

@@ -18,11 +18,10 @@ from urllib.parse import urlsplit
 import pytest
 
 from memento_audit.analysis import (
-    AnnualSeries,
     FetchClass,
     MementoMetrics,
-    SeriesPoint,
     classify_fetch,
+    classify_log,
     compute_metrics,
     detect_drops,
 )
@@ -203,7 +202,8 @@ def test_criterion_04_leak_set_exact(capsys, service, endpoint, fetcher):
         log = StaticEngine(fetcher=fetcher).capture(m, endpoint)
         assert not log.page_failed
 
-        leaks = collect_leaks([log], endpoint)
+        classes = [classify_log(log, endpoint)]
+        leaks = collect_leaks([log], classes)
         leaked_originals = {parse_replay_uri(leak.request_uri, endpoint)[1]
                             for _, leak in leaks}
         assert leaked_originals == set(GMAPS_LEAKS)
@@ -217,7 +217,7 @@ def test_criterion_04_leak_set_exact(capsys, service, endpoint, fetcher):
             assert leak.final_status == 200
             assert urlsplit(leak.chain[-1][1]).netloc == live_host
 
-        metrics = compute_metrics([log], endpoint)
+        metrics = compute_metrics([log], classes)
         assert metrics.count(FetchClass.LEAKED) == len(GMAPS_LEAKS)
 
 
@@ -249,9 +249,8 @@ def test_criterion_06_script_differential(capsys, service, endpoint, fetcher,
         engine = ScriptedEngine(stub_bridge.url, settle_ms=0)
         on = engine.capture(m, endpoint, scripting="on")
         off = engine.capture(m, endpoint, scripting="off")
-        diff = diff_captures(on, off)
         script_only = {parse_replay_uri(uri, endpoint)[1]
-                       for uri in diff.script_only}
+                       for uri in diff_captures(on, off)}
         assert script_only == set(YT2006_SCRIPT_LOADED)
 
         static_log = StaticEngine(fetcher=fetcher).capture(m, endpoint)
@@ -312,16 +311,15 @@ def test_criterion_09_report_byte_identical(capsys, collapse_audit, tmp_path):
 
 
 def _series_of(counts, start_year=1990):
-    points = []
-    for offset, count in enumerate(counts):
-        year = start_year + offset
-        metrics = MementoMetrics(
+    """An annual series whose years' fetches were all archived, `counts[i]`
+    of them in year start_year + i."""
+    return tuple(
+        MementoMetrics(
             memento=ReplayUri(
                 timestamp=f"{year}0101000000", original="http://s.example/",
                 uri=f"http://archive.example/web/{year}0101000000/http://s.example/"),
-            year=year, counts={}, total_requested=count, completeness=1.0)
-        points.append(SeriesPoint(year=year, resource_count=count, metrics=metrics))
-    return AnnualSeries(site="http://s.example/", points=tuple(points))
+            counts={FetchClass.ARCHIVED_OK: count})
+        for year, count in enumerate(counts, start_year))
 
 
 def test_criterion_08_drop_detector_matches_oracle(capsys):

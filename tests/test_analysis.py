@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from datetime import datetime, timezone
 
@@ -5,11 +6,9 @@ import pytest
 
 from memento_audit.analysis import (
     COUNTED_CLASSES,
-    AnnualSeries,
     DropFlag,
     FetchClass,
     MementoMetrics,
-    SeriesPoint,
     build_series,
     classify_fetch,
     classify_log,
@@ -139,6 +138,10 @@ def _log(fetches, scripting=SCRIPTING_OFF, engine=ENGINE_STATIC, memento=None):
                       started=now, finished=now)
 
 
+def _metrics(logs):
+    return compute_metrics(logs, [classify_log(log, EP) for log in logs])
+
+
 def test_completeness_arithmetic():
     fetches = [
         _fetch(_memento().uri, phase=PHASE_PAGE),          # the page counts
@@ -147,7 +150,7 @@ def test_completeness_arithmetic():
         _fetch(f"{LIVE}/leak.js"),
         _fetch(f"{ARCHIVE}/gone.gif", chain=((404, None),)),
     ]
-    m = compute_metrics([_log(fetches)], EP)
+    m = _metrics([_log(fetches)])
     assert m.total_requested == 5
     assert m.count(FetchClass.ARCHIVED_OK) == 3
     assert m.count(FetchClass.LEAKED) == 1
@@ -164,7 +167,7 @@ def test_chrome_and_skipped_outside_denominator():
         _fetch("http://archive.example/static/banner.css"),
         _skipped("data:x"),
     ]
-    m = compute_metrics([_log(fetches)], EP)
+    m = _metrics([_log(fetches)])
     assert m.total_requested == 2
     assert m.completeness == 1.0
     assert m.count(FetchClass.REPLAY_CHROME) == 1
@@ -175,16 +178,16 @@ def test_empty_denominator_is_fully_complete():
     page = ResourceFetch(request_uri=_memento().uri, chain=(),
                          content_type=None, bytes=0, trigger=TRIGGER_MARKUP,
                          phase=PHASE_PAGE)
-    m = compute_metrics([_log([page])], EP)
+    m = _metrics([_log([page])])
     assert m.total_requested == 0
     assert m.completeness == 1.0
 
 
 def test_metrics_require_a_page_fetch():
     with pytest.raises(NoPageFetch):
-        compute_metrics([], EP)
+        _metrics([])
     with pytest.raises(NoPageFetch):
-        compute_metrics([_log([_fetch(f"{ARCHIVE}/a.gif")])], EP)
+        _metrics([_log([_fetch(f"{ARCHIVE}/a.gif")])])
 
 
 def test_metrics_refuse_mixed_mementos():
@@ -192,7 +195,7 @@ def test_metrics_refuse_mixed_mementos():
     b = _log([_fetch(_memento("20110101000000").uri, phase=PHASE_PAGE)],
              memento=_memento("20110101000000"))
     with pytest.raises(MementoMismatch):
-        compute_metrics([a, b], EP)
+        _metrics([a, b])
 
 
 def test_script_on_log_is_primary_and_delta_computed():
@@ -202,43 +205,47 @@ def test_script_on_log_is_primary_and_delta_computed():
     on = _log([page, _fetch(f"{ARCHIVE}/shared.gif"), _fetch(f"{ARCHIVE}/lazy1.gif"),
                _fetch(f"{ARCHIVE}/lazy2.gif")],
               scripting=SCRIPTING_ON, engine=ENGINE_SCRIPTED)
-    m = compute_metrics([off, on], EP)
+    m = _metrics([off, on])
     assert m.total_requested == 4  # from the scripting-on view
     assert m.script_delta == 2
-    # Classes handed in by the caller are read for the same log.
-    assert compute_metrics([off, on], EP, [classify_log(off, EP), classify_log(on, EP)]) == m
+    assert _metrics([on, off]) == m
+    # The counts are the classes handed in for the scripting-on log.
+    missing = (FetchClass.ARCHIVED_MISSING,) * len(on.fetches)
+    assert compute_metrics([off, on], [classify_log(off, EP), missing]).counts \
+        == {**{cls: 0 for cls in FetchClass}, FetchClass.ARCHIVED_MISSING: 4}
+
+
+def test_derived_figures_are_computed_from_the_counts():
+    m = MementoMetrics(memento=_memento("20070101000000"),
+                       counts={FetchClass.ARCHIVED_OK: 3, FetchClass.LEAKED: 1,
+                               FetchClass.REPLAY_CHROME: 5})
+    assert [f.name for f in dataclasses.fields(m)] == ["memento", "counts", "script_delta"]
+    assert (m.year, m.total_requested, m.completeness) == (2007, 4, 0.75)
+    for name in ("year", "total_requested", "completeness"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 0)
 
 
 # --- series and drop detection -----------------------------------------------
 
 
-def _series(counts, start_year=1996, site="http://s.example/"):
-    points = []
-    for offset, count in enumerate(counts):
-        year = start_year + offset
-        metrics = MementoMetrics(
-            memento=_memento(ts=f"{year}0101000000"), year=year,
-            counts={}, total_requested=count, completeness=1.0)
-        points.append(SeriesPoint(year=year, resource_count=count, metrics=metrics))
-    return AnnualSeries(site=site, points=tuple(points))
+def _year(year, count):
+    """A memento of `year` whose `count` fetches were all archived."""
+    return MementoMetrics(memento=_memento(ts=f"{year}0101000000"),
+                          counts={FetchClass.ARCHIVED_OK: count})
+
+
+def _series(counts, start_year=1996):
+    return tuple(_year(start_year + offset, count) for offset, count in enumerate(counts))
 
 
 def test_build_series_sorts_by_year():
-    ms = [
-        MementoMetrics(memento=_memento("20050101000000"), year=2005,
-                       counts={}, total_requested=9, completeness=1.0),
-        MementoMetrics(memento=_memento("20030101000000"), year=2003,
-                       counts={}, total_requested=7, completeness=1.0),
-    ]
-    s = build_series(ms)
-    assert s.years() == [2003, 2005]
-    assert s.counts() == [7, 9]
-    assert s.site == "http://s.example/"
+    later, earlier = _year(2005, 9), _year(2003, 7)
+    assert build_series([later, earlier]) == (earlier, later)
 
 
 def test_build_series_rejects_duplicate_years():
-    m = MementoMetrics(memento=_memento(), year=2010, counts={},
-                       total_requested=5, completeness=1.0)
+    m = _year(2010, 5)
     with pytest.raises(DuplicateYear):
         build_series([m, m])
 

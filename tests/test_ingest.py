@@ -28,7 +28,7 @@ from memento_audit.errors import (
 )
 from memento_audit.fixture_archive.server import serve_in_thread, stop_serving
 from memento_audit.linkformat import parse_link_format, serialize_link_format
-from memento_audit.replay import ArchiveEndpoint
+from memento_audit.replay import ArchiveEndpoint, to_replay_uri
 from memento_audit.sampling import ONE_YEAR, Interval, sample_timemap, select_annual
 from memento_audit.timefmt import format_rfc1123
 from test_acceptance import ARCHIVED_INDEX_SAMPLE, _synthetic_timemap
@@ -183,6 +183,18 @@ def test_timestamp_mismatch_waits_for_the_whole_body():
 
     outcome = _agree(body + b",\n<x> oops", 8)
     assert outcome[1] is MalformedEntry and outcome[3] == len(body) + 1
+
+
+def test_the_uri_timestamp_checked_is_the_one_the_memento_counts_for():
+    """A URI whose path holds another 14-digit segment before its memento
+    timestamp is checked against the timestamp that gives it its year."""
+    uri = "http://archive.example/x/20050101000000/y/20060601000000/http://s.example/"
+    dt = datetime(2006, 6, 1, tzinfo=timezone.utc)
+    entry = f'<{uri}>; rel="first last memento"; datetime="{format_rfc1123(dt)}"'
+    outcome = _agree(",\n".join([*ROLES, entry]).encode("utf-8"), 16)
+    assert outcome[0] == "returned"
+    assert [sel.chosen.uri for sel in outcome[1].selections] == [uri]
+    assert to_replay_uri(uri, EP).year == 2006
 
 
 def test_equal_seconds_choose_the_first_uri():

@@ -91,6 +91,14 @@ def test_malformed_entry_reports_offset():
     assert exc_info.value.offset > 0
 
 
+def test_malformed_entry_offset_counts_bytes():
+    body = '<http://a.example/\u00e9\u00e9\u00e9\u00e9>; rel="original",\nnot-an-entry'
+    assert body.index("\nnot") == 40 and body.encode().index(b"\nnot") == 44
+    with pytest.raises(MalformedEntry, match=r"\(at byte offset 44\)") as exc_info:
+        parse_link_format(body)
+    assert exc_info.value.offset == 44
+
+
 def test_unknown_rels_ignored():
     body = SIMPLE + ',\n<http://a.example/style>; rel="stylesheet"'
     tm = parse_link_format(body)

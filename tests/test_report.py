@@ -7,13 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from memento_audit.analysis import (
-    AnnualSeries,
-    DropFlag,
-    FetchClass,
-    MementoMetrics,
-    SeriesPoint,
-)
+from memento_audit.analysis import DropFlag, FetchClass, MementoMetrics, build_series
 from memento_audit.capture import CaptureLog, ResourceFetch, save_log
 from memento_audit.linkformat import memento_record
 from memento_audit.report import (
@@ -32,19 +26,15 @@ def _metrics(year, ok=5, missing=1, leaked=1, delta=None):
     counts[FetchClass.ARCHIVED_OK] = ok
     counts[FetchClass.ARCHIVED_MISSING] = missing
     counts[FetchClass.LEAKED] = leaked
-    total = ok + missing + leaked
     return MementoMetrics(
         memento=ReplayUri(
             timestamp=f"{year}0601000000", original="http://s.example/",
             uri=f"http://archive.example/web/{year}0601000000/http://s.example/"),
-        year=year, counts=counts, total_requested=total,
-        completeness=ok / total if total else 1.0, script_delta=delta)
+        counts=counts, script_delta=delta)
 
 
 def _report(years=(2004, 2005), delta=None):
     metrics = tuple(_metrics(y, delta=delta) for y in years)
-    points = tuple(SeriesPoint(year=m.year, resource_count=m.total_requested,
-                               metrics=m) for m in metrics)
     dt = datetime(2012, 7, 31, 0, 33, 35, tzinfo=timezone.utc)
     sample = tuple(
         Selection(target=dt + timedelta(days=365 * i),
@@ -63,8 +53,7 @@ def _report(years=(2004, 2005), delta=None):
         generated=dt,
         config_echo={"interval": "1y", "engine": "static", "scripting": "off"},
         sample=sample,
-        metrics=metrics,
-        series=AnnualSeries(site="http://s.example/", points=points),
+        series=build_series(metrics),
         flags=(DropFlag(start_year=2005, end_year=2005, baseline=7.0,
                         dropped_value=3.0, ratio=3 / 7),),
         leaks=leaks,
@@ -130,8 +119,7 @@ def test_empty_report_serializes():
         generated=datetime(2012, 1, 1, tzinfo=timezone.utc),
         config_echo={},
         sample=(),
-        metrics=(),
-        series=AnnualSeries(site=None, points=()),
+        series=(),
         flags=(),
         leaks=(),
     )
