@@ -348,17 +348,29 @@ def log_from_document(doc: dict) -> CaptureLog:
     )
 
 
+#: The name prefix of write_text_atomic's temporary files, and of nothing
+#: else: a file named so is one that a write killed before its rename left.
+TMP_PREFIX = ".tmp-"
+
+
 def write_text_atomic(path: Path, text: str) -> None:
     """Write `path` whole or not at all: a temporary file in the same
     directory, renamed over the old file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp = path.with_name(f"{TMP_PREFIX}{path.name}.{os.getpid()}.{threading.get_ident()}")
     try:
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def sweep_temporary_files(directory: Path) -> None:
+    """Remove the temporary files that killed writes left in `directory`."""
+    for stray in directory.glob(TMP_PREFIX + "*"):
+        if stray.is_file():
+            stray.unlink(missing_ok=True)
 
 
 def save_log(log: CaptureLog, directory: str | Path) -> Path:

@@ -32,7 +32,8 @@ from typing import BinaryIO
 from .bridge import ScriptedEngine, bridge_available
 from .capture import (ENGINE_SCRIPTED, ENGINE_STATIC, RUN_META_NAME, SCRIPTING_BOTH,
                       SCRIPTING_OFF, SCRIPTING_ON, CaptureLog, StaticEngine, capture_filename,
-                      load_log, log_filename, run_meta_filename, save_log, write_text_atomic)
+                      load_log, log_filename, run_meta_filename, save_log, sweep_temporary_files,
+                      write_text_atomic)
 from .client import decode_timemap_pieces, fetch_timemap
 from .config import CACHE_ENV, AuditConfig, endpoint_from_echo, parse_config_file
 from .errors import AuditError
@@ -487,6 +488,7 @@ def _audit_site(cfg: AuditConfig, site: str) -> tuple[AuditReport, list[str], di
 def cmd_audit(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     site = validate_original_uri(args.uri)
+    sweep_temporary_files(cfg.cache_dir)
     report, failures, meta = _audit_site(cfg, site)
     json_path, csv_path = write_report(report, cfg.out_dir)
     write_text_atomic(cfg.cache_dir / run_meta_filename(site),

@@ -10,14 +10,14 @@ like a browser with JavaScript disabled.
 
 import json
 import logging
-from urllib.parse import urldefrag, urljoin
+from urllib.parse import urldefrag
 
 from ..bridge import _INITIATOR_TRIGGERS
 from ..capture import (PHASE_PAGE, PHASE_SUBRESOURCE, SCRIPTING_ON, TRIGGER_MARKUP,
                        ResourceFetch, _fetch_from_chain, _looks_like_css, _looks_like_html)
 from ..extract import extract_css_refs, extract_page_refs
 from ..fetching import PoliteFetcher
-from ..replay import MEMENTO_SHAPE_RE, SKIP_SCHEMES
+from ..replay import MEMENTO_SHAPE_RE, SKIP_SCHEMES, join_reference
 from .server import _QuietHandler, serve_in_thread, stop_serving
 
 logger = logging.getLogger(__name__)
@@ -41,9 +41,7 @@ def _resolvable(absolute: str) -> bool:
 def _browser_join(base: str, ref: str) -> str:
     """Resolve a reference the way a browser under replay does.
 
-    Python's urljoin collapses the empty path segment inside an embedded
-    original ('http://' becomes 'http:/'), which a browser does not do — so
-    when the base is a memento URI, resolve against its original, as the
+    When the base is a memento URI, resolve against its original, as the
     auditor splits it, and put the replay prefix back.  A reference that does
     not parse, such as "//[bad", resolves to "", which is never fetched.
     """
@@ -53,9 +51,9 @@ def _browser_join(base: str, ref: str) -> str:
             return ref
         m = MEMENTO_SHAPE_RE.match(base)
         if m is None:
-            return urljoin(base, ref)
+            return join_reference(base, ref)
         prefix, timestamp, original = m.groups()
-        return f"{prefix}/{timestamp}/{urljoin(original, ref)}"
+        return f"{prefix}/{timestamp}/{join_reference(original, ref)}"
     except ValueError:
         return ""
 

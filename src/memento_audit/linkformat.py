@@ -8,25 +8,37 @@ An unterminated quote or bracket runs to the end of the text. A TimeMap can
 hold 10^5 entries or more, so entries are taken one at a time, from text that
 may come in pieces, and every step per entry is a few C-level string or regex
 calls.
+
+Archives serve every memento entry in the one form of RFC 7089's examples,
+`<URI>; rel="memento"; datetime="Www, DD Mon YYYY HH:MM:SS GMT"`, with
+"first " or "last " before "memento" at the TimeMap's ends.  An entry in that
+form is read with one regex match where it starts, never cut out or split into
+parameters, and its second since the epoch is counted from the match's fields
+with integer arithmetic; only the last calendar day seen is remembered.  Every
+other entry, and one in that form whose fields name no instant, goes through
+the general parser, which alone defines the grammar and its errors.
 """
 
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date as _date
+from datetime import datetime, timedelta
 from itertools import chain
 from operator import attrgetter
 from typing import BinaryIO
 
 from .errors import BadDatetime, MalformedEntry, MissingRole
-from .timefmt import format_rfc1123, parse_rfc1123
+from .timefmt import (_MONTH_NUMBERS, EPOCH, RFC1123_PATTERN, SECOND, format_rfc1123,
+                      parse_rfc1123)
 
 REL_MEMENTO = "memento"
 REL_FIRST = "first-memento"
 REL_LAST = "last-memento"
 
-_ROLE_RELS = ("original", "timemap", "timegate", "timebundle")
+_ROLE_RELS = frozenset({"original", "timemap", "timegate", "timebundle"})
 _MEMENTO_TOKENS = {"first", "last", "memento"}
+_EPOCH_DAY = EPOCH.toordinal()
 
 
 @dataclass(frozen=True, order=True)
@@ -81,18 +93,28 @@ def memento_record(uri: str, dt: datetime, first: bool = False, last: bool = Fal
 
 # One entry: everything up to the next comma outside quotes and <...>.
 _ENTRY_RE = re.compile(r'(?:[^,"<]+|"[^"]*"?|<[^>]*>?)*')
+# A memento entry in the one form archives serve (RFC 7089's examples), with
+# blank space around it.  It ends at a comma or at the end of the text, as the
+# entry that _ENTRY_RE finds there does.  The lookahead turns an entry of any
+# other form away before the URI is captured: backing out of the capture
+# would cost a step per character.
+_MEMENTO_RE = re.compile(
+    r'[ \t\r\n]*<(?=[^>]*>; rel=")([^>]*)>; rel="(first )?(last )?memento"; '
+    rf'datetime="{RFC1123_PATTERN}"[ \t\r\n]*(?=,|\Z)', re.ASCII)
 # One parameter plus the ';' after it. Stepping past the end of the text yields
 # one extra empty parameter, which is blank and so skipped like any other.
 _PARAM_RE = re.compile(r'((?:[^;"]+|"[^"]*"?)*)(?:;|\Z)')
 
 
-def _split_entries(pieces: Iterable[str]) -> Iterator[tuple[int, str]]:
+def _split_entries(pieces: Iterable[str]) -> Iterator[tuple[int, str | re.Match]]:
     """Yield (byte offset, text) for each non-blank entry of the text that
     `pieces` make up, splitting on commas that sit outside <...> and outside
     quoted strings.  The offset counts the UTF-8 bytes before the entry in
     the whole text.  The text after a piece's last comma is carried into the
-    next piece, so an entry may straddle pieces."""
-    match = _ENTRY_RE.match
+    next piece, so an entry may straddle pieces.  A memento entry in the
+    canonical form is yielded as its _MEMENTO_RE match in place of its text,
+    and is never sliced out."""
+    fast, match = _MEMENTO_RE.match, _ENTRY_RE.match
     carry = ""
     byte = 0  # where the next entry starts
     scanned = 0  # length of the carry, scanned to its end without meeting a comma
@@ -103,14 +125,22 @@ def _split_entries(pieces: Iterable[str]) -> Iterator[tuple[int, str]]:
             carry = text  # one long entry: scan it again only once it has doubled
             continue
         end = len(text)
+        ascii_only = text.isascii()  # then an entry's length in characters is its length in bytes
         pos = 0
-        while (stop := match(text, pos).end()) < end or final:
-            entry = text[pos:stop]
-            if entry.strip():
-                yield byte, entry
+        while True:
+            m = fast(text, pos)
+            if m is not None and ((stop := m.end()) < end or final):
+                yield byte, m
+            else:
+                stop = match(text, pos).end()
+                if stop >= end and not final:
+                    break
+                entry = text[pos:stop]
+                if entry.strip():
+                    yield byte, entry
             if stop >= end:
                 return
-            byte += 1 + (len(entry) if entry.isascii() else len(entry.encode()))
+            byte += 1 + (stop - pos if ascii_only else len(text[pos:stop].encode()))
             pos = stop + 1  # past the comma
         carry = text[pos:]
         scanned = len(carry)
@@ -141,10 +171,11 @@ def _parse_entry(byte: int, text: str) -> tuple[str, dict[str, str]]:
 
 def memento_entries(pieces: Iterable[str],
                     roles: dict[str, str] | None = None
-                    ) -> Iterator[tuple[int, str, datetime, bool, bool]]:
-    """Yield (byte offset, URI, datetime, first, last) for each memento entry
-    of the link-format text that `pieces` make up, in text order, and put
-    each role entry's URI in `roles` under its rel.
+                    ) -> Iterator[tuple[int, str, int, str, bool, bool]]:
+    """Yield (byte offset, URI, second since the epoch, datetime as the 14
+    digits YYYYMMDDhhmmss, first, last) for each memento entry of the
+    link-format text that `pieces` make up, in text order, and put each role
+    entry's URI in `roles` under its rel.
 
     Raises MalformedEntry for unparseable segments or duplicated roles,
     MissingRole when no original/timegate/timemap entry exists, and
@@ -154,13 +185,33 @@ def memento_entries(pieces: Iterable[str],
     """
     roles = {} if roles is None else roles
     firsts = lasts = 0
-    for byte, text in _split_entries(pieces):
-        uri, params = _parse_entry(byte, text)
+    # the last calendar day seen: its (DD, Mon, YYYY), its first second and its YYYYMMDD
+    date = day = ymd = None
+    for byte, entry in _split_entries(pieces):
+        if isinstance(entry, re.Match):  # the canonical form, its digits ASCII
+            uri, first, last, _, dom, mon, year, h, mi, s = entry.groups()
+            if (dom, mon, year) != date:
+                try:
+                    day = (_date(int(year), _MONTH_NUMBERS[mon], int(dom)).toordinal()
+                           - _EPOCH_DAY) * 86400
+                except ValueError:  # no such day: the general path raises for it
+                    day = date = None
+                else:
+                    date, ymd = (dom, mon, year), f"{year}{_MONTH_NUMBERS[mon]:02d}{dom}"
+            if day is not None and h < "24" and mi < "60" and s < "60":  # two digits: as text
+                first, last = first is not None, last is not None
+                firsts += first
+                lasts += last
+                yield (byte, uri, day + int(h) * 3600 + int(mi) * 60 + int(s),
+                       ymd + h + mi + s, first, last)
+                continue
+            entry = entry[0]
+        uri, params = _parse_entry(byte, entry)
         rel = params.get("rel")
         if rel is None:
             continue
         tokens = rel.split()
-        if any(t in _ROLE_RELS for t in tokens):
+        if not _ROLE_RELS.isdisjoint(tokens):
             if len(tokens) != 1:
                 raise MalformedEntry(f"role entry with extra rel tokens: {rel!r}", byte)
             role = tokens[0]
@@ -173,10 +224,12 @@ def memento_entries(pieces: Iterable[str],
         raw_dt = params.get("datetime")
         if raw_dt is None:
             raise BadDatetime(f"memento entry without datetime: <{uri}>")
+        dt = parse_rfc1123(raw_dt)
         first, last = "first" in tokens, "last" in tokens
         firsts += first
         lasts += last
-        yield byte, uri, parse_rfc1123(raw_dt), first, last
+        yield (byte, uri, (dt - EPOCH) // SECOND, "%04d%02d%02d%02d%02d%02d" % (
+            dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second), first, last)
 
     for role in ("original", "timemap", "timegate"):
         if role not in roles:
@@ -208,8 +261,8 @@ def memento_at(body: BinaryIO, byte: int) -> MementoRecord:
 def parse_link_format(body: str) -> TimeMap:
     """Parse a link-format TimeMap body; raises as memento_entries does."""
     roles: dict[str, str] = {}
-    mementos = [memento_record(uri, dt, first, last)
-                for _, uri, dt, first, last in memento_entries((body,), roles)]
+    mementos = [memento_record(uri, EPOCH + timedelta(seconds=second), first, last)
+                for _, uri, second, _, first, last in memento_entries((body,), roles)]
     mementos.sort(key=attrgetter("datetime", "uri"))
     return TimeMap(
         original=roles["original"],

@@ -6,9 +6,10 @@ exact bytes of the embedded original, so nothing here percent-normalizes.
 
 import re
 from dataclasses import dataclass, field
-from urllib.parse import urldefrag, urljoin, urlsplit
+from urllib.parse import urldefrag, urljoin, urlsplit, urlunsplit
 
 from .errors import UnrecognizedShape, UnresolvableReference
+from .fetching import _without_dot_segments
 from .timefmt import parse_ts14, split_netloc_path
 
 HOST_ARCHIVE = "archive"
@@ -150,6 +151,22 @@ def classify_host(uri: str, ep: ArchiveEndpoint) -> str:
     return HOST_ARCHIVE
 
 
+def join_reference(base_uri: str, reference: str) -> str:
+    """`reference` resolved against the absolute URI `base_uri` as RFC 3986
+    §5.2 and a browser resolve it.  A relative-path reference is merged with
+    the base's path, then its dot segments are removed, and every empty
+    segment of both is kept: urljoin drops them, so that it joins
+    http://h/a//b/c.html and d.gif to http://h/a/b/d.gif, where a browser
+    requests http://h/a//b/d.gif.  Every other form of reference goes to
+    urljoin."""
+    ref = urlsplit(reference)
+    if ref.scheme or ref.netloc or not ref.path or ref.path.startswith("/"):
+        return urljoin(base_uri, reference)
+    scheme, netloc, path, _, _ = urlsplit(base_uri)
+    path = _without_dot_segments((path[:path.rfind("/") + 1] or "/") + ref.path)
+    return urlunsplit((scheme, netloc, path, ref.query, ref.fragment))
+
+
 def resolve_reference(base_uri: str, reference: str) -> str:
     """Resolve a page reference against an absolute base URI, without its
     fragment. Raises UnresolvableReference for what a browser would not fetch."""
@@ -161,7 +178,7 @@ def resolve_reference(base_uri: str, reference: str) -> str:
         if lowered.startswith(scheme):
             raise UnresolvableReference(f"non-fetchable scheme: {reference!r}")
     try:
-        resolved, _frag = urldefrag(urljoin(base_uri, ref))
+        resolved, _frag = urldefrag(join_reference(base_uri, ref))
         parts = urlsplit(resolved)
     except ValueError as exc:  # a malformed authority, such as "//[bad"
         raise UnresolvableReference(f"malformed reference {reference!r}: {exc}") from exc

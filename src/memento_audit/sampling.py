@@ -18,21 +18,18 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from operator import attrgetter
 from typing import BinaryIO
 
 from .errors import AuditError, BadTimestamp, TimestampMismatch
 from .linkformat import MementoRecord, TimeMap, memento_at, memento_entries
 from .replay import MEMENTO_SHAPE_RE
-from .timefmt import parse_ts14
+from .timefmt import EPOCH, SECOND, parse_ts14
 
 _INTERVAL_RE = re.compile(r"^(\d+)\s*([yd])$")
 
 URI_AGREEMENT_TOLERANCE = timedelta(hours=24)
-
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_SECOND = timedelta(seconds=1)
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,6 @@ def _uri_date_error(uri: str, dt: datetime) -> TimestampMismatch | None:
     if shape is None:
         return None  # no memento timestamp: the pick fails on its own in audit
     ts = shape.group(2)
-    if dt.tzinfo is timezone.utc and int(ts) == _ts14_value(dt):
-        return None  # one naming the record's own second
     try:
         uri_dt = parse_ts14(ts)
     except BadTimestamp:
@@ -105,13 +100,6 @@ def extract_date(m: MementoRecord) -> datetime:
     if error is not None:
         raise error
     return m.datetime
-
-
-def _ts14_value(dt: datetime) -> int:
-    """YYYYMMDDHHMMSS as a number: equal to int(ts) exactly when the 14 digits
-    of ts name the same second as dt's fields."""
-    return ((((dt.year * 100 + dt.month) * 100 + dt.day) * 100
-             + dt.hour) * 100 + dt.minute) * 100 + dt.second
 
 
 @dataclass(frozen=True)
@@ -140,7 +128,7 @@ def select_annual(tm: TimeMap, interval: Interval = ONE_YEAR,
     """
     if not tm.mementos:
         raise ValueError("TimeMap has no mementos to sample")
-    seconds = [(extract_date(m) - _EPOCH) // _SECOND for m in tm.mementos]
+    seconds = [(extract_date(m) - EPOCH) // SECOND for m in tm.mementos]
     return _select(seconds, tm.mementos.__getitem__, interval, fixed_grid)
 
 
@@ -163,13 +151,15 @@ def sample_timemap(body: BinaryIO, pieces: Iterator[str], interval: Interval = O
     ascending = True
     mismatch = None  # ((second, URI), error) of the first bad entry in that order
     try:
-        for byte, uri, dt, _, _ in memento_entries(pieces):
-            second = (dt - _EPOCH) // _SECOND
+        for byte, uri, second, digits, _, _ in memento_entries(pieces):
             if seconds and second < seconds[-1]:
                 ascending = False
             seconds.append(second)
             starts.append(byte)
-            error = _uri_date_error(uri, dt)
+            shape = MEMENTO_SHAPE_RE.match(uri)
+            if shape is None or shape[2] == digits:
+                continue  # no memento timestamp, or one naming the entry's own second
+            error = _uri_date_error(uri, EPOCH + timedelta(seconds=second))
             if error is not None and (mismatch is None or (second, uri) < mismatch[0]):
                 mismatch = (second, uri), error
     except AuditError:
@@ -206,8 +196,8 @@ def _select(seconds: Sequence[int], record_at: Callable[[int], MementoRecord],
     k = 1
     while (lo := bisect_right(seconds, prev)) < n:
         target = interval.advance(pivot.datetime, k) if fixed_grid else interval.advance(prev_dt)
-        offset = target - _EPOCH
-        pos = bisect_left(seconds, -(-offset // _SECOND), lo)  # the first at or after target
+        offset = target - EPOCH
+        pos = bisect_left(seconds, -(-offset // SECOND), lo)  # the first at or after target
         prev = min((seconds[i] for i in (pos - 1, pos) if lo <= i < n),
                    key=lambda second: abs(timedelta(seconds=second) - offset))
         # land on the first record among equal datetimes (URI tie order)

@@ -1,7 +1,7 @@
 """Datetime formats used on the wire: RFC-1123 and 14-digit archive timestamps."""
 
 import re
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from urllib.parse import urlsplit
 
 from .errors import BadDatetime, BadTimestamp
@@ -11,12 +11,18 @@ _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 _MONTH_NUMBERS = {name: number for number, name in enumerate(_MONTHS, 1)}
 
-# Strict RFC-1123, always GMT. Built by hand so the parser is locale-independent.
-_RFC1123_RE = re.compile(
-    r"^(?P<day>Mon|Tue|Wed|Thu|Fri|Sat|Sun), "
+#: Strict RFC-1123, always GMT. Built by hand so the parser is locale-independent.
+RFC1123_PATTERN = (
+    r"(?P<day>Mon|Tue|Wed|Thu|Fri|Sat|Sun), "
     r"(?P<dom>\d{2}) (?P<mon>Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) "
-    r"(?P<year>\d{4}) (?P<h>\d{2}):(?P<m>\d{2}):(?P<s>\d{2}) GMT$"
+    r"(?P<year>\d{4}) (?P<h>\d{2}):(?P<m>\d{2}):(?P<s>\d{2}) GMT"
 )
+_RFC1123_RE = re.compile(f"^{RFC1123_PATTERN}$")
+
+#: The origin and the unit of the seconds since the epoch that a TimeMap's
+#: ingest keeps per memento.
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+SECOND = timedelta(seconds=1)
 
 _TS14_RE = re.compile(r"^\d{14}$")
 # `scheme://authority` then the path, up to any query or fragment. Where this

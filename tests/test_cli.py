@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 import requests
 
-from memento_audit import analysis, cli, fetching
-from memento_audit.capture import load_log
+from memento_audit import analysis, capture, cli, fetching
+from memento_audit.capture import TMP_PREFIX, load_log
 from memento_audit.cli import build_parser, main, resolve_config, run_meta_filename
 from memento_audit.config import CACHE_ENV, parse_config_file
 from memento_audit.client import decode_timemap
@@ -374,6 +374,39 @@ def test_audit_writes_report_and_run_metadata(service, capsys, tmp_path):
     assert meta["site"] == STATIC6_ORIGINAL
     assert meta["failures"] == []
     assert all((cache / name).exists() for name in meta["log_files"])
+
+
+def test_audit_sweeps_the_temporary_files_of_killed_writes(service, capsys, tmp_path,
+                                                          monkeypatch):
+    """A write killed before its rename leaves its temporary file in the
+    cache.  A cold audit and a warm one each remove every such file when they
+    start, by its name's one prefix, and leave every other file as it was."""
+    cache = tmp_path / "cache-sweep"
+    cache.mkdir()
+    kept = [cache / ".x.json.4242.7.tmp", cache / "notes.tmp-", cache / ".tmp"]
+    for path in kept:
+        path.write_text("{")
+    (cache / f"{TMP_PREFIX}dir").mkdir()
+    kept.append(cache / f"{TMP_PREFIX}dir")
+    replaced = []
+    real_replace = capture.os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(Path(src).name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(capture.os, "replace", recording_replace)
+    untouched: dict[Path, int] = {}
+    for _ in ("cold", "warm"):
+        stray = cache / f"{TMP_PREFIX}{run_meta_filename(STATIC6_ORIGINAL)}.4242.7"
+        stray.write_text("{")
+        untouched = {path: path.stat().st_mtime_ns for path in cache.iterdir()
+                     if path != stray and not path.name.startswith("run_")}
+        _run_audit(service, tmp_path, STATIC6_ORIGINAL, "sweep")
+        assert not stray.exists()
+        assert {path: path.stat().st_mtime_ns for path in untouched} == untouched
+    assert set(untouched) > set(kept) and all(path.exists() for path in kept)
+    assert replaced and all(name.startswith(TMP_PREFIX) for name in replaced)
 
 
 def test_report_recomputes_from_cache(service, capsys, tmp_path):

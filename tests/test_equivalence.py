@@ -6,15 +6,18 @@ message and offset."""
 
 from datetime import datetime, timedelta, timezone
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memento_audit.analysis import classify_fetch
 from memento_audit.capture import ResourceFetch
-from memento_audit.linkformat import MementoRecord, _split_entries, parse_link_format
+from memento_audit.errors import BadDatetime, MalformedEntry
+from memento_audit.linkformat import (MementoRecord, _split_entries, memento_entries,
+                                      parse_link_format)
 from memento_audit.replay import ArchiveEndpoint, classify_host
 from memento_audit.sampling import extract_date
-from memento_audit.timefmt import format_rfc1123, split_netloc_path
+from memento_audit.timefmt import EPOCH, format_rfc1123, split_netloc_path
 from oracles_classify import (
     oracle_classify_fetch,
     oracle_classify_host,
@@ -52,9 +55,14 @@ def _cut(text: str, cuts: list[int]) -> list[str]:
 @example('"<a>, b', [])
 @example(",, ,", [1, 2])
 @example('<\u00e9>, "a,b", <c>', [2, 5, 6])
+@example('<\u00e9>; rel="memento"; datetime="Mon, 01 Jan 2001 00:00:00 GMT" ,'
+         '\n<a>; rel="first memento"; datetime="Mon, 01 Jan 2001 00:00:00 GMT",<b>', [60, 80, 100])
 def test_split_entries_matches_scanner(body, cuts):
-    """Whatever the pieces, the same entries at the same byte offsets."""
-    assert list(_split_entries(_cut(body, cuts))) == oracle_split_entries(body)
+    """Whatever the pieces, the same entries at the same byte offsets; an
+    entry in the canonical memento form comes as its match."""
+    entries = [(byte, entry if isinstance(entry, str) else entry[0])
+               for byte, entry in _split_entries(_cut(body, cuts))]
+    assert entries == oracle_split_entries(body)
 
 
 @settings(max_examples=500, deadline=None)
@@ -71,19 +79,36 @@ _REL = st.sampled_from(["memento", "first memento", "last memento", "first last 
                         "original memento", "self", "", "MEMENTO"])
 
 
+_CANONICAL_RELS = st.sampled_from(["memento", "first memento", "last memento",
+                                   "first last memento", "last first memento"])
+# Canonical datetimes whose fields name no instant, or that RFC 1123 does not
+# spell so: the one-match path hands each to the general parser.
+_BENT_DATETIMES = ["Mon, 01 Jan 2001 24:00:00 GMT", "Sun, 31 Dec 2000 23:59:60 GMT",
+                   "Sat, 31 Feb 2001 00:00:00 GMT", "Thu, 29 Feb 2001 12:00:00 GMT",
+                   "Tue, 29 Feb 2000 12:00:00 GMT", "Mon, 01 jan 2001 00:00:00 GMT",
+                   "Mon, 01 Jan 0000 00:00:00 GMT"]
+
+
 @st.composite
 def _entry(draw):
     """One link entry: usually well formed, with random spacing, rel and
-    datetime, sometimes bent so the general parameter loop must handle it."""
+    datetime, sometimes bent so the general parameter loop must handle it.
+    Or one in the canonical form that memento_entries reads with one match,
+    sometimes bent where that match must hand it to the general parser."""
     uri = draw(st.sampled_from(["http://a.example/", "http://archive.example/web/x/",
-                                "http://h/p;q", 'http://h/"q"', ""]))
+                                "http://h/p;q", 'http://h/"q"', "", "http://h/caf\u00e9/\u65e5"]))
     rel = draw(_REL)
     dt = draw(_DATETIMES)
     raw_dt = draw(st.sampled_from([format_rfc1123(dt), format_rfc1123(dt).lower(),
                                    "yesterday", format_rfc1123(dt) + " "]))
     s = [draw(_SPACE) for _ in range(6)]
+    variant = draw(st.integers(0, 12))  # 0, 8 and 9 keep the entry well formed
+    if variant >= 10:
+        rel = draw(_CANONICAL_RELS)
+        raw_dt = draw(st.sampled_from([format_rfc1123(dt)] * 3 + _BENT_DATETIMES))
+        semi = draw(st.sampled_from(["; ", "; ", "\u00a0; ", ";\u00a0"]))
+        return f'{s[0]}<{uri}>{semi}rel="{rel}"; datetime="{raw_dt}"{s[5]}'
     params = [f'{s[1]};{s[2]}rel="{rel}"', f'{s[3]};{s[4]}datetime="{raw_dt}"']
-    variant = draw(st.integers(0, 9))  # 0, 8 and 9 keep the entry well formed
     if variant == 1:
         params.reverse()
     elif variant == 2:
@@ -106,11 +131,55 @@ _ROLES = ('<http://a.example/>; rel="original"',
           '<http://archive.example/timegate/http://a.example/>; rel="timegate"')
 
 
+def _assert_parsed_alike(body: str) -> None:
+    """parse_link_format as the reference parses `body`, and memento_entries
+    with each entry's 14 digits naming its second."""
+    outcome = _outcome(parse_link_format, body)
+    assert outcome == _outcome(oracle_parse_link_format, body)
+    if outcome[0] == "returned":
+        for _, _, second, digits, _, _ in memento_entries((body,)):
+            assert digits == f"{EPOCH + timedelta(seconds=second):%Y%m%d%H%M%S}"
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_entry(), max_size=8), st.booleans(), st.sampled_from([",", ",\n", " , "]))
 def test_parse_link_format_matches_reference_on_entries(entries, with_roles, sep):
     body = sep.join(([*_ROLES] if with_roles else []) + entries)
-    assert _outcome(parse_link_format, body) == _outcome(oracle_parse_link_format, body)
+    _assert_parsed_alike(body)
+
+
+def _canonical(uri: str, rel: str = "memento", raw_dt: str = "Mon, 01 Jan 2001 00:00:00 GMT",
+               semi: str = "; ") -> str:
+    return f'<{uri}>{semi}rel="{rel}"; datetime="{raw_dt}"'
+
+
+@pytest.mark.parametrize("entry", [
+    *(_canonical("http://a.example/", raw_dt=raw_dt) for raw_dt in _BENT_DATETIMES),
+    _canonical("http://a.example/", rel="last first memento"),
+    _canonical("http://a.example/", semi="\u00a0; "),
+    _canonical("http://a.example/", semi=";\u00a0"),
+    "\u00a0" + _canonical("http://a.example/"),
+    _canonical("http://a.example/") + "\u00a0",
+])
+@pytest.mark.parametrize("sep", [",", ",\n"])
+def test_canonical_entries_bent_where_one_match_hands_over(entry, sep):
+    body = sep.join([*_ROLES, _canonical("http://a.example/\u00e9"), entry,
+                     _canonical("http://a.example/\u00e9/x", raw_dt="Tue, 02 Jan 2001 00:00:00 GMT"),
+                     "<x> oops"])
+    _assert_parsed_alike(body)
+    _assert_parsed_alike(body[:body.rindex(sep)])
+
+
+def test_canonical_entries_with_non_ascii_uris_keep_byte_offsets():
+    body = ",\n".join([*_ROLES, _canonical("http://a.example/\u00e9\u65e5\U0001f600"),
+                       _canonical("http://a.example/\u00e9", raw_dt="Mon, 01 Jan 2001 24:00:00 GMT")])
+    outcome = _outcome(parse_link_format, body)
+    assert outcome == _outcome(oracle_parse_link_format, body)
+    assert outcome[1] is BadDatetime
+    body = body.replace("24:00:00", "23:00:00") + ",\n<x> oops"
+    outcome = _outcome(parse_link_format, body)
+    assert outcome == _outcome(oracle_parse_link_format, body)
+    assert outcome[1] is MalformedEntry and outcome[3] == len(body.encode()) - len("\n<x> oops")
 
 
 _TS_SEGMENTS = st.sampled_from(["", "/web/{ts}", "/web/{ts}/http://o.example/",

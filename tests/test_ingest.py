@@ -7,6 +7,7 @@ memento."""
 
 import io
 import random
+import sys
 import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
@@ -18,7 +19,7 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memento_audit import client
+from memento_audit import client, linkformat
 from memento_audit.cli import main
 from memento_audit.client import decode_timemap, decode_timemap_pieces
 from memento_audit.errors import (
@@ -27,10 +28,11 @@ from memento_audit.errors import (
     UndecodableTimeMap,
 )
 from memento_audit.fixture_archive.server import serve_in_thread, stop_serving
-from memento_audit.linkformat import parse_link_format, serialize_link_format
+from memento_audit.linkformat import memento_at, parse_link_format, serialize_link_format
 from memento_audit.replay import ArchiveEndpoint, to_replay_uri
 from memento_audit.sampling import ONE_YEAR, Interval, sample_timemap, select_annual
 from memento_audit.timefmt import format_rfc1123
+from oracles_linkformat import oracle_parse_link_format
 from test_acceptance import ARCHIVED_INDEX_SAMPLE, _synthetic_timemap
 
 ORIGINAL = "http://s.example/"
@@ -151,6 +153,59 @@ def _body(draw) -> bytes:
 @example(",".join(ROLES).encode("utf-8"), 4, ONE_YEAR, False)
 def test_generated_timemaps_stream_alike(body, piece, interval, fixed_grid):
     _agree(body, piece, interval, fixed_grid)
+
+
+def test_every_cut_of_a_canonical_body_samples_alike():
+    """Cut at every offset of its first entries, a canonical body samples as
+    it does whole: an entry cut anywhere, even inside its datetime, is
+    matched once the piece after the cut comes in."""
+    text = ",\n".join([*ROLES, *(_memento(_dt(2000 + i, 1 + i), path="caf\u00e9" * (i % 2))
+                                 for i in range(12))])
+    whole = _streamed(text.encode("utf-8"))
+    file = io.BytesIO(text.encode("utf-8"))
+    for cut in range(len(",\n".join(text.split(",\n")[:6]))):
+        assert sample_timemap(file, iter([text[:cut], text[cut:]])) == whole
+
+
+def test_long_entries_are_read_back_whole():
+    """memento_at reads 512 bytes and doubles its window until the entry
+    ends inside it: one pick's entry is longer than the window, and another
+    has a character that the window's end cuts in two."""
+    long = _memento(_dt(2001), path="x" * 700)
+    head = f'\n<http://archive.example/memento/{_dt(2002):%Y%m%d%H%M%S}/{ORIGINAL}'
+    straddling = _memento(_dt(2002), path="p" * (511 - len(head.encode())) + "\u65e5")
+    body = ",\n".join([*ROLES, long, straddling]).encode("utf-8")
+    assert body[body.index(straddling.encode()) - 1 + 511:][:3] == "\u65e5".encode()
+    oracle = {m.uri: m for m in oracle_parse_link_format(body.decode("utf-8")).mementos}
+    picks = [sel.chosen for sel in _streamed(body).selections]
+    assert len(picks) == 2
+    assert picks == [oracle[pick.uri] for pick in picks]
+    assert len(long.encode()) > 512 and picks[0].uri.endswith("x" * 700)
+    assert picks[1].uri.endswith("\u65e5")
+
+
+def test_canonical_timemaps_never_reach_the_general_parser(service, manifest, monkeypatch):
+    """A guard on the one-match path: every memento entry of the fixture
+    archive's TimeMaps, all in the canonical form, is read without
+    linkformat._parse_entry, which only reads role entries and the picks
+    read back by memento_at."""
+    parse_entry = linkformat._parse_entry
+
+    def role_entries_only(byte, text):
+        uri, params = parse_entry(byte, text)
+        caller = sys._getframe(1).f_code
+        if "memento" in params.get("rel", "").split() and caller is not memento_at.__code__:
+            raise AssertionError(f"memento entry at byte {byte} parsed by the general parser")
+        return uri, params
+
+    monkeypatch.setattr(linkformat, "_parse_entry", role_entries_only)
+    sampled = 0
+    for site in manifest.sites:
+        resp = requests.get(service.timemap_uri(site.original), timeout=10)
+        if resp.status_code == 200:
+            assert len(_streamed(resp.content)) >= 1
+            sampled += 1
+    assert sampled >= 5
 
 
 # --- which error wins --------------------------------------------------------

@@ -1,7 +1,10 @@
 import random
 from datetime import datetime, timedelta, timezone
+from urllib.parse import urldefrag, urljoin
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memento_audit.errors import BadTimestamp, UnrecognizedShape, UnresolvableReference
 from memento_audit.fixture_archive.stub_bridge import _browser_join
@@ -12,8 +15,10 @@ from memento_audit.replay import (
     HOST_LIVE,
     ArchiveEndpoint,
     classify_host,
+    join_reference,
     make_replay_uri,
     parse_replay_uri,
+    resolve_reference,
     rewrite_subresource,
     to_replay_uri,
     validate_original_uri,
@@ -78,6 +83,37 @@ def test_memento_uri_splits_at_its_first_timestamp_for_the_auditor_and_the_stub(
     assert replay == to_replay_uri(uri, WAYBACK) == make_replay_uri("20050101000000", original,
                                                                     WAYBACK)
     assert _browser_join(uri, "y.gif") == rewrite_subresource(replay, "y.gif", WAYBACK)
+
+
+@pytest.mark.parametrize("original, ref, joined", [
+    # urljoin gives http://h/a/b/d.gif and .../http:/b.example/y.gif
+    ("http://h/a//b/c.html", "d.gif", "http://h/a//b/d.gif"),
+    ("http://a.example/web/20060101000000/http://b.example/x", "y.gif",
+     "http://a.example/web/20060101000000/http://b.example/y.gif"),
+    ("http://h/a//b/c.html", "../e/./f.gif?q=1#top", "http://h/a//e/f.gif?q=1"),
+])
+def test_relative_references_keep_empty_path_segments(original, ref, joined):
+    """Both crawlers resolve a relative path as a browser does (RFC 3986
+    §5.2.2, WHATWG URL): the empty segments of the base's path stay."""
+    assert resolve_reference(original, ref) == joined
+    replay = make_replay_uri("20050101000000", original, WAYBACK)
+    assert rewrite_subresource(replay, ref, WAYBACK) == WAYBACK.expand_replay(
+        "20050101000000", joined)
+    assert _browser_join(replay.uri, ref) == rewrite_subresource(replay, ref, WAYBACK)
+    assert _browser_join(original, ref) == urldefrag(joined)[0]
+
+
+_SEGMENTS = st.sampled_from(["a", "b.html", ".", "..", "c;p", "d=1", "%2e", "x:y"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SEGMENTS, max_size=4), st.booleans(),
+       st.lists(_SEGMENTS, min_size=1, max_size=4),
+       st.sampled_from(["", "?", "?q=1", "#f", "?q#f"]))
+def test_join_equals_urljoin_where_no_segment_is_empty(base, slash, ref, tail):
+    base_uri = "http://h" + "".join("/" + s for s in base) + ("/" if slash else "")
+    reference = "/".join(ref) + tail
+    assert join_reference(base_uri, reference) == urljoin(base_uri, reference)
 
 
 def _random_original(rng: random.Random) -> str:
