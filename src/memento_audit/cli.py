@@ -38,7 +38,7 @@ from .client import decode_timemap_pieces, fetch_timemap
 from .config import CACHE_ENV, AuditConfig, endpoint_from_echo, parse_config_file
 from .errors import AuditError
 from .fetching import PoliteFetcher, Write
-from .linkformat import parse_link_format, serialize_link_format
+from .linkformat import index_timemap, read_mementos, serialize_link_format
 from .replay import (CHROME_PREFIXES, ArchiveEndpoint, ReplayUri, to_replay_uri,
                      validate_original_uri)
 from .report import (
@@ -267,9 +267,12 @@ def _spooled_timemap(cfg: AuditConfig, uri: str) -> Iterator[BinaryIO]:
 
 def cmd_timemap(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    roles: dict[str, str] = {}
     with _spooled_timemap(cfg, args.uri) as spool:
-        text = "".join(decode_timemap_pieces(spool, args.uri, cfg.endpoint))
-    print(serialize_link_format(parse_link_format(text)))
+        seconds, starts, _ = index_timemap(decode_timemap_pieces(spool, args.uri, cfg.endpoint),
+                                           roles)
+        sys.stdout.writelines(serialize_link_format(roles, read_mementos(spool, seconds, starts)))
+    print()
     return 0
 
 

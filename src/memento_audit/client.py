@@ -2,7 +2,6 @@
 
 import codecs
 import http.client
-import io
 import re
 from collections.abc import Callable, Iterator
 from typing import BinaryIO
@@ -122,8 +121,3 @@ def decode_timemap_pieces(body: BinaryIO, original: str, ep: ArchiveEndpoint) ->
         if not piece:
             return
         start += len(piece)
-
-
-def decode_timemap(body: bytes, original: str, ep: ArchiveEndpoint) -> str:
-    """The body of `original`'s TimeMap as one text, or UndecodableTimeMap."""
-    return "".join(decode_timemap_pieces(io.BytesIO(body), original, ep))

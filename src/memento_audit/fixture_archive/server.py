@@ -20,7 +20,7 @@ from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import PortInUse
-from ..linkformat import TimeMap, memento_record, serialize_link_format
+from ..linkformat import MementoRecord, serialize_link_format
 from ..replay import ArchiveEndpoint
 from ..timefmt import format_rfc1123, parse_ts14
 from .manifest import (
@@ -190,23 +190,14 @@ class FixtureService:
         body = self._timemap_bodies.get(site.original)
         if body is not None:
             return body
-        bundles = sorted(site.mementos, key=lambda b: b.timestamp)
-        records = tuple(
-            memento_record(
-                self.memento_uri(b.timestamp, site.original),
-                parse_ts14(b.timestamp),
-                first=(i == 0),
-                last=(i == len(bundles) - 1),
-            )
-            for i, b in enumerate(bundles)
-        )
-        tm = TimeMap(
-            original=site.original,
-            timegate_uri=self.timegate_uri(site.original),
-            timemap_uri=self.timemap_uri(site.original),
-            mementos=records,
-        )
-        body = self._timemap_bodies[site.original] = serialize_link_format(tm).encode("utf-8")
+        stamps = sorted(b.timestamp for b in site.mementos)
+        roles = {"original": site.original, "timemap": self.timemap_uri(site.original),
+                 "timegate": self.timegate_uri(site.original)}
+        records = (MementoRecord(parse_ts14(ts), self.memento_uri(ts, site.original),
+                                 i == 0, i == len(stamps) - 1)
+                   for i, ts in enumerate(stamps))
+        body = self._timemap_bodies[site.original] = "".join(
+            serialize_link_format(roles, records)).encode("utf-8")
         return body
 
     def _serve_archive(self, handler: _QuietHandler) -> None:

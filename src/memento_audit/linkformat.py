@@ -1,4 +1,5 @@
-"""TimeMap model plus application/link-format parsing and serialization.
+"""The TimeMap's one reader and one writer: application/link-format
+(RFC 6690, RFC 7089).
 
 A TimeMap is a comma-separated list of `<URI>; param=value; ...` entries.
 Datetime parameter values contain commas ("Tue, 20 Jun 2000 ..."), so a plain
@@ -17,78 +18,59 @@ parameters, and its second since the epoch is counted from the match's fields
 with integer arithmetic; only the last calendar day seen is remembered.  Every
 other entry, and one in that form whose fields name no instant, goes through
 the general parser, which alone defines the grammar and its errors.
+
+`index_timemap` reads the text once and keeps 16 bytes per memento: its
+second since the epoch and the byte offset of its entry in the body.
+`read_mementos` reads the records back from the body by offset, in
+(datetime, URI) order, and `serialize_link_format` writes the canonical text
+entry by entry, so a TimeMap of any size is read, sampled and printed
+without holding a record per memento.
 """
 
+import io
 import re
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from datetime import date as _date
 from datetime import datetime, timedelta
 from itertools import chain
 from operator import attrgetter
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
-from .errors import BadDatetime, MalformedEntry, MissingRole
+from .errors import (AuditError, BadDatetime, BadTimestamp, MalformedEntry, MissingRole,
+                     TimestampMismatch)
+from .replay import MEMENTO_SHAPE_RE
 from .timefmt import (_MONTH_NUMBERS, EPOCH, RFC1123_PATTERN, SECOND, format_rfc1123,
-                      parse_rfc1123)
-
-REL_MEMENTO = "memento"
-REL_FIRST = "first-memento"
-REL_LAST = "last-memento"
+                      parse_rfc1123, parse_ts14)
 
 _ROLE_RELS = frozenset({"original", "timemap", "timegate", "timebundle"})
 _MEMENTO_TOKENS = {"first", "last", "memento"}
 _EPOCH_DAY = EPOCH.toordinal()
 
+URI_AGREEMENT_TOLERANCE = timedelta(hours=24)
 
-@dataclass(frozen=True, order=True)
-class MementoRecord:
-    """One archived snapshot: URI, capture instant, and its rel roles."""
+
+class MementoRecord(NamedTuple):
+    """One archived snapshot: its capture instant, its URI, and whether its
+    entry is the TimeMap's first or last memento."""
 
     datetime: datetime
     uri: str
-    rels: frozenset[str] = field(default_factory=lambda: frozenset({REL_MEMENTO}))
-
-    @property
-    def is_first(self) -> bool:
-        return REL_FIRST in self.rels
-
-    @property
-    def is_last(self) -> bool:
-        return REL_LAST in self.rels
+    first: bool = False
+    last: bool = False
 
 
 @dataclass(frozen=True)
 class TimeMap:
-    """Parsed archive index for one original resource."""
+    """A whole TimeMap in memory, the form the tests compare against."""
 
     original: str
     timegate_uri: str
     timemap_uri: str
     mementos: tuple[MementoRecord, ...]
     timebundle_uri: str | None = None
-
-    @property
-    def first(self) -> MementoRecord:
-        return self.mementos[0]
-
-    @property
-    def last(self) -> MementoRecord:
-        return self.mementos[-1]
-
-
-#: The four possible rel sets, shared by every record: (first, last) -> rels.
-_RELS = {
-    (False, False): frozenset({REL_MEMENTO}),
-    (True, False): frozenset({REL_MEMENTO, REL_FIRST}),
-    (False, True): frozenset({REL_MEMENTO, REL_LAST}),
-    (True, True): frozenset({REL_MEMENTO, REL_FIRST, REL_LAST}),
-}
-
-
-def memento_record(uri: str, dt: datetime, first: bool = False, last: bool = False) -> MementoRecord:
-    """Build a MementoRecord, always including the base memento rel."""
-    return MementoRecord(datetime=dt, uri=uri, rels=_RELS[bool(first), bool(last)])
 
 
 # One entry: everything up to the next comma outside quotes and <...>.
@@ -238,6 +220,64 @@ def memento_entries(pieces: Iterable[str],
         raise MalformedEntry("more than one first-memento or last-memento entry")
 
 
+def uri_date_error(uri: str, dt: datetime) -> TimestampMismatch | None:
+    """The error to raise when `uri`'s memento timestamp, the one that
+    replay.to_replay_uri reads, lies more than 24 hours from `dt`, else None."""
+    shape = MEMENTO_SHAPE_RE.match(uri)
+    if shape is None:
+        return None  # no memento timestamp: the pick fails on its own in audit
+    ts = shape.group(2)
+    try:
+        uri_dt = parse_ts14(ts)
+    except BadTimestamp:
+        return None  # digits that encode no instant are not a timestamp
+    if abs(uri_dt - dt) > URI_AGREEMENT_TOLERANCE:
+        return TimestampMismatch(
+            f"datetime attribute {dt.isoformat()} vs URI timestamp {ts} in {uri}")
+    return None
+
+
+def index_timemap(pieces: Iterable[str], roles: dict[str, str] | None = None
+                  ) -> tuple[array, array, TimestampMismatch | None]:
+    """Read the link-format text that `pieces` make up once, and return
+    (seconds, starts, mismatch): each memento's second since the epoch and
+    the byte offset of its entry, in ascending order of second and in text
+    order within a second, and the error of the first memento in (second,
+    URI) order whose URI timestamp disagrees with its datetime, or None.
+    Role entries go into `roles`, as in memento_entries.
+
+    Raises as memento_entries does, but a parse error waits for `pieces` to
+    be spent, so that a body that is not UTF-8 raises that first, as
+    decoding it whole would.  A TimeMap out of datetime order also costs a
+    sort, which holds a list of ints per memento while it runs.
+    """
+    seconds, starts = array("q"), array("q")
+    ascending = True
+    mismatch = None  # ((second, URI), error) of the first bad entry in that order
+    try:
+        for byte, uri, second, digits, _, _ in memento_entries(pieces, roles):
+            if seconds and second < seconds[-1]:
+                ascending = False
+            seconds.append(second)
+            starts.append(byte)
+            shape = MEMENTO_SHAPE_RE.match(uri)
+            if shape is None or shape[2] == digits:
+                continue  # no memento timestamp, or one naming the entry's own second
+            error = uri_date_error(uri, EPOCH + timedelta(seconds=second))
+            if error is not None and (mismatch is None or (second, uri) < mismatch[0]):
+                mismatch = (second, uri), error
+    except AuditError:
+        for _ in pieces:  # a body that is not UTF-8 raises that before a parse error
+            pass
+        raise
+    if not ascending:  # a stable sort: entries of one second stay in text order
+        order = sorted(range(len(seconds)), key=seconds.__getitem__)
+        seconds = array("q", map(seconds.__getitem__, order))
+        starts = array("q", map(starts.__getitem__, order))
+        del order
+    return seconds, starts, None if mismatch is None else mismatch[1]
+
+
 def memento_at(body: BinaryIO, byte: int) -> MementoRecord:
     """The record of the memento entry that memento_entries found at `byte`
     of the UTF-8 `body`, a binary file, read back from the body alone."""
@@ -254,44 +294,56 @@ def memento_at(body: BinaryIO, byte: int) -> MementoRecord:
         size *= 2
     uri, params = _parse_entry(byte, text[:stop])
     tokens = params["rel"].split()
-    return memento_record(uri, parse_rfc1123(params["datetime"]),
-                          "first" in tokens, "last" in tokens)
+    return MementoRecord(parse_rfc1123(params["datetime"]), uri,
+                         "first" in tokens, "last" in tokens)
+
+
+def records_at(body: BinaryIO, seconds: Sequence[int], starts: Sequence[int],
+               i: int) -> list[MementoRecord]:
+    """The records of index_timemap's i-th memento and of those after it
+    dated to the same second, read back from `body` in URI order; of equal
+    URIs, the first in the text comes first."""
+    run = range(i, bisect_right(seconds, seconds[i], i))
+    return sorted((memento_at(body, starts[j]) for j in run), key=attrgetter("uri"))
+
+
+def read_mementos(body: BinaryIO, seconds: Sequence[int], starts: Sequence[int]
+                  ) -> Iterator[MementoRecord]:
+    """The records of every memento that index_timemap found in `body`, in
+    (datetime, URI) order, read back one second's run at a time."""
+    i = 0
+    while i < len(seconds):
+        run = records_at(body, seconds, starts, i)
+        yield from run
+        i += len(run)
 
 
 def parse_link_format(body: str) -> TimeMap:
-    """Parse a link-format TimeMap body; raises as memento_entries does."""
+    """The whole TimeMap that the link-format text `body` holds, read by
+    index_timemap and read_mementos; raises as memento_entries does."""
     roles: dict[str, str] = {}
-    mementos = [memento_record(uri, EPOCH + timedelta(seconds=second), first, last)
-                for _, uri, second, _, first, last in memento_entries((body,), roles)]
-    mementos.sort(key=attrgetter("datetime", "uri"))
+    seconds, starts, _ = index_timemap((body,), roles)
     return TimeMap(
         original=roles["original"],
         timegate_uri=roles["timegate"],
         timemap_uri=roles["timemap"],
         timebundle_uri=roles.get("timebundle"),
-        mementos=tuple(mementos),
+        mementos=tuple(read_mementos(io.BytesIO(body.encode()), seconds, starts)),
     )
 
 
-def _memento_rel(m: MementoRecord) -> str:
-    prefix = ""
-    if m.is_first:
-        prefix += "first "
-    if m.is_last:
-        prefix += "last "
-    return prefix + "memento"
-
-
-def serialize_link_format(tm: TimeMap) -> str:
-    """Emit the canonical link-format body; output re-parses to an equal TimeMap."""
-    entries = []
-    if tm.timebundle_uri is not None:
-        entries.append(f'<{tm.timebundle_uri}>; rel="timebundle"')
-    entries.append(f'<{tm.original}>; rel="original"')
-    entries.append(f'<{tm.timemap_uri}>; rel="timemap"; type="application/link-format"')
-    entries.append(f'<{tm.timegate_uri}>; rel="timegate"')
-    for m in sorted(tm.mementos, key=lambda m: (m.datetime, m.uri)):
-        entries.append(
-            f'<{m.uri}>; rel="{_memento_rel(m)}"; datetime="{format_rfc1123(m.datetime)}"'
-        )
-    return ",\n".join(entries)
+def serialize_link_format(roles: dict[str, str], mementos: Iterable[MementoRecord]
+                          ) -> Iterator[str]:
+    """The canonical link-format text of a TimeMap, in pieces: the entries
+    of its `roles` (a URI per rel, as memento_entries gives them), then one
+    per memento of `mementos`, in the order given, each piece after the
+    first starting with the comma and newline that separate entries.  The
+    text reads back to the same roles and records."""
+    if "timebundle" in roles:
+        yield f'<{roles["timebundle"]}>; rel="timebundle",\n'
+    yield (f'<{roles["original"]}>; rel="original",\n'
+           f'<{roles["timemap"]}>; rel="timemap"; type="application/link-format",\n'
+           f'<{roles["timegate"]}>; rel="timegate"')
+    for m in mementos:
+        yield (f',\n<{m.uri}>; rel="{"first " * m.first}{"last " * m.last}memento"; '
+               f'datetime="{format_rfc1123(m.datetime)}"')

@@ -22,6 +22,9 @@ SKIP_SCHEMES = ("data:", "blob:", "javascript:", "mailto:")
 #: The path prefixes of replay chrome on an archive host, unless configured.
 CHROME_PREFIXES = ("/static/",)
 
+#: A reference up to its query or fragment.
+_BEFORE_QUERY_RE = re.compile(r"[^?#]*")
+
 #: (replay prefix, timestamp, original) of a memento URI, at its first timestamp.
 MEMENTO_SHAPE_RE = re.compile(r"^(https?://[^/]+.*?)/(\d{14})/(https?://.+)$")
 
@@ -153,13 +156,19 @@ def classify_host(uri: str, ep: ArchiveEndpoint) -> str:
 
 def join_reference(base_uri: str, reference: str) -> str:
     """`reference` resolved against the absolute URI `base_uri` as RFC 3986
-    §5.2 and a browser resolve it.  A relative-path reference is merged with
-    the base's path, then its dot segments are removed, and every empty
-    segment of both is kept: urljoin drops them, so that it joins
+    §5.2 and a browser resolve it.  In an http(s) reference, a `\\` before
+    any `?` or `#` is read as `/`, as WHATWG URL reads it, so that img\\x.gif
+    is img/x.gif and \\\\h\\x.gif is //h/x.gif.  A relative-path reference is
+    merged with the base's path, then its dot segments are removed, and every
+    empty segment of both is kept: urljoin drops them, so that it joins
     http://h/a//b/c.html and d.gif to http://h/a/b/d.gif, where a browser
     requests http://h/a//b/d.gif.  Every other form of reference goes to
     urljoin."""
     ref = urlsplit(reference)
+    if "\\" in reference and (ref.scheme or urlsplit(base_uri).scheme) in ("http", "https"):
+        end = _BEFORE_QUERY_RE.match(reference).end()
+        reference = reference[:end].replace("\\", "/") + reference[end:]
+        ref = urlsplit(reference)
     if ref.scheme or ref.netloc or not ref.path or ref.path.startswith("/"):
         return urljoin(base_uri, reference)
     scheme, netloc, path, _, _ = urlsplit(base_uri)

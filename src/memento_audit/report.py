@@ -24,7 +24,7 @@ from .analysis import (
 from .capture import CaptureLog, ResourceFetch, write_text_atomic
 from .config import endpoint_from_echo
 from .errors import InsufficientData
-from .linkformat import memento_record
+from .linkformat import MementoRecord
 from .sampling import Selection
 from .timefmt import format_iso, parse_iso
 
@@ -73,7 +73,7 @@ def sample_from_docs(docs: list[dict]) -> tuple[Selection, ...]:
     return tuple(
         Selection(
             target=parse_iso(e["target"]),
-            chosen=memento_record(e["memento"], parse_iso(e["datetime"])),
+            chosen=MementoRecord(parse_iso(e["datetime"]), e["memento"]),
             deviation=timedelta(seconds=e["deviation_s"]),
         )
         for e in docs

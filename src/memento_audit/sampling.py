@@ -5,31 +5,25 @@ previously *chosen* memento's datetime; the fixed grid lays targets at
 pivot + k * interval. Both pick, per target, the not-yet-passed memento
 closest to the target, ties going to the earlier one.
 
-`select_annual` samples a parsed TimeMap.  `sample_timemap` samples a TimeMap
-body in one pass over its text, keeping a fixed-width index per memento in
-place of its record.  Both run the one selection loop, `_select`, over the
-mementos' datetimes as seconds since the epoch: a link-format datetime
-(RFC 1123) is always a whole UTC second.
+`sample_timemap` samples a TimeMap body from linkformat's one-pass index,
+reading back the records of the picks alone; `select_annual`, which samples
+a parsed TimeMap, is the reference the tests hold it to.  Both run the one
+selection loop, `_select`, over the mementos' datetimes as seconds since the
+epoch: a link-format datetime (RFC 1123) is always a whole UTC second.
 """
 
 import calendar
 import re
-from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from operator import attrgetter
 from typing import BinaryIO
 
-from .errors import AuditError, BadTimestamp, TimestampMismatch
-from .linkformat import MementoRecord, TimeMap, memento_at, memento_entries
-from .replay import MEMENTO_SHAPE_RE
-from .timefmt import EPOCH, SECOND, parse_ts14
+from .linkformat import MementoRecord, TimeMap, index_timemap, records_at, uri_date_error
+from .timefmt import EPOCH, SECOND
 
 _INTERVAL_RE = re.compile(r"^(\d+)\s*([yd])$")
-
-URI_AGREEMENT_TOLERANCE = timedelta(hours=24)
 
 
 @dataclass(frozen=True)
@@ -72,23 +66,6 @@ def parse_interval(text: str) -> Interval:
     return Interval(years=value) if unit == "y" else Interval(days=value)
 
 
-def _uri_date_error(uri: str, dt: datetime) -> TimestampMismatch | None:
-    """The error to raise when `uri`'s memento timestamp, the one that
-    replay.to_replay_uri reads, lies more than 24 hours from `dt`, else None."""
-    shape = MEMENTO_SHAPE_RE.match(uri)
-    if shape is None:
-        return None  # no memento timestamp: the pick fails on its own in audit
-    ts = shape.group(2)
-    try:
-        uri_dt = parse_ts14(ts)
-    except BadTimestamp:
-        return None  # digits that encode no instant are not a timestamp
-    if abs(uri_dt - dt) > URI_AGREEMENT_TOLERANCE:
-        return TimestampMismatch(
-            f"datetime attribute {dt.isoformat()} vs URI timestamp {ts} in {uri}")
-    return None
-
-
 def extract_date(m: MementoRecord) -> datetime:
     """Return the record's datetime, cross-checked against the memento
     timestamp in its URI, if it has one.
@@ -96,7 +73,7 @@ def extract_date(m: MementoRecord) -> datetime:
     The two sources must agree to within 24 hours; archives stamp the URI at
     capture time, so a larger gap means corrupt input.
     """
-    error = _uri_date_error(m.uri, m.datetime)
+    error = uri_date_error(m.uri, m.datetime)
     if error is not None:
         raise error
     return m.datetime
@@ -136,51 +113,20 @@ def sample_timemap(body: BinaryIO, pieces: Iterator[str], interval: Interval = O
                    fixed_grid: bool = False) -> AnnualSample:
     """select_annual(parse_link_format(text)), where `pieces` yields the text
     of the TimeMap `body`, a binary file: the same sample, or the same
-    error, in memory bounded by 16 bytes per memento plus one piece.
-
-    Each memento entry leaves only its second since the epoch and its byte
-    offset in `body`.  The records of the chosen mementos, and of the
-    mementos dated to the same second as one, are read back from the body
-    once `pieces` is spent.
-    As from the whole text, an undecodable byte anywhere outranks a parse
-    error, and a parse error outranks a URI timestamp that disagrees with
-    its datetime.  A TimeMap out of datetime order also costs a sort, which
-    holds a list of ints per memento while it runs.
+    error, in memory bounded by index_timemap's 16 bytes per memento plus
+    one piece.  The records of the chosen mementos, and of the mementos
+    dated to the same second as one, are read back from the body once
+    `pieces` is spent.  As from the whole text, an undecodable byte anywhere
+    outranks a parse error, and a parse error outranks a URI timestamp that
+    disagrees with its datetime.
     """
-    seconds, starts = array("q"), array("q")
-    ascending = True
-    mismatch = None  # ((second, URI), error) of the first bad entry in that order
-    try:
-        for byte, uri, second, digits, _, _ in memento_entries(pieces):
-            if seconds and second < seconds[-1]:
-                ascending = False
-            seconds.append(second)
-            starts.append(byte)
-            shape = MEMENTO_SHAPE_RE.match(uri)
-            if shape is None or shape[2] == digits:
-                continue  # no memento timestamp, or one naming the entry's own second
-            error = _uri_date_error(uri, EPOCH + timedelta(seconds=second))
-            if error is not None and (mismatch is None or (second, uri) < mismatch[0]):
-                mismatch = (second, uri), error
-    except AuditError:
-        for _ in pieces:  # a body that is not UTF-8 raises that before a parse error
-            pass
-        raise
+    seconds, starts, mismatch = index_timemap(pieces)
     if not seconds:
         raise ValueError("TimeMap has no mementos to sample")
     if mismatch is not None:
-        raise mismatch[1]
-    if not ascending:  # a stable sort: entries of one second stay in text order
-        order = sorted(range(len(seconds)), key=seconds.__getitem__)
-        seconds = array("q", map(seconds.__getitem__, order))
-        starts = array("q", map(starts.__getitem__, order))
-        del order
-
-    def record_at(i: int) -> MementoRecord:
-        run = range(i, bisect_right(seconds, seconds[i], i))
-        return min((memento_at(body, starts[j]) for j in run), key=attrgetter("uri"))
-
-    return _select(seconds, record_at, interval, fixed_grid)
+        raise mismatch
+    return _select(seconds, lambda i: records_at(body, seconds, starts, i)[0], interval,
+                   fixed_grid)
 
 
 def _select(seconds: Sequence[int], record_at: Callable[[int], MementoRecord],

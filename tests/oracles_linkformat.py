@@ -1,5 +1,5 @@
-"""Reference implementations of TimeMap parsing and of the URI-timestamp
-check, for the equivalence tests in test_equivalence.py.
+"""Reference implementations of TimeMap parsing and serialisation and of
+the URI-timestamp check, for the equivalence tests.
 
 They are the character scanners that the program replaced with compiled
 regexes.  They live apart from oracles.py so that perfbench, which imports
@@ -10,7 +10,7 @@ from datetime import datetime, timedelta
 
 from memento_audit.errors import BadDatetime, MalformedEntry, MissingRole, TimestampMismatch
 from memento_audit.linkformat import MementoRecord, TimeMap
-from memento_audit.timefmt import parse_rfc1123, parse_ts14
+from memento_audit.timefmt import format_rfc1123, parse_rfc1123, parse_ts14
 
 
 def oracle_split_entries(body: str) -> list[tuple[int, str]]:
@@ -96,17 +96,34 @@ def oracle_parse_link_format(body: str) -> TimeMap:
         elif "memento" in tokens and set(tokens) <= {"first", "last", "memento"}:
             if "datetime" not in params:
                 raise BadDatetime(f"memento entry without datetime: <{uri}>")
-            rels = {"memento"} | {f"{t}-memento" for t in tokens if t != "memento"}
             mementos.append(MementoRecord(datetime=parse_rfc1123(params["datetime"]),
-                                          uri=uri, rels=frozenset(rels)))
+                                          uri=uri, first="first" in tokens,
+                                          last="last" in tokens))
     for role in ("original", "timemap", "timegate"):
         if role not in roles:
             raise MissingRole(f"no rel={role!r} entry in TimeMap")
-    if sum(m.is_first for m in mementos) > 1 or sum(m.is_last for m in mementos) > 1:
+    if sum(m.first for m in mementos) > 1 or sum(m.last for m in mementos) > 1:
         raise MalformedEntry("more than one first-memento or last-memento entry")
     return TimeMap(original=roles["original"], timegate_uri=roles["timegate"],
                    timemap_uri=roles["timemap"], timebundle_uri=roles.get("timebundle"),
                    mementos=tuple(sorted(mementos, key=lambda m: (m.datetime, m.uri))))
+
+
+def oracle_serialize_link_format(tm: TimeMap) -> str:
+    """The canonical link-format text of `tm`: the timebundle entry if any,
+    the original, timemap and timegate entries, then one entry per memento
+    in (datetime, URI) order, joined by a comma and a newline."""
+    entries = []
+    if tm.timebundle_uri is not None:
+        entries.append(f'<{tm.timebundle_uri}>; rel="timebundle"')
+    entries.append(f'<{tm.original}>; rel="original"')
+    entries.append(f'<{tm.timemap_uri}>; rel="timemap"; type="application/link-format"')
+    entries.append(f'<{tm.timegate_uri}>; rel="timegate"')
+    for m in sorted(tm.mementos, key=lambda m: (m.datetime, m.uri)):
+        rel = " ".join([*(["first"] if m.first else []), *(["last"] if m.last else []),
+                        "memento"])
+        entries.append(f'<{m.uri}>; rel="{rel}"; datetime="{format_rfc1123(m.datetime)}"')
+    return ",\n".join(entries)
 
 
 def _oracle_memento_timestamp(uri: str) -> str | None:

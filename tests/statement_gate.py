@@ -9,10 +9,11 @@ It installs a line tracer with `sys.settrace` and `threading.settrace` when
 it is imported, before conftest.py starts any server thread or imports the
 package, so every thread later started through `threading` is traced too.
 At the end of the session it compiles each `src/memento_audit/*.py` and
-compares the lines of every code object in it (`co_lines()`) with the lines
-that ran.  A line that carries the marker comment below is exempt.  The
-fixture archive is out of scope: its command line runs only as installed
-entry points, in a process of its own.
+`src/memento_audit/fixture_archive/*.py` and compares the lines of every
+code object in it (`co_lines()`) with the lines that ran.  A line that
+carries the marker comment below is exempt.  The fixture archive's command
+line, `fixture_archive/cli.py`, is out of scope: it runs only as an
+installed entry point, in a process of its own.
 """
 
 import sys
@@ -23,7 +24,9 @@ from types import CodeType
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "memento_audit"
 MARKER = "# statement-gate: not run by tests"
 
-_SOURCES = {str(path): path for path in sorted(PACKAGE.glob("*.py"))}
+_SOURCES = {str(path): path for path in sorted([*PACKAGE.glob("*.py"),
+                                                 *PACKAGE.glob("fixture_archive/*.py")])
+            if path != PACKAGE / "fixture_archive" / "cli.py"}
 #: Per code object of a source file met so far, its lines yet to run.
 _unrun: dict[CodeType, set[int]] = {}
 

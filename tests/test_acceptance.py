@@ -44,7 +44,7 @@ from memento_audit.fixture_archive.scenarios import (
     YT2011_ORIGINAL,
     YT2011_TIMESTAMP,
 )
-from memento_audit.linkformat import TimeMap, memento_record, parse_link_format
+from memento_audit.linkformat import MementoRecord, TimeMap, parse_link_format
 from memento_audit.replay import (
     ArchiveEndpoint,
     ReplayUri,
@@ -109,12 +109,12 @@ def test_criterion_01_index_sample_parses(capsys):
         assert tm.timemap_uri == (
             "http://api.wayback.archive.org/list/timemap/link/http://cnn.com")
         assert len(tm.mementos) == 9
-        assert tm.first.is_first
-        assert tm.first.datetime == datetime(2000, 6, 20, 18, 2, 59,
-                                             tzinfo=timezone.utc)
-        assert tm.last.is_last
-        assert tm.last.datetime == datetime(2012, 12, 9, 20, 11, 12,
-                                            tzinfo=timezone.utc)
+        assert tm.mementos[0].first
+        assert tm.mementos[0].datetime == datetime(2000, 6, 20, 18, 2, 59,
+                                                   tzinfo=timezone.utc)
+        assert tm.mementos[-1].last
+        assert tm.mementos[-1].datetime == datetime(2012, 12, 9, 20, 11, 12,
+                                                    tzinfo=timezone.utc)
         assert elapsed < 1.0
 
 
@@ -126,8 +126,8 @@ def _synthetic_timemap(rng: random.Random, n: int):
     span = 20 * 365 * 86400
     dts = sorted(base + timedelta(seconds=rng.randrange(span)) for _ in range(n))
     records = tuple(
-        memento_record(f"http://a.example/m/{i:05d}", dt,
-                       first=(i == 0), last=(i == n - 1))
+        MementoRecord(dt, f"http://a.example/m/{i:05d}",
+                      first=(i == 0), last=(i == n - 1))
         for i, dt in enumerate(dts))
     tm = TimeMap(
         original="http://a.example/",

@@ -16,7 +16,6 @@ from memento_audit import analysis, capture, cli, fetching
 from memento_audit.capture import TMP_PREFIX, load_log
 from memento_audit.cli import build_parser, main, resolve_config, run_meta_filename
 from memento_audit.config import CACHE_ENV, parse_config_file
-from memento_audit.client import decode_timemap
 from memento_audit.errors import (
     NetworkError,
     NotArchived,
@@ -43,15 +42,11 @@ from memento_audit.fixture_archive.scenarios import (
     YT2006_SCRIPT_LOADED,
 )
 from memento_audit.fixture_archive.server import serve_in_thread, stop_serving
-from memento_audit.linkformat import (
-    TimeMap,
-    memento_record,
-    parse_link_format,
-    serialize_link_format,
-)
+from memento_audit.linkformat import MementoRecord, TimeMap, parse_link_format
 from memento_audit.report import sample_to_docs
 from memento_audit.sampling import select_annual
 from memento_audit.timefmt import format_rfc1123, parse_ts14
+from oracles_linkformat import oracle_serialize_link_format
 from test_client import fetched_body
 
 
@@ -545,7 +540,7 @@ def _count_parses(monkeypatch) -> list:
 def _refuse_parsing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an unchanged TimeMap was parsed again")
-    for name in ("sample_timemap", "parse_link_format"):
+    for name in ("sample_timemap", "index_timemap"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -571,7 +566,7 @@ def test_changed_timemap_is_sampled_afresh(service, news_timemap, tmp_path,
                                            monkeypatch, capsys):
     full = news_timemap["body"]
     tm = parse_link_format(full.decode("utf-8"))
-    news_timemap["body"] = serialize_link_format(
+    news_timemap["body"] = oracle_serialize_link_format(
         dataclasses.replace(tm, mementos=tm.mementos[:-1])).encode("utf-8")
     assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
     first = json.loads((tmp_path / "first" / "report.json").read_text())
@@ -620,10 +615,10 @@ def test_timemap_naming_robots_txt_is_not_an_exclusion(service, news_timemap, tm
     URIs hold the robots marker."""
     original = "http://example.com/robots.txt"
     memento = service.memento_uri("20100101000000", original)
-    news_timemap["body"] = serialize_link_format(TimeMap(
+    news_timemap["body"] = oracle_serialize_link_format(TimeMap(
         original=original, timegate_uri=service.timegate_uri(original),
         timemap_uri=news_timemap["template"].format(original=original),
-        mementos=(memento_record(memento, datetime(2010, 1, 1, tzinfo=timezone.utc)),),
+        mementos=(MementoRecord(datetime(2010, 1, 1, tzinfo=timezone.utc), memento),),
     )).encode("utf-8")
     cfg = _resolve(_news_argv(service, news_timemap, tmp_path, "unused"))
     fetcher = cli._fetcher(cfg)
@@ -631,7 +626,7 @@ def test_timemap_naming_robots_txt_is_not_an_exclusion(service, news_timemap, tm
         body = fetched_body(original, cfg.endpoint, fetcher)
     finally:
         fetcher.close()
-    tm = parse_link_format(decode_timemap(body, original, cfg.endpoint))
+    tm = parse_link_format(body.decode("utf-8"))
     assert [r.uri for r in tm.mementos] == [memento]
 
 
@@ -687,7 +682,7 @@ def test_new_etag_is_sampled_afresh(service, news_timemap, tmp_path, monkeypatch
                                     capsys):
     full = news_timemap["body"]
     tm = parse_link_format(full.decode("utf-8"))
-    news_timemap["body"] = serialize_link_format(
+    news_timemap["body"] = oracle_serialize_link_format(
         dataclasses.replace(tm, mementos=tm.mementos[:-1])).encode("utf-8")
     news_timemap["etag"] = '"v1"'
     assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 0
@@ -717,7 +712,8 @@ def _reordered(body: bytes) -> bytes:
 
 def _news_without_its_last_memento(body: bytes) -> bytes:
     tm = parse_link_format(body.decode("utf-8"))
-    return serialize_link_format(dataclasses.replace(tm, mementos=tm.mementos[:-1])).encode()
+    return oracle_serialize_link_format(
+        dataclasses.replace(tm, mementos=tm.mementos[:-1])).encode()
 
 
 @pytest.mark.parametrize("case, first, second, gets, spools, parses", [
@@ -885,9 +881,9 @@ def test_not_modified_to_an_unconditional_get_exits_2(service, news_timemap, tmp
 def test_timemap_is_read_as_utf8(service, news_timemap, tmp_path, capsys):
     tm = parse_link_format(news_timemap["body"].decode("utf-8"))
     paths = ["caf\u00e9/", "\u65e5\u672c/", "na\u00efve-\u00fcber/"]
-    mementos = tuple(dataclasses.replace(record, uri=f"{record.uri}{path}")
+    mementos = tuple(record._replace(uri=f"{record.uri}{path}")
                      for record, path in zip(tm.mementos, paths))
-    news_timemap["body"] = serialize_link_format(
+    news_timemap["body"] = oracle_serialize_link_format(
         dataclasses.replace(tm, mementos=mementos)).encode("utf-8")
     argv = _news_argv(service, news_timemap, tmp_path, "unused")
     cfg = _resolve(argv)
@@ -896,13 +892,13 @@ def test_timemap_is_read_as_utf8(service, news_timemap, tmp_path, capsys):
         body = fetched_body(NEWS_ORIGINAL, cfg.endpoint, fetcher)
     finally:
         fetcher.close()
-    fetched = parse_link_format(decode_timemap(body, NEWS_ORIGINAL, cfg.endpoint))
+    fetched = parse_link_format(body.decode("utf-8"))
     assert [r.uri for r in fetched.mementos] == [r.uri for r in mementos]
 
 
 def test_timemap_without_mementos_exits_2(service, news_timemap, tmp_path, capsys):
     tm = parse_link_format(news_timemap["body"].decode("utf-8"))
-    news_timemap["body"] = serialize_link_format(
+    news_timemap["body"] = oracle_serialize_link_format(
         dataclasses.replace(tm, mementos=())).encode("utf-8")
     assert main(_news_argv(service, news_timemap, tmp_path, "first")) == 2
     assert "error: TimeMap has no mementos to sample\n" in capsys.readouterr().err
@@ -1291,9 +1287,9 @@ def test_malformed_reference_fails_no_memento(service, stub_bridge, capsys, tmp_
 def _charsets_audit(service, news_timemap, tmp_path, *mementos) -> int:
     """Audit charsets.example from a TimeMap of `mementos`, (memento URI,
     datetime) pairs; its report goes to tmp_path/out."""
-    records = tuple(memento_record(uri, dt, first=i == 0, last=i == len(mementos) - 1)
+    records = tuple(MementoRecord(dt, uri, first=i == 0, last=i == len(mementos) - 1)
                     for i, (uri, dt) in enumerate(mementos))
-    news_timemap["body"] = serialize_link_format(TimeMap(
+    news_timemap["body"] = oracle_serialize_link_format(TimeMap(
         original=CHARSETS_ORIGINAL, timegate_uri=service.timegate_uri(CHARSETS_ORIGINAL),
         timemap_uri=service.timemap_uri(CHARSETS_ORIGINAL), mementos=records)).encode()
     return main(_quiet(["audit", CHARSETS_ORIGINAL, "--endpoint", service.archive_base,

@@ -1,7 +1,7 @@
 import pytest
 
 from memento_audit import client
-from memento_audit.client import decode_timemap, fetch_timemap
+from memento_audit.client import fetch_timemap
 from memento_audit.errors import NotArchived, RobotsExcluded
 from memento_audit.fixture_archive.scenarios import (
     NEWS_ORIGINAL,
@@ -22,16 +22,18 @@ def fetched_body(original, endpoint, fetcher) -> bytes:
 
 def _parsed_timemap(original, endpoint, fetcher):
     body = fetched_body(original, endpoint, fetcher)
-    return parse_link_format(decode_timemap(body, original, endpoint))
+    return parse_link_format(body.decode("utf-8"))
 
 
 def test_fetch_timemap_ok(service, endpoint, fetcher):
     tm = _parsed_timemap(NEWS_ORIGINAL, endpoint, fetcher)
     assert tm.original == NEWS_ORIGINAL
     assert len(tm.mementos) == len(NEWS_TIMESTAMPS)
-    assert tm.first.datetime == parse_ts14(NEWS_TIMESTAMPS[0])
-    assert tm.last.datetime == parse_ts14(NEWS_TIMESTAMPS[-1])
-    assert tm.first.is_first and tm.last.is_last
+    first, *middle, last = tm.mementos
+    assert first.datetime == parse_ts14(NEWS_TIMESTAMPS[0])
+    assert last.datetime == parse_ts14(NEWS_TIMESTAMPS[-1])
+    assert first.first and last.last
+    assert not any(m.first or m.last for m in middle)
 
 
 def test_timemap_memento_uris_are_rewritable(service, endpoint, fetcher):

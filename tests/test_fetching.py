@@ -39,7 +39,7 @@ from memento_audit.fixture_archive.scenarios import (
     NEWS_TIMESTAMPS,
     YT2011_ORIGINAL,
 )
-from memento_audit.linkformat import TimeMap, memento_record, serialize_link_format
+from memento_audit.linkformat import MementoRecord, serialize_link_format
 from memento_audit.replay import ArchiveEndpoint, make_replay_uri
 
 
@@ -1061,13 +1061,12 @@ _ONE_TIMESTAMP = "20100101000000"
 def _one_memento_archive(handler):
     base = handler.state["base"]
     if handler.path.startswith("/list/timemap/link/"):
-        tm = TimeMap(original=_ONE_ORIGINAL, timegate_uri=f"{base}/web/{_ONE_ORIGINAL}",
-                     timemap_uri=f"{base}{handler.path}",
-                     mementos=(memento_record(f"{base}/web/{_ONE_TIMESTAMP}/{_ONE_ORIGINAL}",
-                                              datetime(2010, 1, 1, tzinfo=timezone.utc),
-                                              first=True, last=True),))
+        roles = {"original": _ONE_ORIGINAL, "timemap": f"{base}{handler.path}",
+                 "timegate": f"{base}/web/{_ONE_ORIGINAL}"}
+        record = MementoRecord(datetime(2010, 1, 1, tzinfo=timezone.utc),
+                               f"{base}/web/{_ONE_TIMESTAMP}/{_ONE_ORIGINAL}", True, True)
         return 200, {"Content-Type": "application/link-format"}, \
-            serialize_link_format(tm).encode()
+            "".join(serialize_link_format(roles, [record])).encode()
     if handler.path.endswith(".gif"):
         return 200, {"Content-Type": "image/gif"}, b"GIF89a"
     return 200, {"Content-Type": "text/html"}, b'<img src="a.gif"><img src="b.gif">'

@@ -1,3 +1,4 @@
+import socket
 from datetime import datetime, timezone
 
 import pytest
@@ -229,7 +230,8 @@ def test_timemaps_and_bundle_responses_are_built_once(manifest, monkeypatch):
     renders, unrolls = [], []
     serialize, unroll = server.serialize_link_format, server.concrete_responses
     monkeypatch.setattr(server, "serialize_link_format",
-                        lambda tm: renders.append(tm.original) or serialize(tm))
+                        lambda roles, records: renders.append(roles["original"])
+                        or serialize(roles, records))
     monkeypatch.setattr(server, "concrete_responses",
                         lambda site, bundle: unrolls.append(bundle.timestamp)
                         or unroll(site, bundle))
@@ -281,3 +283,102 @@ def test_loaded_manifest_serves_identically(tmp_path):
         tm = parse_link_format(own.text)
         assert [to_replay_uri(r.uri, reloaded.endpoint()).timestamp
                 for r in tm.mementos] == list(NEWS_TIMESTAMPS)
+
+
+# --- what the fixture archive refuses -----------------------------------------
+
+
+@pytest.mark.parametrize("site, message", [
+    (_site(original="ftp://unit.example/"), "must be absolute http"),
+    (_site(mementos=(MementoBundle(timestamp="20100101000000", html="", resources=(
+        ResourceSpec(uri="http://unit.example/a", chain=()),)),)), "empty response chain"),
+    (_site(mementos=(MementoBundle(timestamp="20100101000000", html="", resources=(
+        ResourceSpec(uri="http://unit.example/a", chain=((200, None), (200, None))),)),)),
+     "non-final chain status must be 3xx, got 200"),
+    (_site(mementos=(MementoBundle(timestamp="20100101000000", html="", resources=(
+        ResourceSpec(uri="http://unit.example/a", media_type=""),)),)), "empty media type"),
+], ids=["original-not-http", "empty-chain", "non-final-not-3xx", "empty-media-type"])
+def test_malformed_sites_rejected(site, message):
+    with pytest.raises(InvalidManifest, match=message):
+        validate_manifest(FixtureManifest(sites=(site,)))
+
+
+_UNIT_TS = "20100101000000"
+_UNIT_PAGE = '<script src="app.js"></script><img src="a.gif">'
+
+
+@pytest.fixture(scope="module")
+def unit_service():
+    """An archive of two sites, one with a single memento whose page has a
+    script source and an image, and a text file that holds the same markup,
+    one with no memento, and a live web of one page."""
+    manifest = FixtureManifest(
+        sites=(_site(mementos=(MementoBundle(timestamp=_UNIT_TS, html=_UNIT_PAGE, resources=(
+            ResourceSpec(uri="http://unit.example/app.js", body=b"1;",
+                         media_type="text/javascript"),
+            ResourceSpec(uri="http://unit.example/a.gif", body=b"GIF89a",
+                         media_type="image/gif"),
+            ResourceSpec(uri="http://unit.example/page.txt", body=_UNIT_PAGE.encode(),
+                         media_type="text/plain"))),)),
+               SiteFixture(original="http://empty.example/")),
+        live=(LiveResource(path="/here.png"),))
+    with FixtureService(manifest) as svc:
+        yield svc
+
+
+def test_unknown_addresses_answer_404(unit_service):
+    web = f"{unit_service.archive_base}/web/{_UNIT_TS}"
+    cases = [
+        (f"{unit_service.archive_base}/static/nothing.css", b"no such chrome asset"),
+        (unit_service.timemap_uri("http://empty.example/"), b"no mementos"),
+        (f"{web}/http://elsewhere.example/", b"host not archived"),
+        (f"{web}/http://unit.example/missing.gif", b"not archived"),
+        (f"{unit_service.live_base}/missing.png", b"live web: not found"),
+    ]
+    for uri, body in cases:
+        resp = requests.get(uri, timeout=5, allow_redirects=False)
+        assert (resp.status_code, resp.content) == (404, body), uri
+    resp = requests.get(f"{web}/http://unit.example/missing.gif", timeout=5)
+    assert resp.headers["Memento-Datetime"] == "Fri, 01 Jan 2010 00:00:00 GMT"
+
+
+def test_server_messages_go_to_the_log(unit_service, caplog):
+    """A request the server cannot read is answered 400, and its message
+    goes to the module's logger, not to stderr."""
+    host, port = unit_service._archive_server.server_address[:2]
+    with caplog.at_level("DEBUG", logger=server.__name__):
+        with socket.create_connection((host, port), timeout=5) as conn:
+            conn.sendall(b"NOT HTTP\r\n\r\n")
+            # the reply ends when the handler closes the connection, after its log call
+            reply = b"".join(iter(lambda: conn.recv(4096), b""))
+    assert b"Error code: 400" in reply
+    assert any("Bad HTTP/0.9 request type" in record.getMessage()
+               for record in caplog.records)
+
+
+def _browsed(stub_bridge, uri: str, scripting: str) -> tuple[dict, list[str]]:
+    doc = stub_bridge.browse({"url": uri, "scripting": scripting})
+    return doc["page"], [entry["request_uri"] for entry in doc["subresources"]]
+
+
+def test_stub_browser_skips_script_sources_with_scripting_off(unit_service, stub_bridge):
+    page = unit_service.memento_uri(_UNIT_TS, "http://unit.example/")
+    base = f"{unit_service.archive_base}/memento/{_UNIT_TS}/http://unit.example"
+    assert _browsed(stub_bridge, page, "on")[1] == [f"{base}/app.js", f"{base}/a.gif"]
+    assert _browsed(stub_bridge, page, "off")[1] == [f"{base}/a.gif"]
+
+
+def test_stub_browser_fetches_nothing_from_a_page_that_is_not_html(unit_service,
+                                                                    stub_bridge):
+    text = f"{unit_service.archive_base}/web/{_UNIT_TS}/http://unit.example/page.txt"
+    page, subresources = _browsed(stub_bridge, text, "on")
+    assert (page["content_type"], page["bytes"], subresources) == (
+        "text/plain", len(_UNIT_PAGE), [])
+
+
+def test_stub_bridge_answers_unknown_paths_and_its_own_failures(stub_bridge):
+    assert requests.get(f"{stub_bridge.url}/nothing", timeout=5).status_code == 404
+    resp = requests.post(f"{stub_bridge.url}/nothing", json={}, timeout=5)
+    assert (resp.status_code, resp.json()) == (404, {"error": "unknown path"})
+    resp = requests.post(f"{stub_bridge.url}/capture", json={}, timeout=5)
+    assert (resp.status_code, resp.json()) == (500, {"error": "'url'"})

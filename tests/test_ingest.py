@@ -1,10 +1,13 @@
 """The one-pass TimeMap ingest (`sampling.sample_timemap` over
-`client.decode_timemap_pieces`) against the whole-text path it replaces in
-`audit`, `select_annual(parse_link_format(text))`: the same selections and
-chosen records, or the same error with the same message and offset, whatever
-the piece size; and memory bounded by the body plus a fixed-width index per
-memento."""
+`linkformat.index_timemap` and `client.decode_timemap_pieces`) against the
+reference whole-text path, `select_annual(oracle_parse_link_format(text))`:
+the same selections and chosen records, or the same error with the same
+message and offset, whatever the piece size.  The `sample` and `timemap`
+commands on a served TimeMap: memory bounded by the body plus a fixed-width
+index per memento, and `timemap`'s output equal to the reference
+serialisation of what the reference parser reads."""
 
+import contextlib
 import io
 import random
 import sys
@@ -21,18 +24,18 @@ from hypothesis import strategies as st
 
 from memento_audit import client, linkformat
 from memento_audit.cli import main
-from memento_audit.client import decode_timemap, decode_timemap_pieces
+from memento_audit.client import decode_timemap_pieces
 from memento_audit.errors import (
     MalformedEntry,
     TimestampMismatch,
     UndecodableTimeMap,
 )
 from memento_audit.fixture_archive.server import serve_in_thread, stop_serving
-from memento_audit.linkformat import memento_at, parse_link_format, serialize_link_format
+from memento_audit.linkformat import memento_at
 from memento_audit.replay import ArchiveEndpoint, to_replay_uri
 from memento_audit.sampling import ONE_YEAR, Interval, sample_timemap, select_annual
 from memento_audit.timefmt import format_rfc1123
-from oracles_linkformat import oracle_parse_link_format
+from oracles_linkformat import oracle_parse_link_format, oracle_serialize_link_format
 from test_acceptance import ARCHIVED_INDEX_SAMPLE, _synthetic_timemap
 
 ORIGINAL = "http://s.example/"
@@ -43,14 +46,14 @@ ROLES = [f'<{ORIGINAL}>; rel="original"',
 
 
 def _whole(body: bytes, interval=ONE_YEAR, fixed_grid=False):
-    """The whole-text path, decoding as the body was decoded before it came
-    in pieces."""
+    """The reference path: the body decoded whole, parsed by the reference
+    parser and sampled by select_annual."""
     try:
         text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise UndecodableTimeMap(f"TimeMap {EP.expand_timemap(ORIGINAL)} is not UTF-8: "
                                  f"{exc.reason} at byte offset {exc.start}") from exc
-    return select_annual(parse_link_format(text), interval, fixed_grid)
+    return select_annual(oracle_parse_link_format(text), interval, fixed_grid)
 
 
 def _streamed(body: bytes, interval=ONE_YEAR, fixed_grid=False):
@@ -71,7 +74,7 @@ def _agree(body: bytes, piece: int, interval=ONE_YEAR, fixed_grid=False):
     """Both paths on `body`, the streamed one in pieces of `piece` bytes."""
     with mock.patch.object(client, "_PIECE_BYTES", piece):
         streamed = _outcome(_streamed, body, interval, fixed_grid)
-        joined = _outcome(decode_timemap, body, ORIGINAL, EP)
+        joined = _outcome(lambda: "".join(decode_timemap_pieces(io.BytesIO(body), ORIGINAL, EP)))
     assert streamed == _outcome(_whole, body, interval, fixed_grid)
     if joined[0] == "returned":
         assert joined[1] == body.decode("utf-8")
@@ -95,7 +98,7 @@ def test_synthetic_timemaps_stream_alike():
     rng = random.Random(411)
     for n in [1, 2, 500] + [rng.randint(1, 400) for _ in range(7)]:
         tm, _ = _synthetic_timemap(rng, n)
-        body = serialize_link_format(tm).encode("utf-8")
+        body = oracle_serialize_link_format(tm).encode("utf-8")
         for fixed_grid in (False, True):
             assert _agree(body, 97, fixed_grid=fixed_grid)[0] == "returned"
 
@@ -261,7 +264,7 @@ def test_equal_seconds_choose_the_first_uri():
     outcome = _agree(body, 11)
     chosen = outcome[1].selections[1].chosen
     assert chosen.uri.endswith("/a")
-    assert chosen.is_last  # of two equal entries, the first in the text
+    assert chosen.last  # of two equal entries, the first in the text
 
 
 # --- memory ------------------------------------------------------------------
@@ -306,26 +309,45 @@ class _TimeMapServer(BaseHTTPRequestHandler):
         pass
 
 
-def test_sample_command_holds_a_fixed_width_index(monkeypatch, capsys, tmp_path):
+@pytest.fixture
+def run_command(monkeypatch, tmp_path):
+    """run_command(name, body, out): the exit code and the `tracemalloc` peak
+    of `memento-audit name` on a TimeMap that an in-test server answers with
+    `body`, its stdout written to the text file `out` if one is given.  The
+    command spools the TimeMap in the system temporary directory, which must
+    be as empty after it as before."""
+    for name in ("http_proxy", "no_proxy", "HTTP_PROXY", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    spool = tmp_path / "spool"
+    spool.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool))
+
+    def run(name: str, body: bytes, out=None) -> tuple[int, int]:
+        server = serve_in_thread("127.0.0.1", 0, type("Handler", (_TimeMapServer,),
+                                                      {"body": body}))
+        try:
+            with contextlib.redirect_stdout(out or sys.stdout):
+                tracemalloc.start()
+                try:
+                    rc = main([name, ORIGINAL, "--politeness-ms", "0",
+                               "--endpoint", f"http://127.0.0.1:{server.server_port}"])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        finally:
+            stop_serving(server)
+        assert list(spool.iterdir()) == []
+        return rc, peak
+
+    return run
+
+
+def test_sample_command_holds_a_fixed_width_index(run_command, capsys):
     """`sample` takes the TimeMap in as `audit` does: spooled to a file in
     the system temporary directory and sampled in one pass, with a peak
     under a quarter of the body and nothing left behind."""
-    for name in ("http_proxy", "no_proxy", "HTTP_PROXY", "NO_PROXY"):
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     body = _large_body(20_000)
-    server = serve_in_thread("127.0.0.1", 0, type("Handler", (_TimeMapServer,),
-                                                  {"body": body}))
-    try:
-        tracemalloc.start()
-        try:
-            rc = main(["sample", ORIGINAL, "--politeness-ms", "0",
-                       "--endpoint", f"http://127.0.0.1:{server.server_port}"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    finally:
-        stop_serving(server)
+    rc, peak = run_command("sample", body)
     assert rc == 0
     picks = [line.split("\t")[3] for line in capsys.readouterr().out.splitlines()]
     file = io.BytesIO(body)
@@ -333,4 +355,62 @@ def test_sample_command_holds_a_fixed_width_index(monkeypatch, capsys, tmp_path)
         file, decode_timemap_pieces(file, ORIGINAL, EP)).selections]
     assert len(picks) >= 15
     assert peak < 0.25 * len(body)
-    assert list(tmp_path.iterdir()) == []
+
+
+def test_timemap_command_holds_a_fixed_width_index(run_command, tmp_path):
+    """`timemap` prints from the same one-pass index, reading each record
+    back from the spool and writing it out before the next: its peak stays
+    under a quarter of the body.  The body is in the canonical form, so it
+    is printed as it was served, and a newline."""
+    body = _large_body(20_000)
+    with open(tmp_path / "out.txt", "w", encoding="utf-8") as out:
+        rc, peak = run_command("timemap", body, out)
+    assert rc == 0
+    assert (tmp_path / "out.txt").read_bytes() == body + b"\n"
+    assert peak < 0.25 * len(body)
+
+
+def _entry_at(dt: datetime, path: str, rel: str = "memento") -> str:
+    """A memento entry whose URI holds no timestamp, so that URI order is
+    `path` order, whatever the datetimes."""
+    return (f'<http://archive.example/memento/{path}>; rel="{rel}"; '
+            f'datetime="{format_rfc1123(dt)}"')
+
+
+_BUNDLE = '<http://archive.example/list/timebundle/http://s.example/>; rel="timebundle"'
+
+
+@pytest.mark.parametrize("entries", [
+    [_entry_at(_dt(2003), "a", "last memento"), *ROLES, _entry_at(_dt(2001), "c"),
+     _entry_at(_dt(2000), "d", "first memento"), _entry_at(_dt(2002), "b")],
+    [*ROLES, _entry_at(_dt(2000), "z", "first memento"), _entry_at(_dt(2000), "y"),
+     _entry_at(_dt(2000), "x"), _entry_at(_dt(2001), "w", "last memento")],
+    [*ROLES, _entry_at(_dt(2004), "only", "first last memento")],
+    [*ROLES[1:], _entry_at(_dt(2001), "a"), _BUNDLE, ROLES[0], _entry_at(_dt(2000), "b")],
+    ROLES,
+], ids=["out-of-order", "same-second-reversed", "first-and-last", "timebundle",
+        "roles-only"])
+def test_timemap_command_prints_the_canonical_serialisation(run_command, capsys, entries):
+    """`timemap` prints what the reference parser reads from the body,
+    serialised by the reference writer: mementos in (datetime, URI) order,
+    each with its own first/last tokens, after the role entries."""
+    text = ",\n ".join(entries)
+    rc, _ = run_command("timemap", text.encode("utf-8"))
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (0, "")
+    assert captured.out == oracle_serialize_link_format(oracle_parse_link_format(text)) + "\n"
+
+
+def test_timemap_command_reports_an_undecodable_byte_before_a_malformed_entry(
+        run_command, capsys):
+    """The malformed entry is in the first 16 KiB decoded, the byte that is
+    not UTF-8 in a later piece."""
+    mementos = [_memento(_dt(2000), path=f"p{i}") for i in range(200)]
+    body = ",\n".join([*ROLES, "oops", *mementos]).encode("utf-8") + b"\xff"
+    assert body.index(b"oops") < 1 << 14 < len(body)
+    rc, _ = run_command("timemap", body)
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert captured.err.startswith("error: TimeMap http://127.0.0.1:")
+    assert captured.err.endswith(f"is not UTF-8: invalid start byte at byte offset "
+                                 f"{len(body) - 1}\n")

@@ -103,6 +103,24 @@ def test_relative_references_keep_empty_path_segments(original, ref, joined):
     assert _browser_join(original, ref) == urldefrag(joined)[0]
 
 
+@pytest.mark.parametrize("ref, joined", [
+    ("img\\x.gif", "http://h/a/img/x.gif"),
+    ("\\\\other.example\\x.gif", "http://other.example/x.gif"),
+    ("http:\\\\other.example\\y.gif", "http://other.example/y.gif"),
+    ("..\\c\\d.gif?q=a\\b#f\\g", "http://h/c/d.gif?q=a\\b"),
+])
+def test_backslashes_before_the_query_are_slashes(ref, joined):
+    """A browser reads `\\` as `/` in an http(s) URL, up to its query or
+    fragment (WHATWG URL); both crawlers resolve a reference so too."""
+    original = "http://h/a/b.html"
+    assert resolve_reference(original, ref) == joined
+    replay = make_replay_uri("20050101000000", original, WAYBACK)
+    assert rewrite_subresource(replay, ref, WAYBACK) == WAYBACK.expand_replay(
+        "20050101000000", joined)
+    assert _browser_join(replay.uri, ref) == rewrite_subresource(replay, ref, WAYBACK)
+    assert _browser_join(original, ref) == joined
+
+
 _SEGMENTS = st.sampled_from(["a", "b.html", ".", "..", "c;p", "d=1", "%2e", "x:y"])
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from memento_audit.analysis import DropFlag, FetchClass, MementoMetrics, build_series
 from memento_audit.capture import CaptureLog, ResourceFetch, save_log
-from memento_audit.linkformat import memento_record
+from memento_audit.linkformat import MementoRecord
 from memento_audit.report import (
     CSV_HEADER,
     AuditReport,
@@ -38,7 +38,7 @@ def _report(years=(2004, 2005), delta=None):
     dt = datetime(2012, 7, 31, 0, 33, 35, tzinfo=timezone.utc)
     sample = tuple(
         Selection(target=dt + timedelta(days=365 * i),
-                  chosen=memento_record(m.memento.uri, dt + timedelta(days=365 * i, hours=2)),
+                  chosen=MementoRecord(dt + timedelta(days=365 * i, hours=2), m.memento.uri),
                   deviation=timedelta(hours=2))
         for i, m in enumerate(metrics))
     leaks = (

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memento_audit.errors import TimestampMismatch
-from memento_audit.linkformat import TimeMap, memento_record
+from memento_audit.linkformat import MementoRecord, TimeMap
 from memento_audit.sampling import (
     ONE_YEAR,
     Interval,
@@ -21,9 +21,9 @@ def _timemap(dts) -> TimeMap:
     records = []
     for i, dt in enumerate(dts):
         ts = dt.strftime("%Y%m%d%H%M%S")
-        records.append(memento_record(
-            f"http://archive.example/memento/{ts}/http://s.example/?v={i}",
-            dt, first=(i == 0), last=(i == len(dts) - 1)))
+        records.append(MementoRecord(
+            dt, f"http://archive.example/memento/{ts}/http://s.example/?v={i}",
+            first=(i == 0), last=(i == len(dts) - 1)))
     return TimeMap(
         original="http://s.example/",
         timegate_uri="http://archive.example/timegate/http://s.example/",
@@ -186,23 +186,23 @@ def test_interval_str_round_trips():
 
 def test_extract_date_checks_uri_agreement():
     dt = _dt(2005, 6, 1, 12, 0, 0)
-    good = memento_record(
-        "http://archive.example/memento/20050601120000/http://s.example/", dt)
+    good = MementoRecord(
+        dt, "http://archive.example/memento/20050601120000/http://s.example/")
     assert extract_date(good) == dt
 
-    skewed = memento_record(
-        "http://archive.example/memento/20050602110000/http://s.example/", dt)
+    skewed = MementoRecord(
+        dt, "http://archive.example/memento/20050602110000/http://s.example/")
     assert extract_date(skewed) == dt  # 23 h apart: inside the tolerance
 
-    wrong = memento_record(
-        "http://archive.example/memento/20050701120000/http://s.example/", dt)
+    wrong = MementoRecord(
+        dt, "http://archive.example/memento/20050701120000/http://s.example/")
     with pytest.raises(TimestampMismatch):
         extract_date(wrong)
 
 
 def test_extract_date_without_uri_timestamp():
     dt = _dt(2005, 6, 1)
-    record = memento_record("http://archive.example/snapshots/latest", dt)
+    record = MementoRecord(dt, "http://archive.example/snapshots/latest")
     assert extract_date(record) == dt
 
 
