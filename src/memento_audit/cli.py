@@ -17,13 +17,10 @@ config file > default.
 import argparse
 import contextlib
 import dataclasses
-import hashlib
-import http.client
 import json
 import logging
 import os
 import sys
-import tempfile
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -34,10 +31,10 @@ from .capture import (ENGINE_SCRIPTED, ENGINE_STATIC, RUN_META_NAME, SCRIPTING_B
                       SCRIPTING_OFF, SCRIPTING_ON, CaptureLog, StaticEngine, capture_filename,
                       load_log, log_filename, run_meta_filename, save_log, sweep_temporary_files,
                       write_text_atomic)
-from .client import decode_timemap_pieces, fetch_timemap
+from .client import TimeMapBody, decode_timemap_pieces, fetch_timemap
 from .config import CACHE_ENV, AuditConfig, endpoint_from_echo, parse_config_file
 from .errors import AuditError
-from .fetching import PoliteFetcher, Write
+from .fetching import PoliteFetcher
 from .linkformat import index_timemap, read_mementos, serialize_link_format
 from .replay import (CHROME_PREFIXES, ArchiveEndpoint, ReplayUri, to_replay_uri,
                      validate_original_uri)
@@ -256,13 +253,10 @@ def _spooled_timemap(cfg: AuditConfig, uri: str) -> Iterator[BinaryIO]:
     """GET `uri`'s TimeMap into an unnamed file in the system temporary
     directory, and yield that file: `timemap` and `sample` leave nothing in
     the cache directory."""
-    body = _TimeMapBody(None, None)
-    try:
+    with contextlib.closing(TimeMapBody()) as body:
         with _fetcher(cfg) as fetcher:
-            fetch_timemap(uri, cfg.endpoint, fetcher, body.open)
+            fetch_timemap(uri, cfg.endpoint, fetcher, body)
         yield body.spool
-    finally:
-        body.close()
 
 
 def cmd_timemap(args: argparse.Namespace) -> int:
@@ -353,49 +347,6 @@ def _stored_run(cfg: AuditConfig, site: str) -> dict | None:
     return meta
 
 
-def _content_length(headers: http.client.HTTPMessage) -> int | None:
-    try:
-        return int(headers["Content-Length"])
-    except (TypeError, ValueError):
-        return None
-
-
-class _TimeMapBody:
-    """A TimeMap body as it is taken in: its SHA-256 and length, and the
-    body itself, spooled into an unnamed file that no crash leaves behind,
-    unless its Content-Length is `stored_bytes`.  The file is made in
-    `cache_dir`, or in the system temporary directory when that is None."""
-
-    def __init__(self, cache_dir: Path | None, stored_bytes: int | None):
-        self.cache_dir = cache_dir
-        self.stored_bytes = stored_bytes
-        self.spool = None
-
-    def open(self, headers: http.client.HTTPMessage) -> Write:
-        """The writer of one attempt's body; each attempt starts afresh."""
-        self.sha256, self.size = hashlib.sha256(), 0
-        self.spooled = (self.stored_bytes is None
-                        or _content_length(headers) != self.stored_bytes)
-        if self.spooled:
-            if self.spool is None:
-                if self.cache_dir is not None:
-                    self.cache_dir.mkdir(parents=True, exist_ok=True)
-                self.spool = tempfile.TemporaryFile(dir=self.cache_dir)
-            self.spool.seek(0)
-            self.spool.truncate()
-        return self.write
-
-    def write(self, piece: bytes) -> None:
-        self.sha256.update(piece)
-        self.size += len(piece)
-        if self.spooled:
-            self.spool.write(piece)
-
-    def close(self) -> None:
-        if self.spool is not None:
-            self.spool.close()
-
-
 def _annual_sample(cfg: AuditConfig, site: str,
                    fetcher: PoliteFetcher) -> tuple[tuple[Selection, ...], dict]:
     """GET the site's TimeMap and return (its annual sample, the run metadata
@@ -410,21 +361,20 @@ def _annual_sample(cfg: AuditConfig, site: str,
     The body is never held whole.  A body whose Content-Length is the stored
     TimeMap's length is only hashed as it arrives; should its digest differ
     after all, it is fetched again.  Any other body is hashed and spooled to
-    a file, then sampled in one pass over the file, in memory bounded by 16
-    bytes per memento plus one piece."""
+    a file, checked there for a robots exclusion, then sampled in one pass
+    over the file, in memory bounded by 16 bytes per memento plus one piece."""
     stored = _stored_run(cfg, site) or {}
     keys = ("timemap_sha256", "timemap_etag", "timemap_bytes")
-    body = _TimeMapBody(cfg.cache_dir, stored.get("timemap_bytes"))
-    try:
-        headers = fetch_timemap(site, cfg.endpoint, fetcher, body.open,
+    with contextlib.closing(TimeMapBody(cfg.cache_dir, stored.get("timemap_bytes"))) as body:
+        headers = fetch_timemap(site, cfg.endpoint, fetcher, body,
                                 etag=stored.get("timemap_etag"))
         if headers is None:
             logger.info("TimeMap not modified; reusing the stored sample for %s", site)
             return stored["sample"], {key: stored[key] for key in keys if key in stored}
         if not body.spooled and body.sha256.hexdigest() != stored["timemap_sha256"]:
             logger.info("TimeMap of %s changed at the same length; fetching it again", site)
-            body.stored_bytes = None
-            headers = fetch_timemap(site, cfg.endpoint, fetcher, body.open)
+            body.hash_only_bytes = None
+            headers = fetch_timemap(site, cfg.endpoint, fetcher, body)
         digest = body.sha256.hexdigest()
         if stored.get("timemap_sha256") == digest:
             logger.info("TimeMap unchanged; reusing the stored sample for %s", site)
@@ -433,8 +383,6 @@ def _annual_sample(cfg: AuditConfig, site: str,
             sample = sample_timemap(body.spool,
                                     decode_timemap_pieces(body.spool, site, cfg.endpoint),
                                     interval=cfg.interval, fixed_grid=cfg.fixed_grid).selections
-    finally:
-        body.close()
     return sample, {"timemap_sha256": digest, "timemap_etag": headers.get("ETag"),
                     "timemap_bytes": body.size}
 

@@ -1,9 +1,21 @@
-"""Memento archive client: TimeMap retrieval."""
+"""Memento archive client: TimeMap intake.
+
+`fetch_timemap` GETs a TimeMap into a `TimeMapBody`, which hashes, counts and
+spools the body as it arrives; once the GET is done, the spooled file is
+checked once for a robots exclusion.  A body that was only hashed, to
+revalidate a stored TimeMap of the same length, is not checked: its digest
+decides whether it is that TimeMap, which passed the check.
+`decode_timemap_pieces` then reads the spool back as text.
+"""
 
 import codecs
+import hashlib
 import http.client
+import mmap
 import re
-from collections.abc import Callable, Iterator
+import tempfile
+from collections.abc import Iterator
+from pathlib import Path
 from typing import BinaryIO
 
 from .errors import NetworkError, NotArchived, RobotsExcluded, UndecodableTimeMap
@@ -13,73 +25,75 @@ from .replay import ArchiveEndpoint, validate_original_uri
 ROBOTS_MARKER = b"robots.txt"
 #: The start of a link-format entry, `<uri>;` (RFC 6690 §2).
 _LINK_ENTRY_START_RE = re.compile(rb"\s*<[^>]*>\s*;")
-#: A head that may still grow into _LINK_ENTRY_START_RE's match; its groups
-#: say how far it got: "<" once inside `<...>`, ">" once past it.
-_LINK_ENTRY_PREFIX_RE = re.compile(rb"\s*(?:(<)[^>]*(?:(>)\s*)?)?")
 #: Bytes of a TimeMap body decoded at a time.
 _PIECE_BYTES = 1 << 14
 
 
-class _RobotsScan:
-    """A writer that passes a TimeMap body on to `write` and judges, as on
-    the whole body and for any split of it into pieces, whether it is a
-    robots exclusion: it holds ROBOTS_MARKER and does not start like a
-    link-format entry.  The marker is looked for only while the head may
-    not be link-format."""
+class TimeMapBody:
+    """A TimeMap body as a GET takes it in: its SHA-256 and length, and the
+    body itself, spooled into an unnamed file that no crash leaves behind,
+    unless its Content-Length is `hash_only_bytes`.  The file is made in
+    `spool_dir`, or in the system temporary directory when that is None."""
 
-    def __init__(self, write: Write):
-        self.write = write
-        self.head = b""  # the undecided head, cut to the state it reached
-        self.link_format: bool | None = None
-        self.found = False
-        self.tail = b""  # the last bytes, which a marker may straddle
+    def __init__(self, spool_dir: Path | None = None, hash_only_bytes: int | None = None):
+        self.spool_dir = spool_dir
+        self.hash_only_bytes = hash_only_bytes
+        self.spool = None
 
-    def __call__(self, piece: bytes) -> None:
-        if self.link_format is None:
-            head = self.head + piece if self.head else piece
-            if _LINK_ENTRY_START_RE.match(head):
-                self.link_format = True
-            elif match := _LINK_ENTRY_PREFIX_RE.fullmatch(head):
-                self.head = (match[1] or b"") + (match[2] or b"")
-            else:
-                self.link_format = False
-        if not self.link_format and not self.found:
-            keep = len(ROBOTS_MARKER) - 1
-            self.found = ROBOTS_MARKER in self.tail + piece[:keep] or ROBOTS_MARKER in piece
-            self.tail = (self.tail + piece[-keep:])[-keep:]
-        self.write(piece)
+    def open(self, status: int, headers: http.client.HTTPMessage) -> Write | None:
+        """The writer of one attempt's body, for a 200 only; each attempt
+        starts afresh."""
+        if status != 200:
+            return None
+        self.sha256, self.size = hashlib.sha256(), 0
+        self.spooled = (self.hash_only_bytes is None
+                        or headers.get("Content-Length") != str(self.hash_only_bytes))
+        if self.spooled:
+            if self.spool is None:
+                if self.spool_dir is not None:
+                    self.spool_dir.mkdir(parents=True, exist_ok=True)
+                self.spool = tempfile.TemporaryFile(dir=self.spool_dir)
+            self.spool.seek(0)
+            self.spool.truncate()
+        return self.write
 
-    @property
+    def write(self, piece: bytes) -> None:
+        self.sha256.update(piece)
+        self.size += len(piece)
+        if self.spooled:
+            self.spool.write(piece)
+
     def excluded(self) -> bool:
-        return self.found and not self.link_format
+        """Whether the spooled body is a robots exclusion: it holds
+        ROBOTS_MARKER and does not start like a link-format entry.  An empty
+        body is not."""
+        self.spool.flush()
+        if not self.size:
+            return False
+        with mmap.mmap(self.spool.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            return not _LINK_ENTRY_START_RE.match(view) and view.find(ROBOTS_MARKER) >= 0
+
+    def close(self) -> None:
+        if self.spool is not None:
+            self.spool.close()
 
 
 def fetch_timemap(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetcher,
-                  open_body: Callable[[http.client.HTTPMessage], Write],
-                  etag: str | None = None) -> http.client.HTTPMessage | None:
-    """GET the TimeMap for an original URI, hand its body piece by piece, as
-    it arrives, to the writer open_body(response headers) gives, and return
-    the response's headers.  A retried GET starts a fresh writer.
+                  body: TimeMapBody, etag: str | None = None) -> http.client.HTTPMessage | None:
+    """GET the TimeMap for an original URI into `body`, as it arrives, and
+    return the response's headers.  A retried GET starts `body` afresh.
 
     Given the `etag` of a stored TimeMap, the GET is conditional on it
     (If-None-Match, RFC 9110 §13.1.2), and a 304 Not Modified returns None.
     A 304 to an unconditional GET is a NetworkError.  Archives signal robots
-    exclusions inconsistently, so both a 403 and a 200 whose body contains
-    ROBOTS_MARKER map to RobotsExcluded; a body that starts like a
-    link-format entry is a TimeMap, whatever its URIs hold.  The body of any
+    exclusions inconsistently, so both a 403 and a 200 whose spooled body is
+    one (`TimeMapBody.excluded`) map to RobotsExcluded.  The body of any
     other status is not written.
     """
     validate_original_uri(original)
     uri = ep.expand_timemap(original)
-    scan = None
-
-    def open_scanned(status: int, headers: http.client.HTTPMessage) -> Write | None:
-        nonlocal scan
-        scan = _RobotsScan(open_body(headers)) if status == 200 else None
-        return scan
-
     result = fetcher.follow(uri, headers=None if etag is None else {"If-None-Match": etag},
-                            open_body=open_scanned)
+                            open_body=body.open)
     if result.error is not None:
         raise NetworkError(f"fetching TimeMap {uri}: {result.error}")
     status = result.final_status
@@ -91,7 +105,7 @@ def fetch_timemap(original: str, ep: ArchiveEndpoint, fetcher: PoliteFetcher,
         return None
     if status != 200:
         raise NetworkError(f"unexpected status {status} fetching TimeMap {uri}")
-    if scan.excluded:
+    if body.spooled and body.excluded():
         raise RobotsExcluded(f"robots marker {ROBOTS_MARKER.decode()!r} in TimeMap "
                              f"response for {original}")
     return result.headers

@@ -10,14 +10,14 @@ like a browser with JavaScript disabled.
 
 import json
 import logging
-from urllib.parse import urldefrag
 
 from ..bridge import _INITIATOR_TRIGGERS
 from ..capture import (PHASE_PAGE, PHASE_SUBRESOURCE, SCRIPTING_ON, TRIGGER_MARKUP,
                        ResourceFetch, _fetch_from_chain, _looks_like_css, _looks_like_html)
+from ..errors import UnresolvableReference
 from ..extract import extract_css_refs, extract_page_refs
 from ..fetching import PoliteFetcher
-from ..replay import MEMENTO_SHAPE_RE, SKIP_SCHEMES, join_reference
+from ..replay import MEMENTO_SHAPE_RE, resolve_reference
 from .server import _QuietHandler, serve_in_thread, stop_serving
 
 logger = logging.getLogger(__name__)
@@ -33,29 +33,20 @@ def _fetch_doc(fetch: ResourceFetch) -> dict:
             "content_type": fetch.content_type, "bytes": fetch.bytes}
 
 
-def _resolvable(absolute: str) -> bool:
-    return not absolute.startswith(SKIP_SCHEMES) and absolute.startswith(
-        ("http://", "https://"))
-
-
 def _browser_join(base: str, ref: str) -> str:
-    """Resolve a reference the way a browser under replay does.
+    """Resolve a reference the way a browser under replay does, with the
+    auditor's resolver.
 
     When the base is a memento URI, resolve against its original, as the
-    auditor splits it, and put the replay prefix back.  A reference that does
-    not parse, such as "//[bad", resolves to "", which is never fetched.
+    auditor splits it, and put the replay prefix back; a reference that
+    starts with http:// or https:// is left live.  UnresolvableReference for
+    what a browser would not fetch, such as "data:..." or "//[bad".
     """
-    try:
-        ref = urldefrag(ref.strip())[0]
-        if not ref or ref.startswith(SKIP_SCHEMES) or ref.startswith(("http://", "https://")):
-            return ref
-        m = MEMENTO_SHAPE_RE.match(base)
-        if m is None:
-            return join_reference(base, ref)
-        prefix, timestamp, original = m.groups()
-        return f"{prefix}/{timestamp}/{join_reference(original, ref)}"
-    except ValueError:
-        return ""
+    m = MEMENTO_SHAPE_RE.match(base)
+    if m is None or ref.strip().startswith(("http://", "https://")):
+        return resolve_reference(base, ref)
+    prefix, timestamp, original = m.groups()
+    return f"{prefix}/{timestamp}/{resolve_reference(original, ref)}"
 
 
 class StubBridge:
@@ -118,8 +109,11 @@ class StubBridge:
         queue = list(planned)
         while queue:
             ref, base, initiator, referrer_encoding = queue.pop(0)
-            absolute = _browser_join(base, ref)
-            if not _resolvable(absolute) or absolute == page_url or absolute in seen:
+            try:
+                absolute = _browser_join(base, ref)
+            except UnresolvableReference:
+                continue
+            if absolute == page_url or absolute in seen:
                 continue
             seen.add(absolute)
             result = self.fetcher.follow(absolute)

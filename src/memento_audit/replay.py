@@ -163,14 +163,19 @@ def join_reference(base_uri: str, reference: str) -> str:
     empty segment of both is kept: urljoin drops them, so that it joins
     http://h/a//b/c.html and d.gif to http://h/a/b/d.gif, where a browser
     requests http://h/a//b/d.gif.  Every other form of reference goes to
-    urljoin."""
+    urljoin; when that gives an http(s) URI whose path holds dot segments,
+    as http://h/a/../b.gif, they are removed too."""
     ref = urlsplit(reference)
     if "\\" in reference and (ref.scheme or urlsplit(base_uri).scheme) in ("http", "https"):
         end = _BEFORE_QUERY_RE.match(reference).end()
         reference = reference[:end].replace("\\", "/") + reference[end:]
         ref = urlsplit(reference)
     if ref.scheme or ref.netloc or not ref.path or ref.path.startswith("/"):
-        return urljoin(base_uri, reference)
+        joined = urljoin(base_uri, reference)
+        parts = urlsplit(joined)
+        if "/." in parts.path and parts.scheme in ("http", "https"):
+            joined = urlunsplit(parts._replace(path=_without_dot_segments(parts.path)))
+        return joined
     scheme, netloc, path, _, _ = urlsplit(base_uri)
     path = _without_dot_segments((path[:path.rfind("/") + 1] or "/") + ref.path)
     return urlunsplit((scheme, netloc, path, ref.query, ref.fragment))

@@ -596,6 +596,9 @@ def test_changed_sampling_settings_resample(service, news_timemap, tmp_path,
 @pytest.mark.parametrize("status, body, error", [
     (403, b"", RobotsExcluded),
     (200, b"Blocked by robots.txt", RobotsExcluded),
+    # Not link-format, several pieces long, and the marker past the first.
+    pytest.param(200, b"<p>" + b"x" * (3 * fetching.PIECE_BYTES) + b" see robots.txt</p>",
+                 RobotsExcluded, id="200-marker-past-the-first-piece-RobotsExcluded"),
     (404, b"", NotArchived),
 ])
 def test_timemap_checks_run_before_reuse(service, news_timemap, tmp_path, capsys,
@@ -752,6 +755,30 @@ def test_warm_timemap_gets(service, news_timemap, tmp_path, monkeypatch, capsys,
     if case != "changed-length":
         assert _outputs(tmp_path / "second") == _outputs(tmp_path / "first")
     assert list((tmp_path / "cache").glob("tmp*")) == []
+
+
+def test_robots_page_of_the_stored_length_costs_one_more_get(service, news_timemap, tmp_path,
+                                                            monkeypatch, capsys, caplog):
+    """A robots page exactly as long as the stored TimeMap is only hashed at
+    first.  Its digest differs, so it is fetched again, into the spool, where
+    the robots check finds it: no sample is reused and the run metadata
+    stays as it was."""
+    argv = _news_argv(service, news_timemap, tmp_path, "first")
+    assert main(argv) == 0
+    meta = _meta_path(tmp_path).read_bytes()
+    stored_bytes = json.loads(meta)["timemap_bytes"]
+    news_timemap["body"] = b"Blocked by robots.txt".ljust(stored_bytes, b".")
+    _refuse_parsing(monkeypatch)
+    capsys.readouterr()
+    with caplog.at_level(logging.INFO, logger="memento_audit.cli"):
+        assert main(_news_argv(service, news_timemap, tmp_path, "second")) == 2
+    assert "robots marker" in capsys.readouterr().err
+    assert "changed at the same length" in caplog.text and "reusing" not in caplog.text
+    assert news_timemap["gets"] == 3
+    assert not (tmp_path / "second").exists()
+    assert _meta_path(tmp_path).read_bytes() == meta
+    with pytest.raises(RobotsExcluded):
+        cli._audit_site(_resolve(argv), NEWS_ORIGINAL)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["spooled", "hashed-only"])

@@ -1,7 +1,10 @@
+import contextlib
+import http.client
+
 import pytest
 
 from memento_audit import client
-from memento_audit.client import fetch_timemap
+from memento_audit.client import TimeMapBody, fetch_timemap
 from memento_audit.errors import NotArchived, RobotsExcluded
 from memento_audit.fixture_archive.scenarios import (
     NEWS_ORIGINAL,
@@ -14,10 +17,11 @@ from memento_audit.timefmt import parse_ts14
 
 
 def fetched_body(original, endpoint, fetcher) -> bytes:
-    """The TimeMap body that fetch_timemap writes, from its last attempt."""
-    pieces: list[bytes] = []
-    fetch_timemap(original, endpoint, fetcher, lambda headers: pieces.clear() or pieces.append)
-    return b"".join(pieces)
+    """The TimeMap body that fetch_timemap spools, from its last attempt."""
+    with contextlib.closing(TimeMapBody()) as body:
+        fetch_timemap(original, endpoint, fetcher, body)
+        body.spool.seek(0)
+        return body.spool.read()
 
 
 def _parsed_timemap(original, endpoint, fetcher):
@@ -78,13 +82,16 @@ _ROBOTS_BODIES = [
 
 @pytest.mark.parametrize("body", _ROBOTS_BODIES)
 def test_robots_verdict_is_the_whole_body_verdict_for_every_split(body):
+    """However a GET's attempt cuts the body into pieces, the spool holds
+    the body whole and the verdict is the whole body's."""
     whole = client._LINK_ENTRY_START_RE.match(body) is None and client.ROBOTS_MARKER in body
     splits = [range(size, len(body), size) for size in range(1, len(body) + 1)]
     splits += [[cut] for cut in range(len(body))] + [[]]
-    for cuts in splits:
-        written = []
-        scan = client._RobotsScan(written.append)
-        for start, end in zip([0, *cuts], [*cuts, len(body)]):
-            scan(body[start:end])
-        assert scan.excluded == whole, list(cuts)[:3]
-        assert b"".join(written) == body
+    with contextlib.closing(TimeMapBody()) as spooled:
+        for cuts in splits:
+            write = spooled.open(200, http.client.HTTPMessage())
+            for start, end in zip([0, *cuts], [*cuts, len(body)]):
+                write(body[start:end])
+            assert spooled.excluded() == whole, list(cuts)[:3]
+            spooled.spool.seek(0)
+            assert spooled.spool.read() == body and spooled.size == len(body)

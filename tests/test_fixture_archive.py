@@ -304,7 +304,8 @@ def test_malformed_sites_rejected(site, message):
 
 
 _UNIT_TS = "20100101000000"
-_UNIT_PAGE = '<script src="app.js"></script><img src="a.gif">'
+_UNIT_PAGE = ('<script src="app.js"></script><img src="a.gif"><img src="a.gif#again">'
+              '<img src="DATA:image/gif;base64,R0lGOD"><iframe src="JavaScript:void(0)">')
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +363,8 @@ def _browsed(stub_bridge, uri: str, scripting: str) -> tuple[dict, list[str]]:
 
 
 def test_stub_browser_skips_script_sources_with_scripting_off(unit_service, stub_bridge):
+    """Nor does it fetch a reference twice, or one a browser skips, whatever
+    the case of its scheme."""
     page = unit_service.memento_uri(_UNIT_TS, "http://unit.example/")
     base = f"{unit_service.archive_base}/memento/{_UNIT_TS}/http://unit.example"
     assert _browsed(stub_bridge, page, "on")[1] == [f"{base}/app.js", f"{base}/a.gif"]

@@ -121,6 +121,50 @@ def test_backslashes_before_the_query_are_slashes(ref, joined):
     assert _browser_join(original, ref) == joined
 
 
+@pytest.mark.parametrize("ref", ["DATA:image/gif;base64,R0lGOD", "JavaScript:void(0)",
+                                 " Data:x", "#top", "//[bad", "ftp://h/x.gif"])
+def test_neither_crawler_fetches_what_a_browser_skips(ref):
+    """Skip schemes match in any case, for the stub browser as for the
+    static engine."""
+    original = "http://h/a/b.html"
+    replay = make_replay_uri("20050101000000", original, WAYBACK)
+    with pytest.raises(UnresolvableReference):
+        rewrite_subresource(replay, ref, WAYBACK)
+    for base in (replay.uri, original):
+        with pytest.raises(UnresolvableReference):
+            _browser_join(base, ref)
+
+
+@pytest.mark.parametrize("ref, joined", [
+    ("http://h\\x.gif", "http://h/x.gif"),
+    ("http://h/a/../b.gif", "http://h/b.gif"),
+    ("https://h/a/./b/../c.gif?q=/./#f", "https://h/a/c.gif?q=/./"),
+    ("//h/a/../b.gif", "http://h/b.gif"),
+    ("/a/./../b.gif", "http://o/b.gif"),
+])
+def test_absolute_references_resolve_as_a_browser_resolves_them(ref, joined):
+    """A `\\` reads as `/`, and dot segments are removed (RFC 3986 §5.2.2),
+    in absolute references too: both crawlers request what a browser does.
+    The stub leaves a reference that starts with http(s):// live."""
+    original = "http://o/x/y.html"
+    assert resolve_reference(original, ref) == joined
+    replay = make_replay_uri("20050101000000", original, WAYBACK)
+    wrapped = WAYBACK.expand_replay("20050101000000", joined)
+    assert rewrite_subresource(replay, ref, WAYBACK) == wrapped
+    live = ref.startswith(("http://", "https://"))
+    assert _browser_join(replay.uri, ref) == (joined if live else wrapped)
+    assert _browser_join(original, ref) == joined
+
+
+@pytest.mark.parametrize("base, ref", [
+    ("https://o/", "http://h/b.gif?"),
+    ("http://o/", "http://h/.well/b.gif"),
+    ("http://o/", "mailto:x@h"),
+])
+def test_joins_without_dot_segments_are_urljoins(base, ref):
+    assert join_reference(base, ref) == urljoin(base, ref)
+
+
 _SEGMENTS = st.sampled_from(["a", "b.html", ".", "..", "c;p", "d=1", "%2e", "x:y"])
 
 
