@@ -92,10 +92,4 @@ def extract_page_refs(html: str) -> tuple[list[str], list[str], list[str]]:
 
 
 def _dedup(refs: list[str]) -> list[str]:
-    deduped = []
-    seen = set()
-    for ref in refs:
-        if ref not in seen:
-            seen.add(ref)
-            deduped.append(ref)
-    return deduped
+    return list(dict.fromkeys(refs))

@@ -32,12 +32,13 @@ import urllib.request
 import zlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from urllib.parse import SplitResult, quote, unquote, urljoin, urlsplit
+from urllib.parse import SplitResult, quote, unquote, urlsplit
 
 import certifi
 import idna
 
 from . import __version__
+from .replay import join_reference, remove_dot_segments
 
 logger = logging.getLogger(__name__)
 
@@ -361,29 +362,10 @@ def _encoded(component: str) -> str:
     return quote(component, safe=_TARGET_SAFE)
 
 
-def _without_dot_segments(path: str) -> str:
-    """`path` with its "." and ".." segments resolved (RFC 3986 §5.2.4), as
-    urllib3 resolves them."""
-    out: list[str] = []
-    for segment in path.split("/"):
-        if segment == "..":
-            if out:
-                out.pop()
-        elif segment != ".":
-            out.append(segment)
-    if path.startswith("/") and (not out or out[0]):
-        out.insert(0, "")
-    if path.endswith(("/.", "/..")):
-        out.append("")
-    return "/".join(out)
-
-
 def _request_target(path: str, query: str) -> str:
-    """The origin-form request target (RFC 9112 §3.2.1) of a URI's path and
-    query, as requests and urllib3 put it on the wire."""
-    if "/." in path:
-        path = _without_dot_segments(path)
-    return _encoded(path or "/") + ("?" + _encoded(query) if query else "")
+    """The origin-form request target (RFC 9112 §3.2.1) of a URI's path, its
+    dot segments removed by the resolver's rule, and query, as _encoded gives them."""
+    return _encoded(remove_dot_segments(path) or "/") + ("?" + _encoded(query) if query else "")
 
 
 def _inflated(stream, data: bytes, replay_failure: bool = False) -> Iterator[bytes]:
@@ -694,7 +676,7 @@ class PoliteFetcher:
     def follow(self, uri: str, headers: dict[str, str] | None = None,
                open_body: OpenBody | None = None) -> ChainResult:
         """Follow `uri` through 3xx hops, recording (status, uri) per hop;
-        every hop's GET carries `headers`.
+        every hop's GET carries `headers`; replay.join_reference resolves each Location.
 
         The final response's body goes, decoded, piece by piece to the
         writer open_body(status, headers) gives, a fresh one for each
@@ -728,7 +710,7 @@ class PoliteFetcher:
             if self._followed(status, headers_in, len(result.hops)):
                 location = headers_in["Location"]
                 try:
-                    current = urljoin(current, location)
+                    current = join_reference(current, location)
                 except ValueError as exc:  # e.g. "http://[bad/x"
                     result.error = f"unparsable Location {location!r}: {exc}"
                     return result

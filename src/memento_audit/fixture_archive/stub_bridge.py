@@ -17,7 +17,7 @@ from ..capture import (PHASE_PAGE, PHASE_SUBRESOURCE, SCRIPTING_ON, TRIGGER_MARK
 from ..errors import UnresolvableReference
 from ..extract import extract_css_refs, extract_page_refs
 from ..fetching import PoliteFetcher
-from ..replay import MEMENTO_SHAPE_RE, resolve_reference
+from ..replay import C0_CONTROL_OR_SPACE, MEMENTO_SHAPE_RE, resolve_reference
 from .server import _QuietHandler, serve_in_thread, stop_serving
 
 logger = logging.getLogger(__name__)
@@ -43,7 +43,7 @@ def _browser_join(base: str, ref: str) -> str:
     what a browser would not fetch, such as "data:..." or "//[bad".
     """
     m = MEMENTO_SHAPE_RE.match(base)
-    if m is None or ref.strip().startswith(("http://", "https://")):
+    if m is None or ref.strip(C0_CONTROL_OR_SPACE).startswith(("http://", "https://")):
         return resolve_reference(base, ref)
     prefix, timestamp, original = m.groups()
     return f"{prefix}/{timestamp}/{resolve_reference(original, ref)}"

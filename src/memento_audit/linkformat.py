@@ -278,9 +278,10 @@ def index_timemap(pieces: Iterable[str], roles: dict[str, str] | None = None
     return seconds, starts, None if mismatch is None else mismatch[1]
 
 
-def memento_at(body: BinaryIO, byte: int) -> MementoRecord:
+def memento_at(body: BinaryIO, byte: int, second: int) -> MementoRecord:
     """The record of the memento entry that memento_entries found at `byte`
-    of the UTF-8 `body`, a binary file, read back from the body alone."""
+    of the UTF-8 `body`, a binary file, and dated to `second` since the epoch;
+    an entry in the canonical form is read back with one _MEMENTO_RE match."""
     size = 512
     while True:
         body.seek(byte)
@@ -292,10 +293,13 @@ def memento_at(body: BinaryIO, byte: int) -> MementoRecord:
         if stop < len(text) or len(window) < size:
             break
         size *= 2
+    dt = EPOCH + timedelta(seconds=second)
+    m = _MEMENTO_RE.match(text)  # it ends where the entry does: at a comma or the text's end
+    if m is not None:
+        return MementoRecord(dt, m[1], m[2] is not None, m[3] is not None)
     uri, params = _parse_entry(byte, text[:stop])
     tokens = params["rel"].split()
-    return MementoRecord(parse_rfc1123(params["datetime"]), uri,
-                         "first" in tokens, "last" in tokens)
+    return MementoRecord(dt, uri, "first" in tokens, "last" in tokens)
 
 
 def records_at(body: BinaryIO, seconds: Sequence[int], starts: Sequence[int],
@@ -304,7 +308,7 @@ def records_at(body: BinaryIO, seconds: Sequence[int], starts: Sequence[int],
     dated to the same second, read back from `body` in URI order; of equal
     URIs, the first in the text comes first."""
     run = range(i, bisect_right(seconds, seconds[i], i))
-    return sorted((memento_at(body, starts[j]) for j in run), key=attrgetter("uri"))
+    return sorted((memento_at(body, starts[j], seconds[i]) for j in run), key=attrgetter("uri"))
 
 
 def read_mementos(body: BinaryIO, seconds: Sequence[int], starts: Sequence[int]

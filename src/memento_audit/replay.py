@@ -1,29 +1,33 @@
-"""Archive URI space: endpoint templates, replay URIs, rewriting, host classes.
+"""Archive URI space: endpoint templates, replay URIs, the URL resolver,
+rewriting, host classes.
 
-Original URIs are kept byte-for-byte; replay services are sensitive to the
-exact bytes of the embedded original, so nothing here percent-normalizes.
+join_reference resolves every page reference and every redirect's Location
+as WHATWG URL does for http(s), and its remove_dot_segments is the request
+target's rule too.  Original URIs are kept byte-for-byte: replay services
+are sensitive to the exact bytes of the embedded original, so nothing here
+percent-encodes, and no host or port is canonicalised.
 """
 
 import re
 from dataclasses import dataclass, field
-from urllib.parse import urldefrag, urljoin, urlsplit, urlunsplit
+from urllib.parse import urlsplit
 
 from .errors import UnrecognizedShape, UnresolvableReference
-from .fetching import _without_dot_segments
 from .timefmt import parse_ts14, split_netloc_path
 
 HOST_ARCHIVE = "archive"
 HOST_LIVE = "live"
 HOST_CHROME = "replay-chrome"
 
-# References that carry no archive request and are counted, not fetched.
-SKIP_SCHEMES = ("data:", "blob:", "javascript:", "mailto:")
-
 #: The path prefixes of replay chrome on an archive host, unless configured.
 CHROME_PREFIXES = ("/static/",)
 
-#: A reference up to its query or fragment.
-_BEFORE_QUERY_RE = re.compile(r"[^?#]*")
+#: What WHATWG URL strips from both ends of a reference: C0 controls and space.
+C0_CONTROL_OR_SPACE = "".join(map(chr, range(0x21)))
+#: (scheme, authority, path, "?" query, "#" fragment) of a reference, where
+#: a `\\` before the query reads as `/`.
+_REFERENCE_RE = re.compile(
+    r"(?:([A-Za-z][A-Za-z0-9+.-]*):)?(?:[/\\]{2}([^/\\?#]*))?([^?#]*)(\?[^#]*)?(#.*)?", re.S)
 
 #: (replay prefix, timestamp, original) of a memento URI, at its first timestamp.
 MEMENTO_SHAPE_RE = re.compile(r"^(https?://[^/]+.*?)/(\d{14})/(https?://.+)$")
@@ -154,50 +158,63 @@ def classify_host(uri: str, ep: ArchiveEndpoint) -> str:
     return HOST_ARCHIVE
 
 
+def remove_dot_segments(path: str) -> str:
+    """The absolute `path` without its dot segments, as WHATWG URL's path state
+    reads them: ".", ".." and either with "%2e" for a dot, in any case.  Empty
+    segments stay, and a dot segment at the end leaves a trailing "/"."""
+    if "/." not in path and "%2" not in path:
+        return path
+    out: list[str] = []
+    for segment in path.split("/")[1:]:
+        dots = segment.lower().replace("%2e", ".")
+        if dots == "..":
+            del out[-1:]
+        elif dots != ".":
+            out.append(segment)
+    if dots in (".", ".."):
+        out.append("")
+    return "/" + "/".join(out)
+
+
 def join_reference(base_uri: str, reference: str) -> str:
-    """`reference` resolved against the absolute URI `base_uri` as RFC 3986
-    §5.2 and a browser resolve it.  In an http(s) reference, a `\\` before
-    any `?` or `#` is read as `/`, as WHATWG URL reads it, so that img\\x.gif
-    is img/x.gif and \\\\h\\x.gif is //h/x.gif.  A relative-path reference is
-    merged with the base's path, then its dot segments are removed, and every
-    empty segment of both is kept: urljoin drops them, so that it joins
-    http://h/a//b/c.html and d.gif to http://h/a/b/d.gif, where a browser
-    requests http://h/a//b/d.gif.  Every other form of reference goes to
-    urljoin; when that gives an http(s) URI whose path holds dot segments,
-    as http://h/a/../b.gif, they are removed too."""
-    ref = urlsplit(reference)
-    if "\\" in reference and (ref.scheme or urlsplit(base_uri).scheme) in ("http", "https"):
-        end = _BEFORE_QUERY_RE.match(reference).end()
-        reference = reference[:end].replace("\\", "/") + reference[end:]
-        ref = urlsplit(reference)
-    if ref.scheme or ref.netloc or not ref.path or ref.path.startswith("/"):
-        joined = urljoin(base_uri, reference)
-        parts = urlsplit(joined)
-        if "/." in parts.path and parts.scheme in ("http", "https"):
-            joined = urlunsplit(parts._replace(path=_without_dot_segments(parts.path)))
-        return joined
-    scheme, netloc, path, _, _ = urlsplit(base_uri)
-    path = _without_dot_segments((path[:path.rfind("/") + 1] or "/") + ref.path)
-    return urlunsplit((scheme, netloc, path, ref.query, ref.fragment))
+    """`reference` resolved against the absolute http(s) URI `base_uri`,
+    parsed once as WHATWG URL parses it and merged with the base's path as
+    RFC 3986 §5.2.3 merges it; the authority is taken as written.  A
+    reference with a scheme other than http(s), or with the other of the two
+    and no `//`, is returned as given.  Raises ValueError for an authority
+    that urlsplit cannot read, such as "[bad"."""
+    ref = reference.strip(C0_CONTROL_OR_SPACE)
+    ref = ref.replace("\t", "").replace("\n", "").replace("\r", "")
+    scheme, authority, path, query, fragment = _REFERENCE_RE.match(ref).groups()
+    base_scheme, base_authority, base_path, base_query, _ = _REFERENCE_RE.match(base_uri).groups()
+    scheme, base_scheme = (scheme or base_scheme).lower(), base_scheme.lower()
+    if scheme not in ("http", "https") or (scheme != base_scheme and authority is None):
+        return reference
+    path = path.replace("\\", "/")
+    if authority is not None:
+        urlsplit("//" + authority)  # raises ValueError for a host it cannot read
+    else:
+        authority = base_authority
+        if not path:
+            path, query = base_path, base_query if query is None else query
+        elif not path.startswith("/"):  # merged with the base's path (RFC 3986 §5.2.3)
+            path = (base_path[:base_path.rfind("/") + 1] or "/") + path
+    return f"{scheme}://{authority}{remove_dot_segments(path)}{query or ''}{fragment or ''}"
 
 
 def resolve_reference(base_uri: str, reference: str) -> str:
     """Resolve a page reference against an absolute base URI, without its
-    fragment. Raises UnresolvableReference for what a browser would not fetch."""
-    ref = reference.strip()
-    if not ref or ref.startswith("#"):
-        raise UnresolvableReference(f"fragment-only reference: {reference!r}")
-    lowered = ref.lower()
-    for scheme in SKIP_SCHEMES:
-        if lowered.startswith(scheme):
-            raise UnresolvableReference(f"non-fetchable scheme: {reference!r}")
+    fragment.  Raises UnresolvableReference for what a browser would not
+    fetch: an empty or fragment-only reference, and one that names no
+    http(s) URI with a host, such as "data:…", "JavaScript:…" or "//[bad"."""
+    ref = reference.strip(C0_CONTROL_OR_SPACE)
     try:
-        resolved, _frag = urldefrag(join_reference(base_uri, ref))
+        resolved = join_reference(base_uri, ref).partition("#")[0]
         parts = urlsplit(resolved)
     except ValueError as exc:  # a malformed authority, such as "//[bad"
         raise UnresolvableReference(f"malformed reference {reference!r}: {exc}") from exc
-    if parts.scheme not in ("http", "https") or not parts.netloc:
-        raise UnresolvableReference(f"reference resolves to no http(s) URI: {reference!r}")
+    if not ref or ref[0] == "#" or parts.scheme not in ("http", "https") or not parts.netloc:
+        raise UnresolvableReference(f"no http(s) URI to fetch: {reference!r}")
     return resolved
 
 

@@ -1022,13 +1022,31 @@ def test_internationalised_host_is_sent_in_idna_form(monkeypatch):
 
 
 def test_redirect_to_a_uri_without_a_host_ends_the_chain_in_an_error(monkeypatch):
-    # urljoin keeps "https:///x" without a host, and the fetcher looks up
+    # join_reference keeps "https:///x" without a host, and the fetcher looks up
     # the environment's proxies for it before refusing it.
     with _http11(monkeypatch, lambda handler: (302, {"Location": "https:///x"}, b"")) \
             as (base, state):
         [result] = _follow_all(f"{base}/moved")
     assert result.hops == [(302, f"{base}/moved")]
     assert result.error == "InvalidURL: not an http(s) URI: 'https:///x'"
+
+
+def test_redirect_locations_resolve_as_a_browser_resolves_them(monkeypatch):
+    # "%2e%2e" is a ".." segment, and "\\host\path" a network-path
+    # reference to another host, as WHATWG URL reads them.
+    with _http11(monkeypatch, _ok) as (other, other_state):
+        netloc = other.removeprefix("http://")
+
+        def answer(handler):
+            location = {"/start": "/a/%2e%2e/c", "/c": f"\\\\{netloc}\\x"}[handler.path]
+            return 302, {"Location": location}, b""
+
+        with _http11(monkeypatch, answer) as (base, state):
+            [result] = _follow_all(f"{base}/start")
+    assert result.error is None
+    assert result.hops == [(302, f"{base}/start"), (302, f"{base}/c"), (200, f"{other}/x")]
+    assert [target for target, _ in state["requests"]] == ["/start", "/c"]
+    assert [target for target, _ in other_state["requests"]] == ["/x"]
 
 
 @pytest.mark.parametrize("error", [TypeError("no host"), socket.gaierror("no such name")],

@@ -1,14 +1,19 @@
+import http.client
+import json
 import random
 from datetime import datetime, timedelta, timezone
-from urllib.parse import urldefrag, urljoin
+from pathlib import Path
+from urllib.parse import quote, urldefrag, urljoin
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memento_audit.errors import BadTimestamp, UnrecognizedShape, UnresolvableReference
+from memento_audit.fetching import PoliteFetcher
 from memento_audit.fixture_archive.stub_bridge import _browser_join
 from memento_audit.replay import (
+    C0_CONTROL_OR_SPACE,
     HOST_ARCHIVE,
     MEMENTO_SHAPE_RE,
     HOST_CHROME,
@@ -165,17 +170,77 @@ def test_joins_without_dot_segments_are_urljoins(base, ref):
     assert join_reference(base, ref) == urljoin(base, ref)
 
 
-_SEGMENTS = st.sampled_from(["a", "b.html", ".", "..", "c;p", "d=1", "%2e", "x:y"])
+# urljoin differs on purpose where a segment is "%2e" or the query is an
+# empty "?"; the case table below covers both.
+_SEGMENTS = st.sampled_from(["a", "b.html", ".", "..", "c;p", "d=1", "x:y"])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_SEGMENTS, max_size=4), st.booleans(),
        st.lists(_SEGMENTS, min_size=1, max_size=4),
-       st.sampled_from(["", "?", "?q=1", "#f", "?q#f"]))
+       st.sampled_from(["", "?q=1", "#f", "?q#f"]))
 def test_join_equals_urljoin_where_no_segment_is_empty(base, slash, ref, tail):
     base_uri = "http://h" + "".join("/" + s for s in base) + ("/" if slash else "")
     reference = "/".join(ref) + tail
     assert join_reference(base_uri, reference) == urljoin(base_uri, reference)
+
+
+#: Cases in the shape of web-platform-tests' urltestdata.json: strings are
+#: comments, and each case is an input, a base and the href it resolves to.
+_URL_CASES = [case for case in json.loads(
+    (Path(__file__).parent / "url_resolution.json").read_text(encoding="utf-8"))
+    if isinstance(case, dict)]
+
+
+def _wire_form(uri: str) -> str:
+    """`uri` with what is not printable ASCII percent-encoded as UTF-8, as
+    the request target carries it; the resolver keeps a reference's bytes."""
+    return quote(uri, safe="".join(map(chr, range(0x21, 0x7f))))
+
+
+def _location_followed(base: str, location: str):
+    """The chain of a GET of `base` answered by a 302 to `location`, whose
+    target answers 200, with no request made."""
+    def get_once(uri, headers, open_body):
+        answer = http.client.HTTPMessage()
+        if uri == base:
+            answer["Location"] = location
+            return 302, answer
+        return 200, answer
+
+    fetcher = PoliteFetcher(politeness_s=0.0)
+    fetcher.get_once = get_once
+    with fetcher:
+        return fetcher.follow(base)
+
+
+@pytest.mark.parametrize("case", _URL_CASES, ids=lambda case: repr(case["input"]))
+def test_url_cases_resolve_as_the_standard_resolves_them(case):
+    """Every caller of the one resolver gives the standard's href: the join,
+    a redirect's Location, a page reference (without its fragment) for the
+    static engine and for the stub browser, and its replay wrap."""
+    base, ref = case["base"], case["input"]
+    replay = make_replay_uri("20050101000000", base, WAYBACK)
+    chain = _location_followed(base, ref)
+    if case.get("failure"):
+        with pytest.raises(ValueError):
+            join_reference(base, ref)
+        assert chain.error.startswith("unparsable Location") and chain.hops == [(302, base)]
+        for call in (lambda: resolve_reference(base, ref), lambda: _browser_join(base, ref),
+                     lambda: rewrite_subresource(replay, ref, WAYBACK)):
+            with pytest.raises(UnresolvableReference):
+                call()
+        return
+    href = case["href"]
+    assert _wire_form(join_reference(base, ref)) == href
+    assert [(status, _wire_form(uri)) for status, uri in chain.hops] == [(302, base), (200, href)]
+    page = href.partition("#")[0]
+    assert _wire_form(resolve_reference(base, ref)) == page
+    assert _wire_form(_browser_join(base, ref)) == page
+    wrapped = rewrite_subresource(replay, ref, WAYBACK)
+    assert _wire_form(wrapped) == WAYBACK.expand_replay("20050101000000", page)
+    live = ref.strip(C0_CONTROL_OR_SPACE).startswith(("http://", "https://"))
+    assert _browser_join(replay.uri, ref) == (resolve_reference(base, ref) if live else wrapped)
 
 
 def _random_original(rng: random.Random) -> str:
